@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 when an answer was computed (negative answers included),
-1 on input/usage errors, 2 when a resource budget or substitution search
-ran out before an answer existed.
+1 on input/usage errors, 2 when a resource limit (the reduction budget or
+the degree cap) or a substitution search ran out before an answer existed.
 
 JSON output is deterministic byte-for-byte for a fixed input and seed:
 payloads carry "schema": 1 and the seed, keys are sorted, indentation is
@@ -34,7 +34,13 @@ from .endo import (
     equivalence_falsifier,
     rank,
 )
-from .errors import BudgetExceeded, EndoRankError, SearchExhausted
+from .errors import (
+    BudgetExceeded,
+    DegreeCapExceeded,
+    EndoRankError,
+    MalformedCertificate,
+    SearchExhausted,
+)
 from .fields import GF4, QQ, FieldAutomorphism
 from .groebner import invert_poly_map, set_budget
 from .kronecker import (
@@ -186,6 +192,31 @@ def _chain_payload(chain: Chain, seed: int) -> dict:
     }
 
 
+_CHAIN_KINDS = ("specialize", "power", "collapse")
+
+
+def _check_record(idx: int, sj: dict, n: int) -> None:
+    """Refuse a step record that would replay as a different one: an unknown
+    kind, or an index outside 1..n, which Python's negative indexing would
+    otherwise read as another variable."""
+    kind = sj["kind"]
+    if kind not in _CHAIN_KINDS:
+        raise MalformedCertificate(f"step {idx}: unknown substitution kind {kind!r}")
+    if kind == "collapse":
+        return
+    names = ("variable", "source") if kind == "power" else ("variable",)
+    for name in names:
+        v = sj[name]
+        if type(v) is not int or not 1 <= v <= n:
+            raise MalformedCertificate(f"step {idx}: {name} {v!r} outside 1..{n}")
+    if kind == "power":
+        if sj["source"] == sj["variable"]:
+            raise MalformedCertificate(f"step {idx}: source equals variable")
+        e = sj["exponent"]
+        if type(e) is not int or e < 2:
+            raise MalformedCertificate(f"step {idx}: exponent {e!r} is not at least 2")
+
+
 def _rebuild_chain(payload: dict) -> Chain:
     spec = parse_field_header("field " + payload["field"])
     n = int(payload["vars"])
@@ -194,7 +225,8 @@ def _rebuild_chain(payload: dict) -> Chain:
     )
     cur = spec
     steps = []
-    for sj in payload["steps"]:
+    for idx, sj in enumerate(payload["steps"], start=1):
+        _check_record(idx, sj, n)
         lift = (
             parse_field_header("field " + sj["lift_to"])
             if sj.get("lift_to")
@@ -722,7 +754,7 @@ def main(argv=None) -> int:
 
     try:
         payload, lines = args.handler(args)
-    except (BudgetExceeded, SearchExhausted) as exc:
+    except (BudgetExceeded, DegreeCapExceeded, SearchExhausted) as exc:
         print(f"endorank: exhausted: {exc}", file=sys.stderr)
         return 2
     except (EndoRankError, OSError, json.JSONDecodeError, KeyError) as exc:

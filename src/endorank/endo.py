@@ -39,6 +39,7 @@ from .groebner import (
     eliminate,
     groebner_basis,
     ideal_dimension,
+    register_cache,
 )
 from .mpoly import MultiPoly
 
@@ -181,6 +182,9 @@ def relation_ideal(endo: Endomorphism) -> Ideal:
         for k in range(n)
     ]
     return eliminate(Ideal.of(spec, 2 * n, gens), range(n))
+
+
+register_cache(relation_ideal.cache_clear)
 
 
 @dataclass(frozen=True)

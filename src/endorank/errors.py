@@ -66,6 +66,11 @@ class SearchExhausted(EndoRankError):
         self.attempts = attempts if attempts is not None else []
 
 
+class MalformedCertificate(EndoRankError):
+    """A certificate record that cannot be replayed as written: an unknown
+    kind, or an index or exponent out of range."""
+
+
 class RelationViolation(EndoRankError):
     """A composition table does not satisfy the required delta relations."""
 

@@ -6,18 +6,30 @@ reproducibility: generators are canonically sorted, pair selection and
 reduction are fully deterministic, and finished bases are cached per
 (ideal, order).
 
+Inside a computation monomials are packed into integers (see _Packing): an
+order key and an exponent vector with guard bits, so a monomial product is
+two additions and a divisibility test is one mask.  Reduction takes terms
+largest first from a heap (Monagan & Pearce, "Sparse polynomial division
+using a heap", JSC 2011), and S-pairs wait in a heap under the total key
+(lcm degree, i, j).  Only finished bases are turned back into MultiPoly.
+
 Work is metered in reduction steps against a module-wide budget; blowing the
 budget raises BudgetExceeded, which is a resource verdict, never a
-mathematical "no".  Setting CHECK_SPOLYS makes every finished basis re-verify
-that all its S-polynomials reduce to zero, with counters in STATS.
+mathematical "no".  The step count of a computation does not depend on the
+representation: it is the number of divisions the algorithm makes.
+Setting CHECK_SPOLYS makes every finished basis re-verify that all its
+S-polynomials reduce to zero, with counters in STATS.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ArityMismatch, BudgetExceeded, DegreeCapExceeded, SpecMismatch
 from .fields import FieldSpec
@@ -27,11 +39,7 @@ from .mpoly import (
     MonomialOrder,
     MultiPoly,
     degree_cap,
-    mono_degree,
-    mono_div,
-    mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 # -- configuration and instrumentation ----------------------------------------
@@ -127,6 +135,9 @@ class GroebnerBasis:
     ideal: Ideal
     order: MonomialOrder
     polys: tuple[MultiPoly, ...]
+    # The packing the basis was computed in and `polys` as packed elements,
+    # so normal forms need not pack the basis again.
+    _packed: tuple = field(compare=False, repr=False)
 
     @property
     def is_unit(self) -> bool:
@@ -142,6 +153,69 @@ class GroebnerBasis:
         return normal_form(f, self).is_zero
 
 
+# -- packed monomials ----------------------------------------------------------
+
+
+class _Packing:
+    """The monomials of one computation, packed into integers.
+
+    A monomial is the pair (K, P).  K = sum(e_i * W_i) over the order's
+    weights sorts exactly like `order.key`.  P holds the exponents and then
+    the total degree, in fields of `width` bits whose top bit is a guard.  A
+    field holds at most max(degree cap, largest input degree), so adding two
+    fields never carries into the next, and a product that passes the cap
+    check is back within that bound.  Hence:
+
+    * multiplying two monomials adds their K and their P;
+    * a divides b exactly when (P_b - P_a) & guard == 0, with `guard` the
+      guard bits of the exponent fields (the lowest exponent field of a
+      that is larger than b's borrows and sets its guard bit);
+    * the total degree is P >> deg_shift.
+    """
+
+    __slots__ = ("nvars", "width", "weights", "shifts", "guard", "deg_shift")
+
+    def __init__(
+        self, nvars: int, order: MonomialOrder, polys: Iterable[MultiPoly]
+    ):
+        top = max((f.total_degree() for f in polys), default=0)
+        width = max(degree_cap(), top).bit_length() + 1
+        self.nvars = nvars
+        self.width = width
+        self.weights = order.weights(nvars, 1 << width)
+        self.shifts = tuple(width * i for i in range(nvars))
+        self.deg_shift = width * nvars
+        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
+
+    def holds(self, degree: int) -> bool:
+        """Whether monomials of this degree fit the fields."""
+        return degree < 1 << (self.width - 1)
+
+    def mono(self, m: tuple) -> tuple[int, int]:
+        p = sum(map(operator.lshift, m, self.shifts)) + (sum(m) << self.deg_shift)
+        return sum(map(operator.mul, m, self.weights)), p
+
+    def unpack(self, p: int) -> tuple:
+        mask = (1 << self.width) - 1
+        return tuple((p >> s) & mask for s in self.shifts)
+
+    def terms(self, f: MultiPoly) -> list:
+        """f's terms as (K, P, coefficient) triples, largest first."""
+        out = [(*self.mono(m), c) for m, c in f.terms.items()]
+        out.sort(key=itemgetter(0), reverse=True)
+        return out
+
+    def element(self, f: MultiPoly) -> tuple:
+        """A monic f as a basis element: (lead K, lead P, tail triples)."""
+        (k, p, _), *tail = self.terms(f)
+        return k, p, tuple(tail)
+
+    def poly(self, spec: FieldSpec, terms: Iterable) -> MultiPoly:
+        return MultiPoly(
+            spec, self.nvars, {self.unpack(p): c for _, p, c in terms}
+        )
+
+
 # -- core reduction ------------------------------------------------------------
 
 
@@ -153,87 +227,131 @@ def _make_monic(f: MultiPoly, order: MonomialOrder) -> MultiPoly:
     return f.scale(lc.inverse())
 
 
+def _monic_element(terms: list, spec: FieldSpec) -> tuple:
+    """A nonzero remainder (triples, largest first) scaled to a monic basis
+    element."""
+    lc = terms[0][2]
+    if lc != spec.one_raw():
+        inv = spec.inv_raw(lc)
+        terms = [(k, p, spec.mul_raw(c, inv)) for k, p, c in terms]
+    (k, p, _), *tail = terms
+    return k, p, tuple(tail)
+
+
 def _reduce(
-    f: MultiPoly,
-    basis: Sequence[MultiPoly],
-    lms: Sequence[tuple],
-    order: MonomialOrder,
-    work: _Work,
-) -> MultiPoly:
-    """Full normal form of f against a list of monic polynomials.  The first
-    basis element whose leading monomial divides the current lead is used, so
-    the result is deterministic for a fixed basis order (and unique anyway
-    once the basis is a Groebner basis)."""
-    spec = f.spec
+    terms: Iterable, basis: Sequence, pk: _Packing, spec: FieldSpec, work: _Work
+) -> list:
+    """Full normal form of a polynomial, given as (K, P, c) triples, against
+    monic basis elements.  Terms are taken largest first from a heap of -K;
+    an entry whose term cancelled after it was pushed is skipped when
+    popped.  The first basis element whose lead divides the term reduces it,
+    so the result is deterministic for a fixed basis order (and unique
+    anyway once the basis is a Groebner basis).  Returns the remainder's
+    triples, largest first."""
     cap = degree_cap()
-    cur = dict(f.terms)
-    out: dict = {}
-    while cur:
-        m = max(cur, key=order.key)
-        c = cur.pop(m)
-        hit = -1
-        for k, lm in enumerate(lms):
-            if mono_divides(lm, m):
-                hit = k
+    guard, deg_shift = pk.guard, pk.deg_shift
+    mul, sub, neg, is_zero = spec.mul_raw, spec.sub_raw, spec.neg_raw, spec.is_zero_raw
+    coef: dict = {}
+    packed: dict = {}
+    for k, p, c in terms:
+        coef[k] = c
+        packed[k] = p
+    heap = [-k for k in coef]
+    heapify(heap)
+    out = []
+    while heap:
+        k = -heappop(heap)
+        c = coef.pop(k, None)
+        if c is None:
+            continue
+        p = packed[k]
+        for lk, lp, tail in basis:
+            if not (p - lp) & guard:
                 break
-        if hit < 0:
-            out[m] = c
+        else:
+            out.append((k, p, c))
             continue
         work.step()
-        g = basis[hit]
-        glm = lms[hit]
-        shift = mono_div(m, glm)
-        for gm, gc in g.terms.items():
-            if gm == glm:
-                continue
-            mm = mono_mul(gm, shift)
-            if sum(mm) > cap:
+        sk, sp = k - lk, p - lp
+        for tk, tp, tc in tail:
+            mp = tp + sp
+            if mp >> deg_shift > cap:
                 raise DegreeCapExceeded(
-                    f"reduction reached degree {sum(mm)} above cap {cap}"
+                    f"reduction reached degree {mp >> deg_shift} above cap {cap}"
                 )
-            d = spec.mul_raw(c, gc)
-            prev = cur.get(mm)
-            s = spec.neg_raw(d) if prev is None else spec.sub_raw(prev, d)
-            if spec.is_zero_raw(s):
-                cur.pop(mm, None)
+            mk = tk + sk
+            d = mul(c, tc)
+            prev = coef.get(mk)
+            if prev is None:
+                # Products of nonzero field elements are nonzero.
+                coef[mk] = neg(d)
+                packed[mk] = mp
+                heappush(heap, -mk)
             else:
-                cur[mm] = s
-    return MultiPoly(spec, f.nvars, out)
+                s = sub(prev, d)
+                if is_zero(s):
+                    del coef[mk]
+                else:
+                    coef[mk] = s
+    return out
 
 
-def _spoly(
-    f: MultiPoly, flm: tuple, g: MultiPoly, glm: tuple
-) -> MultiPoly:
-    """S-polynomial of two *monic* polynomials."""
-    spec = f.spec
+def _spoly(a: tuple, b: tuple, lcm: tuple, pk: _Packing, spec: FieldSpec) -> list:
+    """S-polynomial of two monic basis elements as (K, P, c) triples; `lcm`
+    is the packed lcm of their leads, which cancel."""
     cap = degree_cap()
-    lcm = mono_lcm(flm, glm)
+    deg_shift = pk.deg_shift
+    lk, lp = lcm
 
-    def shifted(h: MultiPoly, hlm: tuple):
-        shift = mono_div(lcm, hlm)
-        for m, c in h.terms.items():
-            mm = mono_mul(m, shift)
-            if sum(mm) > cap:
+    def shifted(el: tuple):
+        sk, sp = lk - el[0], lp - el[1]
+        for tk, tp, c in el[2]:
+            mp = tp + sp
+            if mp >> deg_shift > cap:
                 raise DegreeCapExceeded(
-                    f"S-polynomial reached degree {sum(mm)} above cap {cap}"
+                    f"S-polynomial reached degree {mp >> deg_shift} above cap {cap}"
                 )
-            yield mm, c
+            yield tk + sk, mp, c
 
-    a = MultiPoly.from_terms(spec, f.nvars, shifted(f, flm))
-    b = MultiPoly.from_terms(spec, g.nvars, shifted(g, glm))
-    return a - b
+    if lp >> deg_shift > cap:
+        raise DegreeCapExceeded(
+            f"S-polynomial reached degree {lp >> deg_shift} above cap {cap}"
+        )
+    acc = {k: (p, c) for k, p, c in shifted(a)}
+    for k, p, c in shifted(b):
+        prev = acc.get(k)
+        if prev is None:
+            acc[k] = (p, spec.neg_raw(c))
+            continue
+        s = spec.sub_raw(prev[1], c)
+        if spec.is_zero_raw(s):
+            del acc[k]
+        else:
+            acc[k] = (p, s)
+    return [(k, p, c) for k, (p, c) in acc.items()]
 
 
 # -- Buchberger ----------------------------------------------------------------
 
 _GB_CACHE: dict = {}
+_CACHE_CLEARERS: list[Callable[[], None]] = []
+
+
+def register_cache(clear: Callable[[], None]) -> None:
+    """Have clear_caches() also call `clear`.  Layers built on this module
+    register their memo tables here, so one call clears them all without
+    this module importing them."""
+    _CACHE_CLEARERS.append(clear)
 
 
 def clear_caches() -> None:
-    """Drop every memoized basis and membership result."""
+    """Drop every memoized basis and membership result, and every memo
+    table registered with register_cache."""
     _GB_CACHE.clear()
     _subalgebra_member_cached.cache_clear()
     _invert_cached.cache_clear()
+    for clear in _CACHE_CLEARERS:
+        clear()
 
 
 def groebner_basis(
@@ -247,9 +365,8 @@ def groebner_basis(
     if got is not None:
         return got
 
-    work = _Work(_budget)
-    polys = _buchberger(ideal, order, work)
-    gb = GroebnerBasis(ideal, order, polys)
+    polys, pk, packed = _buchberger(ideal, order, _Work(_budget))
+    gb = GroebnerBasis(ideal, order, polys, (pk, packed))
     STATS["bases_computed"] += 1
 
     do_check = CHECK_SPOLYS if check is None else check
@@ -261,31 +378,42 @@ def groebner_basis(
 
 
 def _buchberger(ideal: Ideal, order: MonomialOrder, work: _Work) -> tuple:
-    seed = sorted(
-        (_make_monic(f, order) for f in ideal.generators),
-        key=lambda f: (order.key(f.leading_monomial(order)), _poly_sort_key(f)),
-    )
-    G: list[MultiPoly] = list(seed)
-    lms: list[tuple] = [g.leading_monomial(order) for g in G]
-    pending: set[tuple[int, int]] = {
-        (i, j) for i in range(len(G)) for j in range(i + 1, len(G))
-    }
+    """The reduced basis as (polys, packing, packed elements)."""
+    spec = ideal.spec
+    monic = [_make_monic(f, order) for f in ideal.generators]
+    pk = _Packing(ideal.nvars, order, monic)
+    guard = pk.guard
+    seed = [(pk.element(f), _poly_sort_key(f)) for f in monic]
+    seed.sort(key=lambda t: (t[0][0], t[1]))
+    # Each element is packed once, here or when it enters, and kept packed
+    # until the reduced basis is read out.
+    G: list[tuple] = [el for el, _ in seed]
+    lms: list[tuple] = [pk.unpack(g[1]) for g in G]
+    # Pairs wait in a heap under the total key (lcm degree, i, j); `pending`
+    # holds the same pairs for the chain criterion.
+    pairs: list[tuple] = []
+    pending: set[tuple[int, int]] = set()
 
-    def pair_key(ij):
-        return (mono_degree(mono_lcm(lms[ij[0]], lms[ij[1]])), ij)
+    def add_pairs(t: int) -> None:
+        for s in range(t):
+            lk, lp = pk.mono(mono_lcm(lms[s], lms[t]))
+            heappush(pairs, (lp >> pk.deg_shift, s, t, lk, lp))
+            pending.add((s, t))
 
-    while pending:
-        i, j = min(pending, key=pair_key)
+    for t in range(1, len(G)):
+        add_pairs(t)
+
+    while pairs:
+        _, i, j, lk, lp = heappop(pairs)
         pending.remove((i, j))
-        lcm = mono_lcm(lms[i], lms[j])
         # Coprime leads: the S-polynomial reduces to zero for free.
-        if lcm == mono_mul(lms[i], lms[j]):
+        if lp == G[i][1] + G[j][1]:
             continue
         # Chain criterion: a third lead dividing the lcm, both of whose pairs
         # with i and j have already been handled, makes this pair redundant.
         redundant = False
-        for k in range(len(G)):
-            if k == i or k == j or not mono_divides(lms[k], lcm):
+        for k, g in enumerate(G):
+            if k == i or k == j or (lp - g[1]) & guard:
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -294,48 +422,46 @@ def _buchberger(ideal: Ideal, order: MonomialOrder, work: _Work) -> tuple:
                 break
         if redundant:
             continue
-        r = _reduce(_spoly(G[i], lms[i], G[j], lms[j]), G, lms, order, work)
-        if r.is_zero:
+        r = _reduce(_spoly(G[i], G[j], (lk, lp), pk, spec), G, pk, spec, work)
+        if not r:
             continue
-        r = _make_monic(r, order)
-        G.append(r)
-        lms.append(r.leading_monomial(order))
-        t = len(G) - 1
-        pending.update((k, t) for k in range(t))
+        G.append(_monic_element(r, spec))
+        lms.append(pk.unpack(r[0][1]))
+        add_pairs(len(G) - 1)
 
     # Minimal: keep only leads not divisible by another kept lead.
-    by_lm = sorted(range(len(G)), key=lambda idx: order.key(lms[idx]))
-    kept: list[int] = []
-    for idx in by_lm:
-        if any(mono_divides(lms[kidx], lms[idx]) for kidx in kept):
+    kept: list[tuple] = []
+    for g in sorted(G, key=itemgetter(0)):
+        if any(not (g[1] - h[1]) & guard for h in kept):
             continue
-        kept.append(idx)
-    basis = [G[idx] for idx in kept]
-    blms = [lms[idx] for idx in kept]
+        kept.append(g)
 
-    # Reduced: tail-reduce each element against the others (lead survives
-    # because kept leads are pairwise non-dividing).
+    # Reduced: tail-reduce each element against the others (no other kept
+    # lead divides its lead, and reduction only makes smaller terms).
+    # `kept` ascends by lead, and so does the result.
     reduced = []
-    for i, g in enumerate(basis):
-        others = basis[:i] + basis[i + 1 :]
-        olms = blms[:i] + blms[i + 1 :]
-        reduced.append(_reduce(g, others, olms, order, work) if others else g)
-    reduced.sort(key=lambda f: order.key(f.leading_monomial(order)))
-    return tuple(reduced)
+    for i, (k, p, tail) in enumerate(kept):
+        others = kept[:i] + kept[i + 1 :]
+        if others:
+            tail = tuple(_reduce(tail, others, pk, spec, work))
+        reduced.append((k, p, tail))
+    one = spec.one_raw()
+    polys = tuple(pk.poly(spec, [(k, p, one), *tail]) for k, p, tail in reduced)
+    return polys, pk, reduced
 
 
 def _verify_spolys(gb: GroebnerBasis) -> None:
     """Postcondition check: every S-polynomial of the finished basis must
     reduce to zero against it."""
-    polys = gb.polys
-    lms = [g.leading_monomial(gb.order) for g in polys]
+    spec = gb.ideal.spec
+    pk, els = gb._packed
+    lms = [pk.unpack(g[1]) for g in els]
     work = _Work(_budget)
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
+    for i in range(len(els)):
+        for j in range(i + 1, len(els)):
             STATS["spoly_checks"] += 1
-            s = _spoly(polys[i], lms[i], polys[j], lms[j])
-            r = _reduce(s, polys, lms, gb.order, work)
-            if not r.is_zero:
+            lcm = pk.mono(mono_lcm(lms[i], lms[j]))
+            if _reduce(_spoly(els[i], els[j], lcm, pk, spec), els, pk, spec, work):
                 STATS["spoly_failures"] += 1
                 raise RuntimeError(
                     "finished basis failed its S-polynomial postcondition"
@@ -350,8 +476,11 @@ def normal_form(f: MultiPoly, gb: GroebnerBasis) -> MultiPoly:
         raise ArityMismatch("polynomial arity differs from the ideal's")
     if not gb.polys:
         return f
-    lms = [g.leading_monomial(gb.order) for g in gb.polys]
-    return _reduce(f, gb.polys, lms, gb.order, _Work(_budget))
+    pk, basis = gb._packed
+    if not pk.holds(max(degree_cap(), f.total_degree())):
+        pk = _Packing(f.nvars, gb.order, (f, *gb.polys))
+        basis = [pk.element(g) for g in gb.polys]
+    return pk.poly(f.spec, _reduce(pk.terms(f), basis, pk, f.spec, _Work(_budget)))
 
 
 # -- derived questions -----------------------------------------------------------

@@ -42,15 +42,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -65,7 +56,11 @@ def mono_degree(a: Monomial) -> int:
 class MonomialOrder:
     """Total order on monomials, exposed as a sort key (bigger key = bigger
     monomial).  Instances memoize keys: monomial diversity is bounded in any
-    one computation."""
+    one computation.
+
+    Every order here is also linear in the exponents: `weights(nvars, base)`
+    gives integers W with sum(e_i * W_i) ordered exactly like `key`, and
+    injective, for monomials whose total degree is below `base`."""
 
     name = "order"
 
@@ -80,6 +75,9 @@ class MonomialOrder:
         return k
 
     def _key(self, m: Monomial) -> tuple:
+        raise NotImplementedError
+
+    def weights(self, nvars: int, base: int) -> tuple[int, ...]:
         raise NotImplementedError
 
     def __eq__(self, other):
@@ -101,6 +99,16 @@ def _grevlex_key(m: Monomial) -> tuple:
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
+def _grevlex_weights(nvars: int, base: int) -> tuple[int, ...]:
+    # The same comparison as _grevlex_key, in digits of `base`, most
+    # significant first: the degree, then the prefix sums e1+..+e(k) for
+    # k = n-1 down to 1 (a smaller last exponent is a larger prefix sum).
+    return tuple(
+        base ** (nvars - 1) + sum(base ** (k - 1) for k in range(i + 1, nvars))
+        for i in range(nvars)
+    )
+
+
 class GrevLex(MonomialOrder):
     """Graded reverse lexicographic order."""
 
@@ -108,6 +116,9 @@ class GrevLex(MonomialOrder):
 
     def _key(self, m):
         return _grevlex_key(m)
+
+    def weights(self, nvars, base):
+        return _grevlex_weights(nvars, base)
 
 
 class Lex(MonomialOrder):
@@ -117,6 +128,9 @@ class Lex(MonomialOrder):
 
     def _key(self, m):
         return m
+
+    def weights(self, nvars, base):
+        return tuple(base ** (nvars - 1 - i) for i in range(nvars))
 
 
 class Block(MonomialOrder):
@@ -137,6 +151,17 @@ class Block(MonomialOrder):
         elim = tuple(e for i, e in enumerate(m) if i in self.eliminated)
         rest = tuple(e for i, e in enumerate(m) if i not in self.eliminated)
         return (_grevlex_key(elim), _grevlex_key(rest))
+
+    def weights(self, nvars, base):
+        elim = [i for i in range(nvars) if i in self.eliminated]
+        rest = [i for i in range(nvars) if i not in self.eliminated]
+        out = [0] * nvars
+        scale = base ** len(rest)
+        for i, w in zip(elim, _grevlex_weights(len(elim), base)):
+            out[i] = w * scale
+        for i, w in zip(rest, _grevlex_weights(len(rest), base)):
+            out[i] = w
+        return tuple(out)
 
     def __repr__(self):
         return f"block(elim={sorted(self.eliminated)})"

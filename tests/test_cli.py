@@ -180,6 +180,33 @@ def test_chain_verify_catches_tampering(files, capsys, tmp_path):
     assert any("recorded rank after" in p for p in verified["problems"])
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("variable", -1, "variable -1 outside 1..2"),  # indexing would wrap it to x1
+        ("variable", 0, "variable 0 outside 1..2"),
+        ("variable", 9, "variable 9 outside 1..2"),  # indexing would raise IndexError
+        ("source", 3, "source 3 outside 1..2"),
+        ("source", 1, "source equals variable"),
+        ("exponent", 1, "exponent 1 is not at least 2"),
+        ("kind", "swap", "unknown substitution kind 'swap'"),
+    ],
+)
+def test_chain_verify_refuses_malformed_records(files, capsys, tmp_path, field, value, message):
+    path = files("ce.endo", GF2_COUNTEREXAMPLE)
+    _, out = run_cli(capsys, "chain", path, "--format", "json", "--seed", "1")
+    payload = json.loads(out)
+    assert payload["steps"][0]["kind"] == "power"  # x1 := x2^2 on n = 2
+    payload["steps"][0][field] = value
+    chain_file = tmp_path / "bad.json"
+    chain_file.write_text(json.dumps(payload))
+    code = main(["chain", str(chain_file), "--verify"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"endorank: error: step 1: {message}\n"
+
+
 def test_chain_text_format(files, capsys):
     path = files("ce.endo", GF2_COUNTEREXAMPLE)
     code, out = run_cli(capsys, "chain", path)
@@ -354,6 +381,15 @@ def test_bad_budget_value_exits_one(files, tmp_path):
     path.write_text(GF2_COUNTEREXAMPLE)
     result = run_proc("rank", str(path), env_extra={"ENDORANK_BUDGET": "lots"})
     assert result.returncode == 1
+
+
+def test_degree_cap_exits_two(files, capsys):
+    path = files("big.endo", "field Q\nvars 2\nx1 -> x1^70\nx2 -> x2\n")
+    code = main(["rank", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("endorank: exhausted: ")
+    assert "cap 64" in captured.err
 
 
 # -- selftest and determinism --------------------------------------------------------

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import endorank
+from endorank import groebner
 from endorank.endo import (
     Endomorphism,
     Verdict,
@@ -195,6 +197,17 @@ def test_relation_ideal_is_cached():
     b = endo(QQ, "x1^2 - x2", "x2")
     assert a == b and a is not b
     assert relation_ideal(a) is relation_ideal(b)
+
+
+def test_clear_caches_drops_relation_ideals():
+    phi = endo(QQ, "x1^2 - x2", "x1*x2")
+    relation_ideal(phi)
+    assert relation_ideal.cache_info().currsize > 0
+    groebner.reset_stats()
+    endorank.clear_caches()
+    assert relation_ideal.cache_info().currsize == 0
+    relation_ideal(phi)
+    assert groebner.STATS["bases_computed"] == 1  # a fresh elimination
 
 
 def test_rank_oracle_values():

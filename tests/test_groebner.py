@@ -6,12 +6,14 @@ with the standard computer-algebra references for these classic examples),
 then frozen.
 """
 
+import itertools
+import math
 import random
 
 import pytest
 
-from endorank.errors import ArityMismatch, BudgetExceeded
-from endorank.fields import GF2, GF3, QQ
+from endorank.errors import ArityMismatch, BudgetExceeded, DegreeCapExceeded
+from endorank.fields import GF2, GF3, GF4, QQ
 from endorank import groebner
 from endorank.groebner import (
     Ideal,
@@ -26,7 +28,17 @@ from endorank.groebner import (
     set_budget,
     subalgebra_member,
 )
-from endorank.mpoly import GREVLEX, LEX, MultiPoly
+from endorank.mpoly import (
+    GREVLEX,
+    LEX,
+    Block,
+    MultiPoly,
+    degree_cap,
+    mono_degree,
+    mono_lcm,
+    mono_mul,
+    set_degree_cap,
+)
 from endorank.parsing import parse_polynomial
 from endorank.sampling import random_polynomial
 
@@ -234,3 +246,253 @@ def test_groebner_cache_is_shared():
     groebner_basis(I)
     groebner_basis(I)
     assert groebner.STATS["bases_computed"] == 1
+
+
+# -- the packed, heap-ordered engine against the dict-and-max reference --------
+#
+# The reference is the plain form of the same algorithm on tuple monomials:
+# every step takes the largest remaining term with max(cur, key=order.key),
+# and pairs are chosen with min(pending, key=...).  Full reduction hides a
+# wrong pop order (the remainder is unique once the basis is a Groebner
+# basis), so these tests also reduce against non-Groebner bases and compare
+# step counts, which do see the order.
+
+
+def mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _reference_reduce(f, basis, lms, order, work):
+    spec = f.spec
+    cap = degree_cap()
+    cur = dict(f.terms)
+    out = {}
+    while cur:
+        m = max(cur, key=order.key)
+        c = cur.pop(m)
+        hit = -1
+        for k, lm in enumerate(lms):
+            if mono_divides(lm, m):
+                hit = k
+                break
+        if hit < 0:
+            out[m] = c
+            continue
+        work.step()
+        g = basis[hit]
+        glm = lms[hit]
+        shift = mono_div(m, glm)
+        for gm, gc in g.terms.items():
+            if gm == glm:
+                continue
+            mm = mono_mul(gm, shift)
+            if sum(mm) > cap:
+                raise DegreeCapExceeded(f"reduction reached degree {sum(mm)} above cap {cap}")
+            d = spec.mul_raw(c, gc)
+            prev = cur.get(mm)
+            s = spec.neg_raw(d) if prev is None else spec.sub_raw(prev, d)
+            if spec.is_zero_raw(s):
+                cur.pop(mm, None)
+            else:
+                cur[mm] = s
+    return MultiPoly(spec, f.nvars, out)
+
+
+def _reference_spoly(f, flm, g, glm):
+    spec = f.spec
+    cap = degree_cap()
+    lcm = mono_lcm(flm, glm)
+
+    def shifted(h, hlm):
+        shift = mono_div(lcm, hlm)
+        for m, c in h.terms.items():
+            mm = mono_mul(m, shift)
+            if sum(mm) > cap:
+                raise DegreeCapExceeded(f"S-polynomial reached degree {sum(mm)} above cap {cap}")
+            yield mm, c
+
+    a = MultiPoly.from_terms(spec, f.nvars, shifted(f, flm))
+    b = MultiPoly.from_terms(spec, g.nvars, shifted(g, glm))
+    return a - b
+
+
+def _reference_buchberger(ideal, order, work):
+    make_monic = groebner._make_monic
+    seed = sorted(
+        (make_monic(f, order) for f in ideal.generators),
+        key=lambda f: (order.key(f.leading_monomial(order)), groebner._poly_sort_key(f)),
+    )
+    G = list(seed)
+    lms = [g.leading_monomial(order) for g in G]
+    pending = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+
+    def pair_key(ij):
+        return (mono_degree(mono_lcm(lms[ij[0]], lms[ij[1]])), ij)
+
+    while pending:
+        i, j = min(pending, key=pair_key)
+        pending.remove((i, j))
+        lcm = mono_lcm(lms[i], lms[j])
+        if lcm == mono_mul(lms[i], lms[j]):
+            continue
+        redundant = False
+        for k in range(len(G)):
+            if k == i or k == j or not mono_divides(lms[k], lcm):
+                continue
+            a = (min(i, k), max(i, k))
+            b = (min(j, k), max(j, k))
+            if a not in pending and b not in pending:
+                redundant = True
+                break
+        if redundant:
+            continue
+        r = _reference_reduce(_reference_spoly(G[i], lms[i], G[j], lms[j]), G, lms, order, work)
+        if r.is_zero:
+            continue
+        r = make_monic(r, order)
+        G.append(r)
+        lms.append(r.leading_monomial(order))
+        t = len(G) - 1
+        pending.update((k, t) for k in range(t))
+
+    by_lm = sorted(range(len(G)), key=lambda idx: order.key(lms[idx]))
+    kept = []
+    for idx in by_lm:
+        if any(mono_divides(lms[kidx], lms[idx]) for kidx in kept):
+            continue
+        kept.append(idx)
+    basis = [G[idx] for idx in kept]
+    blms = [lms[idx] for idx in kept]
+    reduced = []
+    for i, g in enumerate(basis):
+        others = basis[:i] + basis[i + 1 :]
+        olms = blms[:i] + blms[i + 1 :]
+        reduced.append(_reference_reduce(g, others, olms, order, work) if others else g)
+    reduced.sort(key=lambda f: order.key(f.leading_monomial(order)))
+    return tuple(reduced)
+
+
+def _packed_normal_form(f, basis, order, work):
+    pk = groebner._Packing(f.nvars, order, (f, *basis))
+    out = groebner._reduce(pk.terms(f), [pk.element(g) for g in basis], pk, f.spec, work)
+    return pk.poly(f.spec, out)
+
+
+def _outcome(run, budget=10**5):
+    """(result or exception type, steps taken)."""
+    work = groebner._Work(budget)
+    try:
+        return run(work), work.steps
+    except (DegreeCapExceeded, BudgetExceeded) as exc:
+        return type(exc), work.steps
+
+
+def _orders(rng, n):
+    return [
+        GREVLEX,
+        LEX,
+        Block(()),
+        Block(range(n)),
+        Block(rng.sample(range(n), rng.randint(1, n))),
+    ]
+
+
+FIELDS = (QQ, GF2, GF3, GF4)
+
+
+def test_packed_key_orders_like_order_key_and_mask_divides_like_tuples():
+    rng = random.Random(11)
+    for n in range(1, 7):
+        for order in _orders(rng, n):
+            top = rng.choice((3, 9, 70))  # 70 is above the default cap
+            widest = MultiPoly(QQ, n, {(top,) + (0,) * (n - 1): QQ.one_raw()})
+            pk = groebner._Packing(n, order, [widest])
+            monos = set()
+            while len(monos) < min(60, math.comb(top + n, n)):
+                d = rng.randint(0, top)
+                cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
+                monos.add(tuple(b - a for a, b in zip([0, *cuts], [*cuts, d])))
+            monos = sorted(monos)
+            packed = {m: pk.mono(m) for m in monos}
+            by_key = sorted(monos, key=order.key)
+            assert sorted(monos, key=lambda m: packed[m][0]) == by_key, (n, order)
+            assert len({k for k, _ in packed.values()}) == len(monos)
+            for m in monos:
+                assert pk.unpack(packed[m][1]) == m
+                assert packed[m][1] >> pk.deg_shift == sum(m)
+            for a, b in itertools.product(monos[:25], monos):
+                got = not (packed[b][1] - packed[a][1]) & pk.guard
+                assert got == mono_divides(a, b), (n, order, a, b)
+
+
+def test_reduce_matches_reference_remainders_and_steps():
+    rng = random.Random(2024)
+    cases = 0
+    for n in range(1, 7):
+        for spec in FIELDS:
+            for order in _orders(rng, n):
+                for _ in range(4):
+                    basis = []
+                    for _ in range(rng.randint(1, 4)):
+                        g = random_polynomial(rng, spec, n, max_degree=3, max_terms=4, nonzero=True)
+                        basis.append(groebner._make_monic(g, order))
+                    lms = [g.leading_monomial(order) for g in basis]
+                    f = random_polynomial(rng, spec, n, max_degree=6, max_terms=8, nonzero=True)
+                    want = _outcome(lambda w: _reference_reduce(f, basis, lms, order, w))
+                    got = _outcome(lambda w: _packed_normal_form(f, basis, order, w))
+                    assert got == want, (spec, n, order, f, basis)
+                    cases += 1
+    assert cases == 6 * 4 * 5 * 4
+
+
+def _no_constant_term(rng, spec, n):
+    """A random polynomial in the ideal (x1..xn), so ideals of them are
+    never the unit ideal."""
+    while True:
+        f = random_polynomial(rng, spec, n, max_degree=4, max_terms=4, nonzero=True)
+        f = MultiPoly(spec, n, {m: c for m, c in f.terms.items() if any(m)})
+        if not f.is_zero:
+            return f
+
+
+def test_buchberger_matches_reference_bases_and_steps():
+    rng = random.Random(7)
+    steps = 0
+    for n in range(2, 5):
+        for spec in FIELDS:
+            for order in _orders(rng, n):
+                for _ in range(2):
+                    I = Ideal.of(spec, n, [_no_constant_term(rng, spec, n) for _ in range(3)])
+                    want = _outcome(lambda w: _reference_buchberger(I, order, w), 2000)
+                    got = _outcome(lambda w: groebner._buchberger(I, order, w)[0], 2000)
+                    assert got == want, (spec, n, order, I.generators)
+                    steps += got[1]
+    assert steps > 2000  # the pair sequence is exercised, not just trivial ideals
+
+
+def test_inputs_above_the_degree_cap_are_never_packed_into_a_guard_bit():
+    old = degree_cap()
+    set_degree_cap(4)
+    try:
+        f = MultiPoly(QQ, 2, {(10, 0): QQ.one_raw()})  # x1^10, past the cap
+        for text in ("x1", "x2", "x1^2", "x1*x2", "x1^3 - x2", "x1 - 1"):
+            g = p(text)
+            want = _outcome(lambda w: _reference_reduce(f, [g], [g.leading_monomial(GREVLEX)], GREVLEX, w))
+            got = _outcome(lambda w: _packed_normal_form(f, [g], GREVLEX, w))
+            assert got == want, text
+        assert _packed_normal_form(f, [p("x1")], GREVLEX, groebner._Work(10)).is_zero
+        assert _packed_normal_form(f, [p("x2")], GREVLEX, groebner._Work(10)) == f
+        with pytest.raises(DegreeCapExceeded):
+            _packed_normal_form(f, [p("x1 - 1")], GREVLEX, groebner._Work(10))
+        # normal_form reuses the packing a basis was computed in only when
+        # the input fits it
+        clear_caches()
+        assert normal_form(f, groebner_basis(ideal("x1"))).is_zero
+        assert normal_form(f, groebner_basis(ideal("x2"))) == f
+    finally:
+        set_degree_cap(old)
+        clear_caches()
