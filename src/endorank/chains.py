@@ -39,15 +39,16 @@ from .fields import (
 from .mpoly import MultiPoly
 
 
+_RATIONAL_EXTRAS = 8  # extra seeded 32-bit constants per variable over Q
+
+
 @dataclass(frozen=True)
 class ChainPolicy:
     """Knobs for the substitution search."""
 
-    r_max: int = 8  # largest exponent tried for x_j -> x_i^r
-    use_powers: bool = True
+    r_max: int = 8  # largest exponent tried for x_j -> x_i^r; 1 tries none
     allow_extension: bool = True
     seed: int = 0
-    rational_extras: int = 8  # extra seeded 32-bit constants per variable over Q
 
 
 def lift_endo(endo: Endomorphism, dst: FieldSpec) -> Endomorphism:
@@ -174,7 +175,7 @@ def _candidates(
             vals: list[Fraction] = []
             for v in (0, 1, -1, 2, -2, 3, -3, 4):
                 vals.append(Fraction(v))
-            for _ in range(policy.rational_extras):
+            for _ in range(_RATIONAL_EXTRAS):
                 vals.append(Fraction(rng.getrandbits(32) - 2**31))
             seen: set[Fraction] = set()
             for v in vals:
@@ -191,15 +192,14 @@ def _candidates(
                     "specialize", variable=j + 1, value=elt
                 ), psi
 
-    if policy.use_powers:
-        for j in occurring:
-            for i in occurring:
-                if i == j:
-                    continue
-                for r in range(2, policy.r_max + 1):
-                    yield SubstitutionRecord(
-                        "power", variable=j + 1, source=i + 1, exponent=r
-                    ), psi
+    for j in occurring:
+        for i in occurring:
+            if i == j:
+                continue
+            for r in range(2, policy.r_max + 1):
+                yield SubstitutionRecord(
+                    "power", variable=j + 1, source=i + 1, exponent=r
+                ), psi
 
     if policy.allow_extension and spec.is_finite:
         ext = builtin_extension(spec)
@@ -271,13 +271,18 @@ def build_full_chain(
     phi: Endomorphism, policy: ChainPolicy = ChainPolicy()
 ) -> Chain:
     """Chain phi down to rank 0.  Raises SearchExhausted if any level sticks;
-    the exception's attempt log covers the sticking level."""
+    the exception's attempt log covers the sticking level, and its `chain`
+    is the partial chain of the steps accepted before it."""
     steps: list[ChainStep] = []
     cur = phi
-    while rank(cur).value > 0:
-        step = reduce_rank_once(cur, policy)
-        steps.append(step)
-        cur = step.after
+    try:
+        while rank(cur).value > 0:
+            step = reduce_rank_once(cur, policy)
+            steps.append(step)
+            cur = step.after
+    except SearchExhausted as exc:
+        exc.chain = Chain(phi, tuple(steps))
+        raise
     return Chain(phi, tuple(steps))
 
 
@@ -291,16 +296,10 @@ def internal_rank_lower_bound(
     otherwise it is a strict lower bound on nothing stronger than itself and
     the flag is False.
     """
-    steps = 0
-    cur = phi
-    while rank(cur).value > 0:
-        try:
-            step = reduce_rank_once(cur, policy)
-        except SearchExhausted:
-            return steps, False
-        steps += 1
-        cur = step.after
-    return steps, True
+    try:
+        return build_full_chain(phi, policy).length, True
+    except SearchExhausted as exc:
+        return exc.chain.length, False
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from .errors import (
     MalformedCertificate,
     SearchExhausted,
 )
-from .fields import GF4, QQ, FieldAutomorphism
+from .fields import GF4, QQ, FieldAutomorphism, FieldSpec
 from .groebner import invert_poly_map, set_budget
 from .kronecker import (
     KroneckerSystem,
@@ -195,68 +195,106 @@ def _chain_payload(chain: Chain, seed: int) -> dict:
 _CHAIN_KINDS = ("specialize", "power", "collapse")
 
 
-def _check_record(idx: int, sj: dict, n: int) -> None:
+def _get(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise MalformedCertificate(f"{where}: missing field {key!r}")
+    return obj[key]
+
+
+def _string(obj: dict, key: str, where: str) -> str:
+    v = _get(obj, key, where)
+    if type(v) is not str:
+        raise MalformedCertificate(f"{where}: {key} is not a string")
+    return v
+
+
+def _strings(obj: dict, key: str, where: str) -> list:
+    v = _get(obj, key, where)
+    if type(v) is not list or any(type(s) is not str for s in v):
+        raise MalformedCertificate(f"{where}: {key} is not a list of strings")
+    return v
+
+
+def _endo(obj: dict, key: str, where: str, spec: FieldSpec, n: int) -> Endomorphism:
+    """The map whose images are the strings obj[key]; their number is checked
+    before any is parsed, so a huge declared n allocates nothing."""
+    texts = _strings(obj, key, where)
+    if len(texts) != n:
+        raise MalformedCertificate(f"{where}: {len(texts)} {key} images for {n} vars")
+    return Endomorphism(spec, n, tuple(parse_polynomial(s, spec, n) for s in texts))
+
+
+def _check_record(where: str, sj: dict, n: int) -> None:
     """Refuse a step record that would replay as a different one: an unknown
     kind, or an index outside 1..n, which Python's negative indexing would
     otherwise read as another variable."""
-    kind = sj["kind"]
+    kind = _get(sj, "kind", where)
     if kind not in _CHAIN_KINDS:
-        raise MalformedCertificate(f"step {idx}: unknown substitution kind {kind!r}")
+        raise MalformedCertificate(f"{where}: unknown substitution kind {kind!r}")
     if kind == "collapse":
         return
     names = ("variable", "source") if kind == "power" else ("variable",)
     for name in names:
-        v = sj[name]
+        v = _get(sj, name, where)
         if type(v) is not int or not 1 <= v <= n:
-            raise MalformedCertificate(f"step {idx}: {name} {v!r} outside 1..{n}")
+            raise MalformedCertificate(f"{where}: {name} {v!r} outside 1..{n}")
     if kind == "power":
         if sj["source"] == sj["variable"]:
-            raise MalformedCertificate(f"step {idx}: source equals variable")
-        e = sj["exponent"]
+            raise MalformedCertificate(f"{where}: source equals variable")
+        e = _get(sj, "exponent", where)
         if type(e) is not int or e < 2:
-            raise MalformedCertificate(f"step {idx}: exponent {e!r} is not at least 2")
+            raise MalformedCertificate(f"{where}: exponent {e!r} is not at least 2")
 
 
-def _rebuild_chain(payload: dict) -> Chain:
-    spec = parse_field_header("field " + payload["field"])
-    n = int(payload["vars"])
-    start = Endomorphism(
-        spec, n, tuple(parse_polynomial(s, spec, n) for s in payload["start"])
-    )
+def _rebuild_chain(payload) -> Chain:
+    """Read a chain certificate, which is untrusted input: anything that is
+    not a well-formed record raises MalformedCertificate."""
+    if type(payload) is not dict:
+        raise MalformedCertificate("certificate is not a JSON object")
+    where = "certificate"
+    spec = parse_field_header("field " + _string(payload, "field", where))
+    n = _get(payload, "vars", where)
+    if type(n) is not int or n < 1:
+        raise MalformedCertificate(f"{where}: vars {n!r} is not a positive integer")
+    start = _endo(payload, "start", where, spec, n)
+    step_list = _get(payload, "steps", where)
+    if type(step_list) is not list:
+        raise MalformedCertificate(f"{where}: steps is not a list")
     cur = spec
     steps = []
-    for idx, sj in enumerate(payload["steps"], start=1):
-        _check_record(idx, sj, n)
+    for idx, sj in enumerate(step_list, start=1):
+        where = f"step {idx}"
+        if type(sj) is not dict:
+            raise MalformedCertificate(f"{where}: not a JSON object")
+        _check_record(where, sj, n)
         lift = (
-            parse_field_header("field " + sj["lift_to"])
+            parse_field_header("field " + _string(sj, "lift_to", where))
             if sj.get("lift_to")
             else None
         )
         step_spec = lift if lift is not None else cur
         value = None
         if sj.get("value") is not None:
-            value = parse_polynomial(sj["value"], step_spec, n).constant_term()
+            text = _string(sj, "value", where)
+            value = parse_polynomial(text, step_spec, n).constant_term()
         point = None
         if sj.get("point") is not None:
             point = tuple(
                 parse_polynomial(s, step_spec, n).constant_term()
-                for s in sj["point"]
+                for s in _strings(sj, "point", where)
             )
         rec = SubstitutionRecord(
             kind=sj["kind"],
-            variable=sj["variable"],
-            source=sj["source"],
-            exponent=sj["exponent"],
+            variable=_get(sj, "variable", where),
+            source=_get(sj, "source", where),
+            exponent=_get(sj, "exponent", where),
             value=value,
             point=point,
             lifted_to=lift,
         )
-        after = Endomorphism(
-            step_spec,
-            n,
-            tuple(parse_polynomial(s, step_spec, n) for s in sj["after"]),
-        )
-        steps.append(ChainStep(rec, sj["rank_before"], sj["rank_after"], after))
+        after = _endo(sj, "after", where, step_spec, n)
+        ranks = (_get(sj, "rank_before", where), _get(sj, "rank_after", where))
+        steps.append(ChainStep(rec, *ranks, after))
         cur = step_spec
     return Chain(start, tuple(steps))
 
@@ -362,7 +400,7 @@ def _cmd_kron_normalize(args) -> tuple[dict, list[str]]:
             f"not a base (membership fails for {missing}); "
             "nothing to normalize"
         )
-    result = normalize_base(system, check.certificate)
+    result = normalize_base(check.certificate)
     cert = result.certificate
     payload = {
         "schema": 1,
@@ -527,7 +565,7 @@ def _selftest_checks():
         check = verify_base_external(system, Z=z)
         if not check.is_base or check.certificate is None:
             return "scaled generators rejected"
-        result = normalize_base(system, check.certificate)
+        result = normalize_base(check.certificate)
         want = (
             MultiPoly.variable(QQ, 2, 0),
             MultiPoly.variable(QQ, 2, 1),
@@ -630,7 +668,7 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, seed=True, budget=True):
+    def common(p, seed=True):
         p.add_argument(
             "--format",
             choices=("text", "json"),
@@ -639,14 +677,12 @@ def _build_parser() -> _Parser:
         )
         if seed:
             p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        if budget:
-            p.add_argument(
-                "--budget",
-                type=int,
-                default=None,
-                help="max polynomial reduction steps (overrides "
-                "ENDORANK_BUDGET)",
-            )
+        p.add_argument(
+            "--budget",
+            type=int,
+            default=None,
+            help="max polynomial reduction steps (overrides ENDORANK_BUDGET)",
+        )
 
     p = sub.add_parser("rank", help="endomorphism rank with certificate")
     p.add_argument("file", help="endomorphism file")

@@ -340,12 +340,6 @@ class FalsifierReport:
     consistent: bool
 
 
-def _reread_in_x(ideal: Ideal) -> tuple[MultiPoly, ...]:
-    # Relation ideals already live in a fresh n-variable ring, so their
-    # generators can be fed straight back in as polynomials in x.
-    return groebner_basis(ideal, GREVLEX).polys
-
-
 def _find_separator(big: Ideal, small: Ideal) -> Optional[MultiPoly]:
     """A generator of `big` that is not in `small` (exists iff big > small)."""
     small_gb = groebner_basis(small, GREVLEX)
@@ -370,7 +364,7 @@ def equivalence_falsifier(
     Strict and incomparable verdicts are certified by explicit separating
     polynomials rather than sampling.
     """
-    from .sampling import random_endomorphism
+    from .sampling import random_endomorphism, random_nonzero_scalar
 
     verdict = compare(phi, psi)
     rng = random.Random(seed)
@@ -387,7 +381,9 @@ def equivalence_falsifier(
     nonvacuous = 0
     failures = 0
     for low, high in directions:
-        high_gens = _reread_in_x(relation_ideal(high))
+        # Relation ideals live in a fresh n-variable ring, so their
+        # generators can be read straight back as polynomials in x.
+        high_gens = groebner_basis(relation_ideal(high), GREVLEX).polys
         for _ in range(trials):
             samples += 1
             phi1 = random_endomorphism(
@@ -398,7 +394,7 @@ def equivalence_falsifier(
                 h = MultiPoly.zero(spec, n)
                 if high_gens and rng.random() < 0.8:
                     g = rng.choice(high_gens)
-                    c = _random_nonzero_scalar(rng, spec)
+                    c = random_nonzero_scalar(rng, spec)
                     h = g.scale(c)
                 hs.append(h)
             if any(not h.is_zero for h in hs):
@@ -451,9 +447,3 @@ def equivalence_falsifier(
         separation_witnesses=tuple(witnesses),
         consistent=ok,
     )
-
-
-def _random_nonzero_scalar(rng: random.Random, spec: FieldSpec):
-    from .sampling import random_nonzero_scalar
-
-    return random_nonzero_scalar(rng, spec)

@@ -59,11 +59,13 @@ class SearchExhausted(EndoRankError):
 
     Carries the full attempt log: a list of (record, outcome) pairs, one per
     candidate tried, so a caller can inspect why each candidate was rejected.
+    When raised by a chain search, `chain` is the partial chain built so far.
     """
 
     def __init__(self, message: str, attempts: list | None = None):
         super().__init__(message)
         self.attempts = attempts if attempts is not None else []
+        self.chain = None
 
 
 class MalformedCertificate(EndoRankError):

@@ -354,9 +354,7 @@ def clear_caches() -> None:
         clear()
 
 
-def groebner_basis(
-    ideal: Ideal, order: MonomialOrder = GREVLEX, check: Optional[bool] = None
-) -> GroebnerBasis:
+def groebner_basis(ideal: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under the given order.  Results
     are cached by (ideal, order); the budget is deliberately not part of the
     key (see set_budget)."""
@@ -369,8 +367,7 @@ def groebner_basis(
     gb = GroebnerBasis(ideal, order, polys, (pk, packed))
     STATS["bases_computed"] += 1
 
-    do_check = CHECK_SPOLYS if check is None else check
-    if do_check:
+    if CHECK_SPOLYS:
         _verify_spolys(gb)
 
     _GB_CACHE[key] = gb

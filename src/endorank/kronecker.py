@@ -172,36 +172,21 @@ class RepresentationKind(Enum):
 
 
 def classify_representation(system: KroneckerSystem) -> RepresentationKind:
-    """Split verified matrix-unit families into the two possible shapes:
-    everything collapses to one rank-0 map (singular), or every entry has
-    rank exactly 1 (nonsingular).  The (1,1) rank decides; the rest of the
-    grid is then verified to conform and any straggler raises."""
-    if system.zero is None:
+    """Split matrix-unit families into the two possible shapes: every entry
+    equals the declared rank-0 zero (singular; constant maps compose to
+    themselves, so the relations hold), or the family passes the subbase
+    audit, which makes every entry rank exactly 1 (nonsingular).  Anything
+    else raises."""
+    zero = system.zero
+    if zero is None:
         raise RelationViolation("classification requires an explicit zero element")
-    problems, _, _ = _relation_violations(system)
-    if problems:
-        raise RelationViolation(
-            "matrix-unit relations fail: " + "; ".join(problems[:5])
-        )
-    if rank(system.zero).value != 0:
-        raise RelationViolation("the declared zero element does not have rank 0")
-
-    if rank(system.entry(1, 1)).value == 0:
-        for i in range(1, system.n + 1):
-            for j in range(1, system.n + 1):
-                if system.entry(i, j) != system.zero:
-                    raise RelationViolation(
-                        f"singular family, but entry ({i},{j}) differs from zero"
-                    )
+    if all(e == zero for row in system.entries for e in row) and rank(zero).value == 0:
         return RepresentationKind.SINGULAR
-
-    for i in range(1, system.n + 1):
-        for j in range(1, system.n + 1):
-            r = rank(system.entry(i, j)).value
-            if r != 1:
-                raise RelationViolation(
-                    f"nonsingular family, but entry ({i},{j}) has rank {r}"
-                )
+    report = verify_subbase(system)
+    if not report.ok:
+        raise RelationViolation(
+            "neither singular nor nonsingular: " + "; ".join(report.problems[:5])
+        )
     return RepresentationKind.NONSINGULAR
 
 
@@ -223,10 +208,6 @@ def _mat_mul(spec: FieldSpec, a: Matrix, b: Matrix) -> Matrix:
         )
         for r in range(n)
     )
-
-
-def _mat_is_zero(m: Matrix) -> bool:
-    return all(v.is_zero for row in m for v in row)
 
 
 @dataclass(frozen=True)
@@ -433,11 +414,14 @@ def image_generator(
 
 @dataclass(frozen=True)
 class BaseCertificate:
-    """Generators plus witnesses writing every variable in them."""
+    """Generators plus witnesses writing every variable in them, for a
+    system that passed the subbase audit; zero is the common zero that audit
+    found (None only when n = 1 and no zero was declared)."""
 
     system: KroneckerSystem
     generators: tuple[MultiPoly, ...]
     witnesses: tuple[MultiPoly, ...]
+    zero: Optional[Endomorphism]
     normalized: bool = False
 
     def validate(self) -> list[str]:
@@ -487,10 +471,11 @@ def verify_base_external(
 ) -> BaseCheck:
     """Decide whether the diagonal generators produce the whole algebra.
 
-    Wants verify_subbase to have passed (re-checked here).  Generators come
-    from image_generator unless supplied.  The base test is subalgebra
-    membership of every variable, certified by witnesses and cross-checked
-    against invert_poly_map — the two must agree."""
+    Runs the subbase audit first and raises RelationViolation if it fails;
+    the certificate carries the audit's common zero on to normalize_base.
+    Generators come from image_generator unless supplied.  The base test is
+    subalgebra membership of every variable, certified by witnesses and
+    cross-checked against invert_poly_map — the two must agree."""
     report = verify_subbase(system)
     if not report.ok:
         raise RelationViolation(
@@ -516,7 +501,7 @@ def verify_base_external(
 
     if missing:
         return BaseCheck(False, gens, None, tuple(missing))
-    cert = BaseCertificate(system, gens, tuple(witnesses), normalized=False)
+    cert = BaseCertificate(system, gens, tuple(witnesses), report.zero)
     bad = cert.validate()
     if bad:
         raise RuntimeError("; ".join(bad))
@@ -546,37 +531,30 @@ def _affine_parts(
     return w.coefficient((1,)), w.coefficient((0,))
 
 
-def normalize_base(
-    system: KroneckerSystem, cert: BaseCertificate
-) -> NormalizationResult:
-    """Recenter and rescale base generators until the matrix-unit action is
-    literal: entry(i,j) sends z_j to z_i and all other generators to 0.
+def normalize_base(cert: BaseCertificate) -> NormalizationResult:
+    """Recenter and rescale the generators of a base certificate (as made by
+    verify_base_external, whose subbase audit is not repeated) until the
+    matrix-unit action of cert.system is literal: entry(i,j) sends z_j to
+    z_i and all other generators to 0.
 
     Each entry(i,j) applied to z_j must be affine in z_i, say a_ij z_i +
     b_ij.  Consistency of the affine data (b_ij = gamma_j - a_ij gamma_i
-    where gamma is the generator tuple evaluated at the common zero's point,
+    where gamma is the generator tuple evaluated at the point of cert.zero,
     and a_ij a_jk = a_ik) is verified, then z is recentered by gamma,
     rescaled per generator by a_i1, and rescaled globally so z'_1 is monic.
     The delta relations on the result are re-verified for every triple, and
     the witnesses are recomputed.
     """
-    if cert.system != system:
-        raise RelationViolation("certificate belongs to a different system")
     if cert.normalized:
         raise RelationViolation("certificate is already normalized")
-    report = verify_subbase(system)
-    if not report.ok:
-        raise RelationViolation(
-            "not a subbase: " + "; ".join(report.problems[:5])
-        )
+    system = cert.system
     spec = system.spec
     n = system.n
     zs = cert.generators
 
-    assert report.zero is not None or n == 1
     omega = (
-        report.zero.constant_part()
-        if report.zero is not None
+        cert.zero.constant_part()
+        if cert.zero is not None
         else tuple(spec.zero() for _ in range(n))
     )
     gammas = tuple(z.evaluate(omega) for z in zs)
@@ -642,7 +620,9 @@ def normalize_base(
             )
         witnesses.append(w)
 
-    new_cert = BaseCertificate(system, final, tuple(witnesses), normalized=True)
+    new_cert = BaseCertificate(
+        system, final, tuple(witnesses), cert.zero, normalized=True
+    )
     bad = new_cert.validate()
     if bad:
         raise RuntimeError("; ".join(bad))

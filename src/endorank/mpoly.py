@@ -12,8 +12,7 @@ hung process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ArityMismatch, DegreeCapExceeded, SpecMismatch
 from .fields import FieldElement, FieldSpec, Raw

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .endo import Endomorphism
-from .fields import FieldElement, FieldSpec, enumerate_elements
+from .fields import FieldElement, FieldSpec
 from .mpoly import MultiPoly
 
 
@@ -80,11 +80,3 @@ def random_endomorphism(
             for _ in range(nvars)
         ),
     )
-
-
-def random_element(rng: random.Random, spec: FieldSpec) -> FieldElement:
-    """Uniform over a finite field (alias of random_scalar elsewhere)."""
-    if spec.is_finite:
-        pool = list(enumerate_elements(spec))
-        return rng.choice(pool)
-    return random_scalar(rng, spec)

@@ -245,18 +245,18 @@ def test_criterion_5_kronecker_bases_and_normalization():
     # and raises if any fails)
     S = KroneckerSystem.standard(QQ, 2)
     scaled_cert = verify_base_external(S, Z=(P("2*x1"), P("3*x2"))).certificate
-    scaled = normalize_base(S, scaled_cert)
+    scaled = normalize_base(scaled_cert)
     assert [str(z) for z in scaled.certificate.generators] == ["x1", "x2"]
 
     shift = endo(QQ, "x1 + 1", "x2 + 2")
     shift_inv = endo(QQ, "x1 - 1", "x2 - 2")
     moved = S.transformed(lambda e: compose(compose(shift, e), shift_inv))
-    moved_res = normalize_base(moved, verify_base_external(moved).certificate)
+    moved_res = normalize_base(verify_base_external(moved).certificate)
 
     twist = endo(QQ, "x1 + x2^2", "x2")
     twist_inv = endo(QQ, "x1 - x2^2", "x2")
     twisted = S.transformed(lambda e: compose(compose(twist, e), twist_inv))
-    twisted_res = normalize_base(twisted, verify_base_external(twisted).certificate)
+    twisted_res = normalize_base(verify_base_external(twisted).certificate)
 
     for system, result in ((moved, moved_res), (twisted, twisted_res)):
         z = result.certificate.generators

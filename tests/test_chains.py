@@ -128,6 +128,21 @@ def test_internal_rank_lower_bound_matches():
     assert internal_rank_lower_bound(Endomorphism.zero(QQ, 2)) == (0, True)
 
 
+def test_exhausted_search_keeps_the_partial_chain():
+    # x3 := 0 drops the rank from 3 to 2; what is left is the vanishing pair,
+    # which no GF(2) specialization drops by exactly one.
+    u = "(x1^2 + x1) * (x2^2 + x2)"
+    phi = endo(GF2, "x3", f"{u} * x1", f"{u} * x2")
+    policy = ChainPolicy(r_max=1, allow_extension=False)
+    assert internal_rank_lower_bound(phi, policy) == (1, False)
+    with pytest.raises(SearchExhausted) as exc_info:
+        build_full_chain(phi, policy)
+    partial = exc_info.value.chain
+    assert partial.start == phi
+    assert partial.length == 1
+    assert partial.steps[0].record.describe() == "x3 := 0"
+
+
 # -- the extension lift ---------------------------------------------------------
 
 
@@ -142,11 +157,11 @@ def test_lift_endo_reads_map_over_extension():
 
 
 def test_extension_lift_rescues_a_blocked_search():
-    # With powers disabled, no GF(2) specialization gives an exact -1 drop
+    # With r_max = 1 (no powers), no GF(2) specialization gives an exact -1 drop
     # (they all give -2), so the search must lift to GF(4) and pin x1 at a
     # fresh element.
     phi = gf2_vanishing_pair()
-    chain = build_full_chain(phi, ChainPolicy(use_powers=False))
+    chain = build_full_chain(phi, ChainPolicy(r_max=1))
     assert chain.length == 2
     first = chain.steps[0].record
     assert first.kind == "specialize"
@@ -161,7 +176,7 @@ def test_extension_lift_rescues_a_blocked_search():
 
 def test_search_exhausted_carries_the_attempt_log():
     phi = gf2_vanishing_pair()
-    policy = ChainPolicy(use_powers=False, allow_extension=False)
+    policy = ChainPolicy(r_max=1, allow_extension=False)
     with pytest.raises(SearchExhausted) as exc_info:
         reduce_rank_once(phi, policy)
     attempts = exc_info.value.attempts
@@ -197,7 +212,7 @@ def test_verifier_rejects_wrong_composed_map():
 
 
 def test_verifier_requires_declared_field_switch():
-    chain = build_full_chain(gf2_vanishing_pair(), ChainPolicy(use_powers=False))
+    chain = build_full_chain(gf2_vanishing_pair(), ChainPolicy(r_max=1))
     record = dataclasses.replace(chain.steps[0].record, lifted_to=None)
     bad_step = dataclasses.replace(chain.steps[0], record=record)
     tampered = Chain(chain.start, (bad_step,) + chain.steps[1:])

@@ -207,6 +207,49 @@ def test_chain_verify_refuses_malformed_records(files, capsys, tmp_path, field, 
     assert captured.err == f"endorank: error: step 1: {message}\n"
 
 
+def _without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda p: {**p, "vars": "two"}, "certificate: vars 'two' is not a positive integer"),
+        (lambda p: [p], "certificate is not a JSON object"),
+        (lambda p: {**p, "steps": "x"}, "certificate: steps is not a list"),
+        (lambda p: {**p, "steps": [7]}, "step 1: not a JSON object"),
+        (
+            lambda p: {**p, "steps": [_without(p["steps"][0], "source")]},
+            "step 1: missing field 'source'",
+        ),
+        (lambda p: _without(p, "field"), "certificate: missing field 'field'"),
+        (lambda p: {**p, "field": 2}, "certificate: field is not a string"),
+        (lambda p: {**p, "vars": 3}, "certificate: 2 start images for 3 vars"),
+        (lambda p: {**p, "start": "x1"}, "certificate: start is not a list of strings"),
+        (
+            lambda p: {**p, "steps": [{**p["steps"][0], "after": [1, 2]}]},
+            "step 1: after is not a list of strings",
+        ),
+        (
+            lambda p: {**p, "steps": [p["steps"][0], {**p["steps"][1], "point": "0"}]},
+            "step 2: point is not a list of strings",
+        ),
+    ],
+)
+def test_chain_verify_refuses_malformed_certificates(files, capsys, tmp_path, mutate, message):
+    path = files("ce.endo", GF2_COUNTEREXAMPLE)
+    _, out = run_cli(capsys, "chain", path, "--format", "json", "--seed", "1")
+    payload = json.loads(out)
+    assert [st["kind"] for st in payload["steps"]] == ["power", "collapse"]
+    chain_file = tmp_path / "bad.json"
+    chain_file.write_text(json.dumps(mutate(payload)))
+    code = main(["chain", str(chain_file), "--verify"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"endorank: error: {message}\n"
+
+
 def test_chain_text_format(files, capsys):
     path = files("ce.endo", GF2_COUNTEREXAMPLE)
     code, out = run_cli(capsys, "chain", path)

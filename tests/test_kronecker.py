@@ -3,6 +3,7 @@ and normalization."""
 
 import pytest
 
+from endorank import kronecker
 from endorank.endo import Endomorphism, compose, kronecker_endo, rank
 from endorank.errors import (
     ConstantTermSurvives,
@@ -138,6 +139,10 @@ def test_classify_standard_as_nonsingular():
         classify_representation(two_generator_system())
         is RepresentationKind.NONSINGULAR
     )
+    assert (
+        classify_representation(KroneckerSystem.standard(QQ, 1))
+        is RepresentationKind.NONSINGULAR
+    )
 
 
 def test_classify_collapsed_family_as_singular():
@@ -147,6 +152,12 @@ def test_classify_collapsed_family_as_singular():
     sink = KroneckerSystem(QQ, 2, ((zero, zero), (zero, zero)), zero)
     assert classify_representation(sink) is RepresentationKind.SINGULAR
     assert not verify_subbase(sink).ok
+    # collapsing onto a map of rank n instead of rank 0 is no representation
+    ident = Endomorphism.identity(QQ, 2)
+    with pytest.raises(RelationViolation):
+        classify_representation(
+            KroneckerSystem(QQ, 2, ((ident, ident), (ident, ident)), ident)
+        )
 
 
 def test_classify_requires_explicit_zero():
@@ -314,7 +325,7 @@ def test_base_check_requires_a_subbase():
 def test_normalize_rescales_generators():
     S = KroneckerSystem.standard(QQ, 2)
     check = verify_base_external(S, Z=(P("2*x1"), P("3*x2")))
-    result = normalize_base(S, check.certificate)
+    result = normalize_base(check.certificate)
     assert [str(g) for g in result.certificate.generators] == ["x1", "x2"]
     assert result.certificate.normalized
     assert result.gammas == (QQ.element(0), QQ.element(0))
@@ -330,7 +341,7 @@ def test_normalize_over_gf4():
     S = KroneckerSystem.standard(GF4, 2)
     t = GF4.generator()
     check = verify_base_external(S, Z=(P("t*x1", GF4), P("x2", GF4)))
-    result = normalize_base(S, check.certificate)
+    result = normalize_base(check.certificate)
     assert [str(g) for g in result.certificate.generators] == ["x1", "x2"]
     assert result.alphas == (GF4.element(1), t)
     assert result.global_scale == t.inverse()
@@ -342,7 +353,7 @@ def test_normalize_recenters_translated_family():
     moved = conjugated(KroneckerSystem.standard(QQ, 2), s, s_inv)
     check = verify_base_external(moved)
     assert [str(g) for g in check.generators] == ["x1", "x2"]
-    result = normalize_base(moved, check.certificate)
+    result = normalize_base(check.certificate)
     # the exact unit action for the moved family holds for the recentered
     # generators, not the raw coordinates
     assert [str(g) for g in result.certificate.generators] == ["x1 + 1", "x2 + 2"]
@@ -359,7 +370,7 @@ def test_normalize_conjugated_by_nonlinear_automorphism():
     assert verify_subbase(twisted).ok
     check = verify_base_external(twisted)
     assert check.is_base
-    result = normalize_base(twisted, check.certificate)
+    result = normalize_base(check.certificate)
     z = result.certificate.generators
     assert [str(g) for g in z] == ["x2^2 + x1", "x2"]
     for i in (1, 2):
@@ -377,24 +388,39 @@ def test_normalize_rejects_nonaffine_generator_action():
     check = verify_base_external(S, Z=(P("x1"), P("x2 + x1^2")))
     assert check.is_base  # a base, but not compatibly aligned with the units
     with pytest.raises(NonAffineImage):
-        normalize_base(S, check.certificate)
+        normalize_base(check.certificate)
 
 
 def test_normalize_rejects_swapped_generators():
     S = KroneckerSystem.standard(QQ, 2)
     check = verify_base_external(S, Z=(P("x2"), P("x1")))
     with pytest.raises(ZeroScale):
-        normalize_base(S, check.certificate)
+        normalize_base(check.certificate)
+
+
+def test_base_check_and_normalization_audit_the_relations_once(monkeypatch):
+    audits = []
+    real = kronecker._relation_violations
+
+    def counted(system):
+        audits.append(system)
+        return real(system)
+
+    monkeypatch.setattr(kronecker, "_relation_violations", counted)
+    S = KroneckerSystem.standard(QQ, 2)
+    cert = verify_base_external(S).certificate
+    assert cert.zero == S.zero
+    result = normalize_base(cert)
+    assert [str(g) for g in result.certificate.generators] == ["x1", "x2"]
+    assert audits == [S]
 
 
 def test_normalize_input_validation():
     S = KroneckerSystem.standard(QQ, 2)
     check = verify_base_external(S, Z=(P("2*x1"), P("3*x2")))
+    result = normalize_base(check.certificate)
     with pytest.raises(RelationViolation):
-        normalize_base(KroneckerSystem.standard(QQ, 3), check.certificate)
-    result = normalize_base(S, check.certificate)
-    with pytest.raises(RelationViolation):
-        normalize_base(S, result.certificate)  # already normalized
+        normalize_base(result.certificate)  # already normalized
 
 
 # -- the internal base condition ----------------------------------------------------------
