@@ -42,7 +42,7 @@ from .errors import (
     SearchExhausted,
 )
 from .fields import GF4, QQ, FieldAutomorphism, FieldSpec
-from .groebner import invert_poly_map, set_budget
+from .groebner import get_budget, invert_poly_map, set_budget
 from .kronecker import (
     KroneckerSystem,
     classify_representation,
@@ -71,13 +71,52 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Every subcommand as (name, help, arguments, seeded, handler), in the order
+# the parser lists them; each argument is a (flags, options) pair.
+_COMMANDS = []
+
+
+def _command(name: str, help: str, *arguments, seed: bool = False):
+    """Declare a subcommand with its own arguments; the shared --format,
+    --seed (when seeded) and --budget follow them."""
+
+    def register(handler):
+        _COMMANDS.append((name, help, arguments, seed, handler))
+        return handler
+
+    return register
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+_ENDO_FILE = _arg("file", help="endomorphism file")
+_KRON_FILE = _arg("file", help="Kronecker-system file")
+
+
+def _json(v):
+    """A payload value: tuples become lists, a map its images, a field its
+    header, and anything that is not already a JSON scalar its text."""
+    if v is None or isinstance(v, (int, str)):  # bools are ints
+        return v
+    if isinstance(v, (tuple, list)):
+        return [_json(x) for x in v]
+    if isinstance(v, Endomorphism):
+        return _json(v.images)
+    if isinstance(v, FieldSpec):
+        return v.header()
+    return str(v)
+
+
+def _fields(obj, *names: str) -> dict:
+    """The named fields of a result, as payload values under their own names."""
+    return {name: _json(getattr(obj, name)) for name in names}
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def _images(e: Endomorphism) -> list[str]:
-    return [str(img) for img in e.images]
 
 
 def _endo_lines(e: Endomorphism) -> list[str]:
@@ -87,23 +126,29 @@ def _endo_lines(e: Endomorphism) -> list[str]:
 # -- rank / compare ---------------------------------------------------------------
 
 
+@_command(
+    "rank",
+    "endomorphism rank with certificate",
+    _ENDO_FILE,
+    _arg(
+        "--method",
+        choices=tuple(_METHODS),
+        default="elim",
+        help="elim = elimination ideal (exact); jacobian = probe "
+        "(char 0 only, lower bound)",
+    ),
+    seed=True,
+)
 def _cmd_rank(args) -> tuple[dict, list[str]]:
     endo = load_endomorphism(_read(args.file))
     cert = rank(endo, method=_METHODS[args.method], seed=args.seed)
     payload = {
-        "schema": 1,
-        "command": "rank",
         "seed": args.seed,
         "field": endo.spec.header(),
         "vars": endo.nvars,
         "rank": cert.value,
-        "method": cert.method,
-        "is_lower_bound": cert.is_lower_bound,
-        "relation_generators": [str(g) for g in cert.relation_generators],
-        "probe_point": (
-            [str(v) for v in cert.probe_point]
-            if cert.probe_point is not None
-            else None
+        **_fields(
+            cert, "method", "is_lower_bound", "relation_generators", "probe_point"
         ),
     }
     lines = [f"rank: {cert.value}", f"method: {cert.method}"]
@@ -115,13 +160,25 @@ def _cmd_rank(args) -> tuple[dict, list[str]]:
     return payload, lines
 
 
+@_command(
+    "compare",
+    "order relation between two maps",
+    _arg("file", help="first endomorphism file"),
+    _arg("other", help="second endomorphism file"),
+    _arg(
+        "--falsify",
+        type=int,
+        default=0,
+        metavar="N",
+        help="also run N falsifier trials on the verdict",
+    ),
+    seed=True,
+)
 def _cmd_compare(args) -> tuple[dict, list[str]]:
     phi = load_endomorphism(_read(args.file))
     psi = load_endomorphism(_read(args.other))
     verdict = compare(phi, psi)
     payload = {
-        "schema": 1,
-        "command": "compare",
         "seed": args.seed,
         "verdict": verdict.value,
         "falsifier": None,
@@ -131,15 +188,14 @@ def _cmd_compare(args) -> tuple[dict, list[str]]:
         report = equivalence_falsifier(
             phi, psi, trials=args.falsify, seed=args.seed
         )
-        payload["falsifier"] = {
-            "samples": report.samples,
-            "nonvacuous": report.nonvacuous,
-            "implication_failures": report.implication_failures,
-            "separation_witnesses": [
-                str(w) for w in report.separation_witnesses
-            ],
-            "consistent": report.consistent,
-        }
+        payload["falsifier"] = _fields(
+            report,
+            "samples",
+            "nonvacuous",
+            "implication_failures",
+            "separation_witnesses",
+            "consistent",
+        )
         lines.append(
             f"falsifier: {report.samples} samples, "
             f"{report.implication_failures} failures, "
@@ -157,37 +213,20 @@ def _chain_payload(chain: Chain, seed: int) -> dict:
         rec = st.record
         steps.append(
             {
-                "kind": rec.kind,
-                "variable": rec.variable,
-                "source": rec.source,
-                "exponent": rec.exponent,
-                "value": str(rec.value) if rec.value is not None else None,
-                "point": (
-                    [str(v) for v in rec.point]
-                    if rec.point is not None
-                    else None
+                **_fields(
+                    rec, "kind", "variable", "source", "exponent", "value", "point"
                 ),
-                "lift_to": (
-                    rec.lifted_to.header()
-                    if rec.lifted_to is not None
-                    else None
-                ),
-                "rank_before": st.rank_before,
-                "rank_after": st.rank_after,
+                **_fields(st, "rank_before", "rank_after", "after"),
+                "lift_to": _json(rec.lifted_to),
                 "field": st.after.spec.header(),
-                "after": _images(st.after),
                 "describe": rec.describe(),
             }
         )
     return {
-        "schema": 1,
-        "command": "chain",
         "seed": seed,
         "field": chain.start.spec.header(),
         "vars": chain.start.nvars,
-        "start": _images(chain.start),
-        "length": chain.length,
-        "complete": chain.complete,
+        **_fields(chain, "start", "length", "complete"),
         "steps": steps,
     }
 
@@ -299,17 +338,26 @@ def _rebuild_chain(payload) -> Chain:
     return Chain(start, tuple(steps))
 
 
+@_command(
+    "chain",
+    "rank-reducing substitution chain down to rank 0",
+    _arg("file", help="endomorphism file (or chain JSON with --verify)"),
+    _arg("--r-max", type=int, default=8, help="largest power substitution tried"),
+    _arg(
+        "--verify",
+        action="store_true",
+        help="treat FILE as a chain JSON report and replay it",
+    ),
+    seed=True,
+)
 def _cmd_chain(args) -> tuple[dict, list[str]]:
     if args.verify:
         data = json.loads(_read(args.file))
         chain = _rebuild_chain(data)
         result = verify_chain(chain)
         payload = {
-            "schema": 1,
             "command": "chain-verify",
-            "ok": result.ok,
-            "ranks": list(result.ranks),
-            "problems": list(result.problems),
+            **_fields(result, "ok", "ranks", "problems"),
         }
         lines = [f"chain verification: {'ok' if result.ok else 'FAILED'}"]
         lines.append("ranks: " + " -> ".join(str(r) for r in result.ranks))
@@ -333,17 +381,11 @@ def _cmd_chain(args) -> tuple[dict, list[str]]:
 # -- Kronecker systems -----------------------------------------------------------
 
 
+@_command("kron-verify", "matrix-unit relation audit", _KRON_FILE)
 def _cmd_kron_verify(args) -> tuple[dict, list[str]]:
     system = load_kronecker_system(_read(args.file))
     report = verify_subbase(system)
-    payload = {
-        "schema": 1,
-        "command": "kron-verify",
-        "ok": report.ok,
-        "relations_checked": report.relations_checked,
-        "zero": _images(report.zero) if report.zero is not None else None,
-        "problems": list(report.problems),
-    }
+    payload = _fields(report, "ok", "relations_checked", "zero", "problems")
     lines = [
         f"subbase: {'ok' if report.ok else 'FAILED'}",
         f"relations checked: {report.relations_checked}",
@@ -354,33 +396,24 @@ def _cmd_kron_verify(args) -> tuple[dict, list[str]]:
     return payload, lines
 
 
+@_command("kron-classify", "singular / nonsingular classification", _KRON_FILE)
 def _cmd_kron_classify(args) -> tuple[dict, list[str]]:
     system = load_kronecker_system(_read(args.file))
     kind = classify_representation(system)
-    payload = {
-        "schema": 1,
-        "command": "kron-classify",
-        "classification": kind.value,
-    }
+    payload = {"classification": kind.value}
     return payload, [f"classification: {kind.value}"]
 
 
+@_command("kron-base", "decide the base property", _KRON_FILE)
 def _cmd_kron_base(args) -> tuple[dict, list[str]]:
     system = load_kronecker_system(_read(args.file))
     check = verify_base_external(system)
     failing = f"x{check.missing[0]}" if check.missing else None
+    cert = check.certificate
     payload = {
-        "schema": 1,
-        "command": "kron-base",
-        "is_base": check.is_base,
+        **_fields(check, "is_base", "missing", "generators"),
         "failing_generator_membership": failing,
-        "missing": list(check.missing),
-        "generators": [str(z) for z in check.generators],
-        "witnesses": (
-            [str(w) for w in check.certificate.witnesses]
-            if check.certificate is not None
-            else None
-        ),
+        "witnesses": _json(cert.witnesses if cert is not None else None),
     }
     lines = [f"base: {'yes' if check.is_base else 'no'}"]
     lines.append(
@@ -391,6 +424,7 @@ def _cmd_kron_base(args) -> tuple[dict, list[str]]:
     return payload, lines
 
 
+@_command("kron-normalize", "rescale/recenter a base to literal form", _KRON_FILE)
 def _cmd_kron_normalize(args) -> tuple[dict, list[str]]:
     system = load_kronecker_system(_read(args.file))
     check = verify_base_external(system)
@@ -403,15 +437,8 @@ def _cmd_kron_normalize(args) -> tuple[dict, list[str]]:
     result = normalize_base(check.certificate)
     cert = result.certificate
     payload = {
-        "schema": 1,
-        "command": "kron-normalize",
-        "normalized": cert.normalized,
-        "generators": [str(z) for z in cert.generators],
-        "witnesses": [str(w) for w in cert.witnesses],
-        "gammas": [str(v) for v in result.gammas],
-        "alphas": [str(v) for v in result.alphas],
-        "scales": [[str(v) for v in row] for row in result.scales],
-        "global_scale": str(result.global_scale),
+        **_fields(cert, "normalized", "generators", "witnesses"),
+        **_fields(result, "gammas", "alphas", "scales", "global_scale"),
     }
     lines = ["normalized generators:"]
     lines.extend(
@@ -424,19 +451,30 @@ def _cmd_kron_normalize(args) -> tuple[dict, list[str]]:
 # -- automorphisms ------------------------------------------------------------------
 
 
+@_command(
+    "conj",
+    "conjugate a map by an automorphism",
+    _arg("aut", help="automorphism file"),
+    _ENDO_FILE,
+    _arg(
+        "--properties",
+        action="store_true",
+        help="also spot-check automorphism invariants",
+    ),
+    _arg("--trials", type=int, default=6, help="samples for --properties"),
+    seed=True,
+)
 def _cmd_conj(args) -> tuple[dict, list[str]]:
     aut = load_automorphism(_read(args.aut))
     endo = load_endomorphism(_read(args.file))
     conj = conjugate(aut, endo)
     payload = {
-        "schema": 1,
-        "command": "conj",
         "seed": args.seed,
-        "delta": str(aut.delta),
+        "delta": _json(aut.delta),
         "inner": aut.is_inner,
-        "substitution": [str(f) for f in aut.s],
-        "input": _images(endo),
-        "conjugated": _images(conj),
+        "substitution": _json(aut.s),
+        "input": _json(endo),
+        "conjugated": _json(conj),
         "properties": None,
     }
     lines = [f"delta: {aut.delta}", "conjugated:"]
@@ -445,13 +483,9 @@ def _cmd_conj(args) -> tuple[dict, list[str]]:
         report = verify_automorphism_properties(
             aut, trials=args.trials, seed=args.seed
         )
-        payload["properties"] = {
-            "ok": report.ok,
-            "inner": report.inner,
-            "rank_pairs": [list(p) for p in report.rank_pairs],
-            "kronecker_base_check": report.kronecker_base_check,
-            "problems": list(report.problems),
-        }
+        payload["properties"] = _fields(
+            report, "ok", "inner", "rank_pairs", "kronecker_base_check", "problems"
+        )
         lines.append(
             f"properties: {'ok' if report.ok else 'FAILED'} "
             f"(kronecker base check: {report.kronecker_base_check})"
@@ -460,14 +494,13 @@ def _cmd_conj(args) -> tuple[dict, list[str]]:
     return payload, lines
 
 
+@_command("invert", "invert a polynomial self-map", _ENDO_FILE)
 def _cmd_invert(args) -> tuple[dict, list[str]]:
     endo = load_endomorphism(_read(args.file))
     inv = invert_poly_map(endo.images)
     payload = {
-        "schema": 1,
-        "command": "invert",
         "invertible": inv is not None,
-        "inverse": [str(f) for f in inv] if inv is not None else None,
+        "inverse": _json(inv),
     }
     if inv is None:
         return payload, ["invertible: no"]
@@ -631,6 +664,7 @@ def _selftest_checks():
     ]
 
 
+@_command("selftest", "run the built-in regression fixtures")
 def _cmd_selftest(args) -> tuple[dict, list[str]]:
     results = []
     lines = ["selftest", "--------"]
@@ -647,8 +681,6 @@ def _cmd_selftest(args) -> tuple[dict, list[str]]:
     passed = sum(1 for r in results if r["ok"])
     lines.append(f"{passed} passed, {len(results) - passed} failed")
     payload = {
-        "schema": 1,
-        "command": "selftest",
         "ok": passed == len(results),
         "results": results,
     }
@@ -667,15 +699,17 @@ def _build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def common(p, seed=True):
+    for name, help, arguments, seeded, handler in _COMMANDS:
+        p = sub.add_parser(name, help=help)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
         p.add_argument(
             "--format",
             choices=("text", "json"),
             default="text",
             help="output format (default: text)",
         )
-        if seed:
+        if seeded:
             p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument(
             "--budget",
@@ -683,112 +717,21 @@ def _build_parser() -> _Parser:
             default=None,
             help="max polynomial reduction steps (overrides ENDORANK_BUDGET)",
         )
-
-    p = sub.add_parser("rank", help="endomorphism rank with certificate")
-    p.add_argument("file", help="endomorphism file")
-    p.add_argument(
-        "--method",
-        choices=tuple(_METHODS),
-        default="elim",
-        help="elim = elimination ideal (exact); jacobian = probe "
-        "(char 0 only, lower bound)",
-    )
-    common(p)
-    p.set_defaults(handler=_cmd_rank)
-
-    p = sub.add_parser("compare", help="order relation between two maps")
-    p.add_argument("file", help="first endomorphism file")
-    p.add_argument("other", help="second endomorphism file")
-    p.add_argument(
-        "--falsify",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also run N falsifier trials on the verdict",
-    )
-    common(p)
-    p.set_defaults(handler=_cmd_compare)
-
-    p = sub.add_parser(
-        "chain", help="rank-reducing substitution chain down to rank 0"
-    )
-    p.add_argument("file", help="endomorphism file (or chain JSON with --verify)")
-    p.add_argument(
-        "--r-max", type=int, default=8, help="largest power substitution tried"
-    )
-    p.add_argument(
-        "--verify",
-        action="store_true",
-        help="treat FILE as a chain JSON report and replay it",
-    )
-    common(p)
-    p.set_defaults(handler=_cmd_chain)
-
-    p = sub.add_parser("kron-verify", help="matrix-unit relation audit")
-    p.add_argument("file", help="Kronecker-system file")
-    common(p, seed=False)
-    p.set_defaults(handler=_cmd_kron_verify)
-
-    p = sub.add_parser(
-        "kron-classify", help="singular / nonsingular classification"
-    )
-    p.add_argument("file", help="Kronecker-system file")
-    common(p, seed=False)
-    p.set_defaults(handler=_cmd_kron_classify)
-
-    p = sub.add_parser("kron-base", help="decide the base property")
-    p.add_argument("file", help="Kronecker-system file")
-    common(p, seed=False)
-    p.set_defaults(handler=_cmd_kron_base)
-
-    p = sub.add_parser(
-        "kron-normalize", help="rescale/recenter a base to literal form"
-    )
-    p.add_argument("file", help="Kronecker-system file")
-    common(p, seed=False)
-    p.set_defaults(handler=_cmd_kron_normalize)
-
-    p = sub.add_parser("conj", help="conjugate a map by an automorphism")
-    p.add_argument("aut", help="automorphism file")
-    p.add_argument("file", help="endomorphism file")
-    p.add_argument(
-        "--properties",
-        action="store_true",
-        help="also spot-check automorphism invariants",
-    )
-    p.add_argument(
-        "--trials", type=int, default=6, help="samples for --properties"
-    )
-    common(p)
-    p.set_defaults(handler=_cmd_conj)
-
-    p = sub.add_parser("invert", help="invert a polynomial self-map")
-    p.add_argument("file", help="endomorphism file")
-    common(p, seed=False)
-    p.set_defaults(handler=_cmd_invert)
-
-    p = sub.add_parser("selftest", help="run the built-in regression fixtures")
-    common(p, seed=False)
-    p.set_defaults(handler=_cmd_selftest)
-
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
-    env_budget = os.environ.get("ENDORANK_BUDGET")
+    args = _build_parser().parse_args(argv)
+    budget = get_budget()
     try:
-        if env_budget is not None:
-            set_budget(int(env_budget))
-        if getattr(args, "budget", None) is not None:
-            set_budget(args.budget)
-    except ValueError as exc:
-        print(f"endorank: error: bad budget: {exc}", file=sys.stderr)
-        return 1
-
-    try:
+        try:
+            for value in (os.environ.get("ENDORANK_BUDGET"), args.budget):
+                if value is not None:  # the flag comes last and wins
+                    set_budget(int(value))
+        except ValueError as exc:
+            print(f"endorank: error: bad budget: {exc}", file=sys.stderr)
+            return 1
         payload, lines = args.handler(args)
     except (BudgetExceeded, DegreeCapExceeded, SearchExhausted) as exc:
         print(f"endorank: exhausted: {exc}", file=sys.stderr)
@@ -796,8 +739,14 @@ def main(argv=None) -> int:
     except (EndoRankError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"endorank: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # ENDORANK_BUDGET and --budget hold for this one command.
+        if get_budget() != budget:
+            set_budget(budget)
 
     if args.format == "json":
+        # A handler may name a more specific command (chain --verify does).
+        payload = {"schema": 1, "command": args.command, **payload}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print("\n".join(lines))

@@ -234,58 +234,8 @@ class FieldSpec:
             return 1 / a
         if self.kind == "Fp":
             return pow(a, -1, self.p)
-        # Extended Euclid in GF(p)[t].
-        p = self.p
-        r0, r1 = list(self.modulus), list(_poly_trim(a))
-        s0, s1 = [0], [1]
-        while _poly_trim(r1):
-            q, rem = self._poly_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            qs = self._poly_mul_small(q, s1, p)
-            news = [(x - y) % p for x, y in self._zip_pad(s0, qs)]
-            s0, s1 = s1, news
-        lead = _poly_trim(r0)
-        inv_lead = pow(lead[-1], -1, p)
-        out = _poly_trim((c * inv_lead) % p for c in s0)
-        out = _poly_mod(list(out) + [0], self.modulus, p)
-        return out + (0,) * (self.k - len(out))
-
-    @staticmethod
-    def _zip_pad(a: list, b: list):
-        n = max(len(a), len(b))
-        a = a + [0] * (n - len(a))
-        b = b + [0] * (n - len(b))
-        return zip(a, b)
-
-    @staticmethod
-    def _poly_mul_small(a: list, b: list, p: int) -> list:
-        if not a or not b:
-            return []
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % p
-        return out
-
-    @staticmethod
-    def _poly_divmod(num: list, den: list, p: int):
-        num = list(num)
-        den = list(_poly_trim(den))
-        dd = len(den) - 1
-        if dd < 0:
-            raise DivisionByZero("polynomial division by zero")
-        inv_lead = pow(den[-1], -1, p)
-        q = [0] * max(len(num) - dd, 1)
-        for i in range(len(num) - 1, dd - 1, -1):
-            c = num[i] % p
-            if c == 0:
-                continue
-            f = (c * inv_lead) % p
-            q[i - dd] = f
-            for j in range(dd + 1):
-                num[i - dd + j] = (num[i - dd + j] - f * den[j]) % p
-        return q, list(_poly_trim(num[:dd]))
+        # Fermat: the nonzero elements form a group of order p^k - 1.
+        return self.pow_raw(a, self.p**self.k - 2)
 
     def pow_raw(self, a: Raw, e: int) -> Raw:
         if e < 0:

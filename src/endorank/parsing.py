@@ -26,11 +26,11 @@ from .mpoly import GREVLEX, MultiPoly
 # -- canonical printing -------------------------------------------------------
 
 
-def format_modulus(modulus: Sequence[int]) -> str:
-    """Monic modulus as a compact t-polynomial, descending powers."""
+def _t_polynomial(cs: Sequence[int]) -> str:
+    """Coefficients of 1, t, t^2, ... as compact text in descending powers."""
     parts = []
-    for d in range(len(modulus) - 1, -1, -1):
-        c = modulus[d]
+    for d in range(len(cs) - 1, -1, -1):
+        c = cs[d]
         if c == 0:
             continue
         if d == 0:
@@ -39,26 +39,19 @@ def format_modulus(modulus: Sequence[int]) -> str:
             tpow = "t" if d == 1 else f"t^{d}"
             parts.append(tpow if c == 1 else f"{c}*{tpow}")
     return "+".join(parts) if parts else "0"
+
+
+def format_modulus(modulus: Sequence[int]) -> str:
+    """Monic modulus as a compact t-polynomial, descending powers."""
+    return _t_polynomial(modulus)
 
 
 def format_coefficient(spec: FieldSpec, raw: Raw) -> str:
     """Lowest-terms coefficient text.  Extension elements print as compact
     t-polynomials like t+1 (no spaces) so they embed in larger products."""
-    if spec.kind == "Q":
+    if spec.kind != "Fpk":
         return str(raw)
-    if spec.kind == "Fp":
-        return str(raw)
-    parts = []
-    for d in range(len(raw) - 1, -1, -1):
-        c = raw[d]
-        if c == 0:
-            continue
-        if d == 0:
-            parts.append(str(c))
-        else:
-            tpow = "t" if d == 1 else f"t^{d}"
-            parts.append(tpow if c == 1 else f"{c}*{tpow}")
-    return "+".join(parts) if parts else "0"
+    return _t_polynomial(raw)
 
 
 def _format_monomial(m, var: str) -> str:
@@ -115,6 +108,14 @@ def format_poly(f: MultiPoly, var: str = "x") -> str:
 
 _OPS = set("+-*^()/")
 
+# Numbers are ASCII 0-9 only: str.isdigit also accepts digits such as '²',
+# which int() rejects, and '٣', which int() reads as 3.
+_DIGITS = frozenset("0123456789")
+
+
+def _is_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
 
 class _Token:
     __slots__ = ("kind", "text", "line", "col")
@@ -141,9 +142,9 @@ def _tokenize(text: str, line0: int = 1) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             toks.append(_Token("int", text[i:j], line, col))
             col += j - i
@@ -270,7 +271,7 @@ class _Parser:
                     "t is only defined over an extension field", t.line, t.col
                 )
             return MultiPoly.constant(self.spec, self.nvars, self.spec.generator())
-        if name.startswith("x") and name[1:].isdigit():
+        if name.startswith("x") and _is_digits(name[1:]):
             idx = int(name[1:])
             if not 1 <= idx <= self.nvars:
                 raise UnknownVariable(
@@ -314,11 +315,11 @@ def parse_field_header(line: str, lineno: int = 1) -> FieldSpec:
         return FieldSpec.rationals()
     if not rest or rest[0] != "F":
         raise PolySyntaxError(f"unknown field kind {' '.join(rest)!r}", lineno)
-    if len(rest) == 2 and rest[1].isdigit():
+    if len(rest) == 2 and _is_digits(rest[1]):
         return FieldSpec.prime_field(int(rest[1]))
     if len(rest) >= 4 and rest[2] == "mod":
         pk = rest[1].split("^")
-        if len(pk) != 2 or not pk[0].isdigit() or not pk[1].isdigit():
+        if len(pk) != 2 or not _is_digits(pk[0]) or not _is_digits(pk[1]):
             raise PolySyntaxError(f"bad extension-field order {rest[1]!r}", lineno)
         p, k = int(pk[0]), int(pk[1])
         modulus = _parse_modulus_text(" ".join(rest[3:]), p, lineno)
@@ -368,7 +369,7 @@ def _parse_prelude(lines: list[tuple[int, str]]):
         raise PolySyntaxError("missing 'vars n' line", lineno)
     vline_no, vline = lines[1]
     parts = vline.split()
-    if len(parts) != 2 or parts[0] != "vars" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "vars" or not _is_digits(parts[1]):
         raise PolySyntaxError("expected 'vars n'", vline_no)
     nvars = int(parts[1])
     if nvars < 1:
@@ -419,7 +420,7 @@ def load_kronecker_system(text: str):
         raise PolySyntaxError("missing 'kron n' line", 1)
     lineno, line = rest[0]
     parts = line.split()
-    if len(parts) != 2 or parts[0] != "kron" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "kron" or not _is_digits(parts[1]):
         raise PolySyntaxError("expected 'kron n'", lineno)
     n = int(parts[1])
     if n != nvars:
@@ -431,7 +432,7 @@ def load_kronecker_system(text: str):
         lineno, line = rest[0]
         parts = line.split()
         if parts[0] == "e":
-            if len(parts) != 3 or not (parts[1].isdigit() and parts[2].isdigit()):
+            if len(parts) != 3 or not (_is_digits(parts[1]) and _is_digits(parts[2])):
                 raise PolySyntaxError("expected 'e i j'", lineno)
             i, j = int(parts[1]), int(parts[2])
             if not (1 <= i <= n and 1 <= j <= n):
@@ -472,7 +473,7 @@ def load_automorphism(text: str):
         raise PolySyntaxError("expected 'delta identity' or 'delta frob^e'", lineno)
     if parts[1] == "identity":
         delta = FieldAutomorphism.identity(spec)
-    elif parts[1].startswith("frob^") and parts[1][5:].isdigit():
+    elif parts[1].startswith("frob^") and _is_digits(parts[1][5:]):
         delta = FieldAutomorphism.frobenius(spec, int(parts[1][5:]))
     else:
         raise PolySyntaxError(f"unknown delta {parts[1]!r}", lineno)

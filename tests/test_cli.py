@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from endorank.cli import main
-from endorank.groebner import get_budget, set_budget
+from endorank.groebner import clear_caches, get_budget, set_budget
 
 GF2_COUNTEREXAMPLE = """\
 field F 2
@@ -375,6 +375,61 @@ def test_invert_negative_answer_is_still_success(files, capsys):
 # -- error handling ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["rank"], "field Q\nvars \u00b2\nx1 -> x1\n", "expected 'vars n' at line 2"),
+        (["rank"], "field Q\nvars 1\nx1 -> x1^\u00b2\n", "'\u00b2' at line 3, column 4"),
+        (["rank"], "field Q\nvars 1\nx1 -> x1\u00b2\n", "'x1\u00b2' at line 3, column 1"),
+        (["rank"], "field Q\nvars 1\nx1 -> \u00b2*x1\n", "'\u00b2' at line 3, column 1"),
+        (["rank"], "field F \u00b2\nvars 1\nx1 -> x1\n", "header 'field F \u00b2' at line 1"),
+        (
+            ["rank"],
+            "field F 2^\u00b2 mod t^2+t+1\nvars 1\nx1 -> x1\n",
+            "bad extension-field order '2^\u00b2' at line 1",
+        ),
+        # Arabic-Indic three: int() would read x3.
+        (
+            ["rank"],
+            "field Q\nvars 3\nx1 -> x\u0663\nx2 -> x2\nx3 -> x3\n",
+            "unknown name 'x\u0663' at line 3, column 1",
+        ),
+        (["kron-verify"], "field Q\nvars 1\nkron \u00b2\n", "expected 'kron n' at line 3"),
+        (["kron-verify"], "field Q\nvars 1\nkron 1\ne \u00b2 1\nx1 -> x1\n", "'e i j' at line 4"),
+        (
+            ["conj"],
+            "field F 2^2 mod t^2+t+1\nvars 1\ndelta frob^\u00b2\nx1 -> x1\n",
+            "unknown delta 'frob^\u00b2' at line 3",
+        ),
+    ],
+    ids=["vars", "power", "superscript", "coefficient", "prime", "extension", "arabic-indic",
+         "kron", "entry", "frobenius"],
+)
+def test_non_ascii_digits_are_syntax_errors(files, capsys, argv, text, message):
+    path = files("input.txt", text)
+    extra = [files("id.endo", "field Q\nvars 1\nx1 -> x1\n")] if argv == ["conj"] else []
+    code = main(argv + [path] + extra)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("endorank: error: ")
+    assert captured.err.rstrip().endswith(message)
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_chain_verify_refuses_non_ascii_field_header(files, capsys, tmp_path):
+    path = files("ce.endo", GF2_COUNTEREXAMPLE)
+    _, out = run_cli(capsys, "chain", path, "--format", "json", "--seed", "1")
+    payload = json.loads(out)
+    payload["field"] = "F \u00b2"
+    chain_file = tmp_path / "bad.json"
+    chain_file.write_text(json.dumps(payload))
+    code = main(["chain", str(chain_file), "--verify"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "endorank: error: malformed field header 'field F \u00b2' at line 1\n"
+
+
 def test_missing_file_exits_one(capsys, tmp_path):
     code, _ = run_cli(capsys, "rank", str(tmp_path / "nope.endo"))
     assert code == 1
@@ -417,6 +472,24 @@ def test_budget_env_variable(files, tmp_path):
         "rank", str(path), "--budget", "100000", env_extra={"ENDORANK_BUDGET": "1"}
     )
     assert result.returncode == 0
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_budget_holds_for_one_command(files, capsys, monkeypatch, source):
+    path = files("ce.endo", GF2_COUNTEREXAMPLE)
+    before = get_budget()
+    clear_caches()  # a cached basis would answer without spending budget
+    if source == "flag":
+        code = main(["rank", path, "--budget", "1"])
+    else:
+        monkeypatch.setenv("ENDORANK_BUDGET", "1")
+        code = main(["rank", path])
+        monkeypatch.delenv("ENDORANK_BUDGET")
+    assert code == 2
+    assert get_budget() == before
+    code, out = run_cli(capsys, "rank", path)
+    assert code == 0
+    assert out.splitlines()[0] == "rank: 2"
 
 
 def test_bad_budget_value_exits_one(files, tmp_path):

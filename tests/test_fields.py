@@ -111,6 +111,17 @@ def test_multiplicative_group_order():
             assert acc == spec.one()
 
 
+def test_extension_inverse_is_the_unique_partner():
+    gf32 = FieldSpec.extension_field(2, 5, (1, 0, 1, 0, 0, 1))  # t^5 + t^2 + 1
+    for spec in (GF4, GF8, GF9, gf32):
+        elems = list(enumerate_elements(spec))
+        for a in elems:
+            if a.is_zero:
+                continue
+            assert a * a.inverse() == spec.one()
+            assert [b for b in elems if a * b == spec.one()] == [a.inverse()]
+
+
 def test_frobenius_gf4():
     frob = FieldAutomorphism(GF4, 1)
     t = GF4.generator()
