@@ -140,10 +140,6 @@ class Chain:
     steps: tuple[ChainStep, ...]
 
     @property
-    def final(self) -> Endomorphism:
-        return self.steps[-1].after if self.steps else self.start
-
-    @property
     def length(self) -> int:
         return len(self.steps)
 

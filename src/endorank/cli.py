@@ -285,6 +285,17 @@ def _check_record(where: str, sj: dict, n: int) -> None:
             raise MalformedCertificate(f"{where}: exponent {e!r} is not at least 2")
 
 
+def _certificate_int(text: str) -> int:
+    """A JSON integer of a certificate.  json.loads would report one longer
+    than int() reads as a bare ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedCertificate(
+            f"certificate: integer with {len(text.lstrip('-'))} digits is too long"
+        ) from None
+
+
 def _rebuild_chain(payload) -> Chain:
     """Read a chain certificate, which is untrusted input: anything that is
     not a well-formed record raises MalformedCertificate."""
@@ -352,7 +363,7 @@ def _rebuild_chain(payload) -> Chain:
 )
 def _cmd_chain(args) -> tuple[dict, list[str]]:
     if args.verify:
-        data = json.loads(_read(args.file))
+        data = json.loads(_read(args.file), parse_int=_certificate_int)
         chain = _rebuild_chain(data)
         result = verify_chain(chain)
         payload = {

@@ -23,7 +23,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import (
@@ -37,9 +36,10 @@ from .groebner import (
     GREVLEX,
     Ideal,
     eliminate,
+    graph_ideal,
     groebner_basis,
     ideal_dimension,
-    register_cache,
+    memoized,
 )
 from .mpoly import MultiPoly
 
@@ -163,28 +163,13 @@ def kronecker_endo(spec: FieldSpec, nvars: int, i: int, j: int) -> Endomorphism:
 # -- the relation ideal and rank --------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@memoized
 def relation_ideal(endo: Endomorphism) -> Ideal:
     """All algebraic relations among the defining images, as an ideal in a
-    fresh n-variable ring: the kernel of x_k -> images[k].  Computed by tag
-    variables and elimination; the result is prime, being a kernel into a
-    domain."""
-    n = endo.nvars
-    spec = endo.spec
-
-    def pad(h: MultiPoly) -> MultiPoly:
-        return MultiPoly(
-            spec, 2 * n, {m + (0,) * n: c for m, c in h.terms.items()}
-        )
-
-    gens = [
-        MultiPoly.variable(spec, 2 * n, n + k) - pad(endo.images[k])
-        for k in range(n)
-    ]
-    return eliminate(Ideal.of(spec, 2 * n, gens), range(n))
-
-
-register_cache(relation_ideal.cache_clear)
+    fresh n-variable ring: the kernel of x_k -> images[k].  Computed by
+    eliminating x from the graph ideal; the result is prime, being a kernel
+    into a domain."""
+    return eliminate(graph_ideal(endo.images), range(endo.nvars))
 
 
 @dataclass(frozen=True)

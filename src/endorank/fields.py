@@ -261,9 +261,6 @@ class FieldSpec:
     def one(self) -> "FieldElement":
         return FieldElement(self, self.one_raw())
 
-    def from_int(self, n: int) -> "FieldElement":
-        return FieldElement(self, self.from_int_raw(n))
-
     def element(self, value) -> "FieldElement":
         """Coerce an int, Fraction, or coefficient sequence into this field."""
         if isinstance(value, FieldElement):

@@ -3,8 +3,10 @@
 Everything downstream (ranks, order comparisons, subalgebra membership, map
 inversion) reduces to Groebner bases, so this module is built for
 reproducibility: generators are canonically sorted, pair selection and
-reduction are fully deterministic, and finished bases are cached per
-(ideal, order).
+reduction are fully deterministic, and answers are memoized.  Every memo
+table (bases by (ideal, order), subalgebra memberships, map inverses, and
+relation ideals in endo) is made by `memoized`: a least-recently-used table
+of at most CACHE_SIZE entries, which clear_caches() empties.
 
 Inside a computation monomials are packed into integers (see _Packing): an
 order key and an exponent vector with guard bits, so a monomial product is
@@ -29,7 +31,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ArityMismatch, BudgetExceeded, DegreeCapExceeded, SpecMismatch
 from .fields import FieldSpec
@@ -67,6 +69,28 @@ def set_budget(budget: int) -> None:
 def reset_stats() -> None:
     for k in STATS:
         STATS[k] = 0
+
+
+# Entries per memo table.  The largest table in any benchmark pass holds
+# about 420 entries, so no workload evicts.
+CACHE_SIZE = 1024
+
+_MEMO_TABLES: list = []
+
+
+def memoized(fn):
+    """fn behind a least-recently-used table of at most CACHE_SIZE entries,
+    which clear_caches() empties.  The table keys on the arguments as
+    passed, so give it positional arguments only."""
+    table = lru_cache(maxsize=CACHE_SIZE)(fn)
+    _MEMO_TABLES.append(table)
+    return table
+
+
+def clear_caches() -> None:
+    """Empty every memo table."""
+    for table in _MEMO_TABLES:
+        table.cache_clear()
 
 
 class _Work:
@@ -333,44 +357,21 @@ def _spoly(a: tuple, b: tuple, lcm: tuple, pk: _Packing, spec: FieldSpec) -> lis
 
 # -- Buchberger ----------------------------------------------------------------
 
-_GB_CACHE: dict = {}
-_CACHE_CLEARERS: list[Callable[[], None]] = []
-
-
-def register_cache(clear: Callable[[], None]) -> None:
-    """Have clear_caches() also call `clear`.  Layers built on this module
-    register their memo tables here, so one call clears them all without
-    this module importing them."""
-    _CACHE_CLEARERS.append(clear)
-
-
-def clear_caches() -> None:
-    """Drop every memoized basis and membership result, and every memo
-    table registered with register_cache."""
-    _GB_CACHE.clear()
-    _subalgebra_member_cached.cache_clear()
-    _invert_cached.cache_clear()
-    for clear in _CACHE_CLEARERS:
-        clear()
-
-
 def groebner_basis(ideal: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under the given order.  Results
-    are cached by (ideal, order); the budget is deliberately not part of the
-    key (see set_budget)."""
-    key = (ideal, order)
-    got = _GB_CACHE.get(key)
-    if got is not None:
-        return got
+    are memoized by (ideal, order); the budget is deliberately not part of
+    the key (see set_budget)."""
+    return _groebner_basis(ideal, order)
 
+
+@memoized
+def _groebner_basis(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
     polys, pk, packed = _buchberger(ideal, order, _Work(_budget))
     gb = GroebnerBasis(ideal, order, polys, (pk, packed))
     STATS["bases_computed"] += 1
 
     if CHECK_SPOLYS:
         _verify_spolys(gb)
-
-    _GB_CACHE[key] = gb
     return gb
 
 
@@ -536,6 +537,25 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
     return Ideal.of(ideal.spec, len(keep), out)
 
 
+def _pad(h: MultiPoly, extra: int) -> MultiPoly:
+    """h read in a ring with `extra` more variables after its own."""
+    return MultiPoly(
+        h.spec, h.nvars + extra, {mo + (0,) * extra: c for mo, c in h.terms.items()}
+    )
+
+
+def graph_ideal(images: Sequence[MultiPoly]) -> Ideal:
+    """The ideal (y_i - g_i) of g_i = images[i] in K[x, y], with x the
+    images' n variables and y_1..y_m the m after them.  Eliminating x from
+    it leaves the relations among the images."""
+    spec, n, m = images[0].spec, images[0].nvars, len(images)
+    tags = [
+        MultiPoly.variable(spec, n + m, n + i) - _pad(g, m)
+        for i, g in enumerate(images)
+    ]
+    return Ideal.of(spec, n + m, tags)
+
+
 def subalgebra_member(
     f: MultiPoly, gens: Sequence[MultiPoly]
 ) -> Optional[MultiPoly]:
@@ -546,7 +566,7 @@ def subalgebra_member(
     return _subalgebra_member_cached(f, tuple(gens))
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _subalgebra_member_cached(
     f: MultiPoly, gens: tuple[MultiPoly, ...]
 ) -> Optional[MultiPoly]:
@@ -561,17 +581,8 @@ def _subalgebra_member_cached(
         if g.nvars != n:
             raise ArityMismatch("generator arity differs from the candidate's")
 
-    def pad(h: MultiPoly) -> MultiPoly:
-        return MultiPoly(
-            spec, n + m, {mo + (0,) * m: c for mo, c in h.terms.items()}
-        )
-
-    tags = [
-        MultiPoly.variable(spec, n + m, n + i) - pad(g)
-        for i, g in enumerate(gens)
-    ]
-    gb = groebner_basis(Ideal.of(spec, n + m, tags), Block(range(n)))
-    nf = normal_form(pad(f), gb)
+    gb = groebner_basis(graph_ideal(gens), Block(range(n)))
+    nf = normal_form(_pad(f, m), gb)
     if any(any(mo[:n]) for mo in nf.terms):
         return None
     witness = MultiPoly(spec, m, {mo[n:]: c for mo, c in nf.terms.items()})
@@ -588,7 +599,7 @@ def invert_poly_map(
     return _invert_cached(tuple(images))
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _invert_cached(
     images: tuple[MultiPoly, ...]
 ) -> Optional[tuple[MultiPoly, ...]]:

@@ -54,8 +54,7 @@ def mono_degree(a: Monomial) -> int:
 
 class MonomialOrder:
     """Total order on monomials, exposed as a sort key (bigger key = bigger
-    monomial).  Instances memoize keys: monomial diversity is bounded in any
-    one computation.
+    monomial).  Subclasses define `_key`; every caller goes through `key`.
 
     Every order here is also linear in the exponents: `weights(nvars, base)`
     gives integers W with sum(e_i * W_i) ordered exactly like `key`, and
@@ -63,15 +62,8 @@ class MonomialOrder:
 
     name = "order"
 
-    def __init__(self):
-        self._cache: dict[Monomial, tuple] = {}
-
     def key(self, m: Monomial) -> tuple:
-        k = self._cache.get(m)
-        if k is None:
-            k = self._key(m)
-            self._cache[m] = k
-        return k
+        return self._key(m)
 
     def _key(self, m: Monomial) -> tuple:
         raise NotImplementedError
@@ -140,7 +132,6 @@ class Block(MonomialOrder):
     name = "block"
 
     def __init__(self, eliminated: Iterable[int]):
-        super().__init__()
         self.eliminated = frozenset(eliminated)
 
     def _ident(self):

@@ -117,6 +117,16 @@ def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _int(text: str, line: int | None, col: int | None = None) -> int:
+    """ASCII digits as an int; more than int() reads is a syntax error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise PolySyntaxError(
+            f"number with {len(text)} digits is too long", line, col
+        ) from None
+
+
 class _Token:
     __slots__ = ("kind", "text", "line", "col")
 
@@ -127,9 +137,9 @@ class _Token:
         self.col = col
 
 
-def _tokenize(text: str, line0: int = 1) -> list[_Token]:
+def _tokenize(text: str, line0: int, col0: int) -> list[_Token]:
     toks = []
-    line, col = line0, 1
+    line, col = line0, col0
     i = 0
     while i < len(text):
         ch = text[i]
@@ -227,13 +237,13 @@ class _Parser:
         if self.peek().kind == "^":
             self.take()
             e = self.expect("int")
-            return f ** int(e.text)
+            return f ** _int(e.text, e.line, e.col)
         return f
 
     def primary(self) -> MultiPoly:
         t = self.take()
         if t.kind == "int":
-            value = int(t.text)
+            value = _int(t.text, t.line, t.col)
             if self.peek().kind == "/":
                 slash = self.take()
                 if self.spec.kind != "Q":
@@ -243,13 +253,12 @@ class _Parser:
                         slash.col,
                     )
                 den = self.expect("int")
-                if int(den.text) == 0:
+                d = _int(den.text, den.line, den.col)
+                if d == 0:
                     raise CoefficientParseError(
                         "zero denominator", den.line, den.col
                     )
-                return MultiPoly.constant(
-                    self.spec, self.nvars, Fraction(value, int(den.text))
-                )
+                return MultiPoly.constant(self.spec, self.nvars, Fraction(value, d))
             return MultiPoly.constant(self.spec, self.nvars, value)
         if t.kind == "name":
             return self.name_atom(t)
@@ -272,7 +281,7 @@ class _Parser:
                 )
             return MultiPoly.constant(self.spec, self.nvars, self.spec.generator())
         if name.startswith("x") and _is_digits(name[1:]):
-            idx = int(name[1:])
+            idx = _int(name[1:], t.line, t.col)
             if not 1 <= idx <= self.nvars:
                 raise UnknownVariable(
                     f"{name} is outside the declared variables x1..x{self.nvars}",
@@ -284,16 +293,16 @@ class _Parser:
 
 
 def parse_polynomial(
-    text: str, spec: FieldSpec, nvars: int, line0: int = 1
+    text: str, spec: FieldSpec, nvars: int, line0: int = 1, col0: int = 1
 ) -> MultiPoly:
-    """Parse polynomial text over the given field and variable count."""
-    return _Parser(_tokenize(text, line0), spec, nvars, False).parse()
+    """Parse polynomial text that starts at line line0, column col0."""
+    return _Parser(_tokenize(text, line0, col0), spec, nvars, False).parse()
 
 
-def _parse_modulus_text(text: str, p: int, line0: int = 1) -> tuple[int, ...]:
+def _parse_modulus_text(text: str, p: int, line0: int, col0: int) -> tuple[int, ...]:
     """Parse a univariate t-polynomial into ascending GF(p) coefficients."""
     base = FieldSpec.prime_field(p)
-    f = _Parser(_tokenize(text, line0), base, 1, True).parse()
+    f = _Parser(_tokenize(text, line0, col0), base, 1, True).parse()
     deg = f.total_degree()
     if deg < 1:
         raise PolySyntaxError("modulus must be non-constant", line0, None)
@@ -316,13 +325,14 @@ def parse_field_header(line: str, lineno: int = 1) -> FieldSpec:
     if not rest or rest[0] != "F":
         raise PolySyntaxError(f"unknown field kind {' '.join(rest)!r}", lineno)
     if len(rest) == 2 and _is_digits(rest[1]):
-        return FieldSpec.prime_field(int(rest[1]))
+        return FieldSpec.prime_field(_int(rest[1], lineno))
     if len(rest) >= 4 and rest[2] == "mod":
         pk = rest[1].split("^")
         if len(pk) != 2 or not _is_digits(pk[0]) or not _is_digits(pk[1]):
             raise PolySyntaxError(f"bad extension-field order {rest[1]!r}", lineno)
-        p, k = int(pk[0]), int(pk[1])
-        modulus = _parse_modulus_text(" ".join(rest[3:]), p, lineno)
+        p, k = _int(pk[0], lineno), _int(pk[1], lineno)
+        at = line.index("mod") + 3  # the first "mod" is rest[2]
+        modulus = _parse_modulus_text(line[at:], p, lineno, at + 1)
         if len(modulus) - 1 != k:
             raise PolySyntaxError(
                 f"modulus degree {len(modulus) - 1} != declared degree {k}", lineno
@@ -352,9 +362,11 @@ def format_field_header(spec: FieldSpec) -> str:
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, text) of the lines not blank once their comment is cut.
+    Leading blanks stay, so error columns count from the start of the line."""
     out = []
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].rstrip()
         if line:
             out.append((i, line))
     return out
@@ -371,31 +383,26 @@ def _parse_prelude(lines: list[tuple[int, str]]):
     parts = vline.split()
     if len(parts) != 2 or parts[0] != "vars" or not _is_digits(parts[1]):
         raise PolySyntaxError("expected 'vars n'", vline_no)
-    nvars = int(parts[1])
+    nvars = _int(parts[1], vline_no)
     if nvars < 1:
         raise PolySyntaxError("vars must be at least 1", vline_no)
     return spec, nvars, lines[2:]
-
-
-def _parse_image_line(line: str, lineno: int, spec, nvars, expect_index: int) -> MultiPoly:
-    if "->" not in line:
-        raise PolySyntaxError("expected 'x<k> -> <polynomial>'", lineno)
-    lhs, rhs = line.split("->", 1)
-    lhs = lhs.strip()
-    if lhs != f"x{expect_index}":
-        raise PolySyntaxError(
-            f"expected image of x{expect_index}, found {lhs!r}", lineno
-        )
-    return parse_polynomial(rhs.strip(), spec, nvars, lineno)
 
 
 def _parse_image_block(lines, spec, nvars):
     if len(lines) < nvars:
         raise PolySyntaxError("truncated image block", lines[-1][0] if lines else 1)
     images = []
-    for k in range(1, nvars + 1):
-        lineno, line = lines[k - 1]
-        images.append(_parse_image_line(line, lineno, spec, nvars, k))
+    for k, (lineno, line) in enumerate(lines[:nvars], start=1):
+        if "->" not in line:
+            raise PolySyntaxError("expected 'x<k> -> <polynomial>'", lineno)
+        lhs, rhs = line.split("->", 1)
+        if lhs.strip() != f"x{k}":
+            raise PolySyntaxError(
+                f"expected image of x{k}, found {lhs.strip()!r}", lineno
+            )
+        # rhs starts just after the arrow, at column len(lhs) + 3.
+        images.append(parse_polynomial(rhs, spec, nvars, lineno, len(lhs) + 3))
     return tuple(images), lines[nvars:]
 
 
@@ -422,7 +429,7 @@ def load_kronecker_system(text: str):
     parts = line.split()
     if len(parts) != 2 or parts[0] != "kron" or not _is_digits(parts[1]):
         raise PolySyntaxError("expected 'kron n'", lineno)
-    n = int(parts[1])
+    n = _int(parts[1], lineno)
     if n != nvars:
         raise PolySyntaxError(f"kron size {n} != vars {nvars}", lineno)
     rest = rest[1:]
@@ -434,7 +441,7 @@ def load_kronecker_system(text: str):
         if parts[0] == "e":
             if len(parts) != 3 or not (_is_digits(parts[1]) and _is_digits(parts[2])):
                 raise PolySyntaxError("expected 'e i j'", lineno)
-            i, j = int(parts[1]), int(parts[2])
+            i, j = _int(parts[1], lineno), _int(parts[2], lineno)
             if not (1 <= i <= n and 1 <= j <= n):
                 raise PolySyntaxError(f"entry label ({i},{j}) outside 1..{n}", lineno)
             images, rest = _parse_image_block(rest[1:], spec, nvars)
@@ -474,7 +481,7 @@ def load_automorphism(text: str):
     if parts[1] == "identity":
         delta = FieldAutomorphism.identity(spec)
     elif parts[1].startswith("frob^") and _is_digits(parts[1][5:]):
-        delta = FieldAutomorphism.frobenius(spec, int(parts[1][5:]))
+        delta = FieldAutomorphism.frobenius(spec, _int(parts[1][5:], lineno))
     else:
         raise PolySyntaxError(f"unknown delta {parts[1]!r}", lineno)
     images, rest = _parse_image_block(rest[1:], spec, nvars)

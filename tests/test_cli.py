@@ -379,9 +379,9 @@ def test_invert_negative_answer_is_still_success(files, capsys):
     "argv, text, message",
     [
         (["rank"], "field Q\nvars \u00b2\nx1 -> x1\n", "expected 'vars n' at line 2"),
-        (["rank"], "field Q\nvars 1\nx1 -> x1^\u00b2\n", "'\u00b2' at line 3, column 4"),
-        (["rank"], "field Q\nvars 1\nx1 -> x1\u00b2\n", "'x1\u00b2' at line 3, column 1"),
-        (["rank"], "field Q\nvars 1\nx1 -> \u00b2*x1\n", "'\u00b2' at line 3, column 1"),
+        (["rank"], "field Q\nvars 1\nx1 -> x1^\u00b2\n", "'\u00b2' at line 3, column 10"),
+        (["rank"], "field Q\nvars 1\nx1 -> x1\u00b2\n", "'x1\u00b2' at line 3, column 7"),
+        (["rank"], "field Q\nvars 1\nx1 -> \u00b2*x1\n", "'\u00b2' at line 3, column 7"),
         (["rank"], "field F \u00b2\nvars 1\nx1 -> x1\n", "header 'field F \u00b2' at line 1"),
         (
             ["rank"],
@@ -392,7 +392,7 @@ def test_invert_negative_answer_is_still_success(files, capsys):
         (
             ["rank"],
             "field Q\nvars 3\nx1 -> x\u0663\nx2 -> x2\nx3 -> x3\n",
-            "unknown name 'x\u0663' at line 3, column 1",
+            "unknown name 'x\u0663' at line 3, column 7",
         ),
         (["kron-verify"], "field Q\nvars 1\nkron \u00b2\n", "expected 'kron n' at line 3"),
         (["kron-verify"], "field Q\nvars 1\nkron 1\ne \u00b2 1\nx1 -> x1\n", "'e i j' at line 4"),
@@ -415,6 +415,51 @@ def test_non_ascii_digits_are_syntax_errors(files, capsys, argv, text, message):
     assert captured.err.startswith("endorank: error: ")
     assert captured.err.rstrip().endswith(message)
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("field Q\nvars 1\n   x1 ->   x1 + $\n", "line 3, column 17"),
+        ("  field F 2^2  mod t^2+$\nvars 1\nx1 -> x1\n", "line 1, column 24"),
+    ],
+    ids=["image", "modulus"],
+)
+def test_error_columns_count_from_the_start_of_the_line(files, capsys, text, where):
+    code = main(["rank", files("ws.endo", text)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"endorank: error: unexpected character '$' at {where}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("field Q\nvars 1\nx1 -> " + "7" * 5000 + "*x1\n", "at line 3, column 7"),
+        ("field Q\nvars " + "1" * 5000 + "\nx1 -> x1\n", "at line 2"),
+        ("field Q\nvars 1\nx1 -> x1^" + "9" * 5000 + "\n", "at line 3, column 10"),
+    ],
+    ids=["coefficient", "vars", "exponent"],
+)
+def test_integers_too_long_for_int_are_syntax_errors(files, capsys, text, message):
+    # int() refuses more than sys.get_int_max_str_digits() (4300) digits.
+    code = main(["rank", files("big.endo", text)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"endorank: error: number with 5000 digits is too long {message}\n"
+
+
+def test_chain_verify_refuses_integers_too_long_for_int(files, capsys, tmp_path):
+    path = files("ce.endo", GF2_COUNTEREXAMPLE)
+    _, out = run_cli(capsys, "chain", path, "--format", "json", "--seed", "1")
+    text = out.replace('"vars": 2', '"vars": ' + "1" * 5000)
+    assert text != out
+    chain_file = tmp_path / "bad.json"
+    chain_file.write_text(text)
+    code = main(["chain", str(chain_file), "--verify"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "endorank: error: certificate: integer with 5000 digits is too long\n"
 
 
 def test_chain_verify_refuses_non_ascii_field_header(files, capsys, tmp_path):

@@ -201,13 +201,36 @@ def test_relation_ideal_is_cached():
 
 def test_clear_caches_drops_relation_ideals():
     phi = endo(QQ, "x1^2 - x2", "x1*x2")
+    tables = {
+        "relation ideals": relation_ideal,
+        "bases": groebner._groebner_basis,
+        "memberships": groebner._subalgebra_member_cached,
+        "inverses": groebner._invert_cached,
+    }
     relation_ideal(phi)
-    assert relation_ideal.cache_info().currsize > 0
+    assert groebner.invert_poly_map(phi.images) is None
+    assert all(t.cache_info().currsize > 0 for t in tables.values())
     groebner.reset_stats()
     endorank.clear_caches()
-    assert relation_ideal.cache_info().currsize == 0
+    assert {k: t.cache_info().currsize for k, t in tables.items()} == dict.fromkeys(tables, 0)
     relation_ideal(phi)
     assert groebner.STATS["bases_computed"] == 1  # a fresh elimination
+    # Membership in K[images] reads the same x-eliminating basis of the
+    # same graph ideal.
+    assert groebner.invert_poly_map(phi.images) is None
+    assert groebner.STATS["bases_computed"] == 1
+
+
+def test_every_memo_table_has_the_same_finite_bound():
+    tables = groebner._MEMO_TABLES
+    assert {t.__name__ for t in tables} == {
+        "relation_ideal",
+        "_groebner_basis",
+        "_subalgebra_member_cached",
+        "_invert_cached",
+    }
+    assert {t.cache_info().maxsize for t in tables} == {groebner.CACHE_SIZE}
+    assert isinstance(groebner.CACHE_SIZE, int) and groebner.CACHE_SIZE > 0
 
 
 def test_rank_oracle_values():

@@ -248,6 +248,19 @@ def test_groebner_cache_is_shared():
     assert groebner.STATS["bases_computed"] == 1
 
 
+def test_groebner_basis_spellings_share_one_entry():
+    # The memo table keys on arguments as passed; the public function must
+    # hand it one spelling.
+    clear_caches()
+    groebner.reset_stats()
+    I = ideal("x1^2 - x2", "x1*x2 - 1")
+    gb = groebner_basis(I)
+    assert groebner_basis(I, GREVLEX) is gb
+    assert groebner_basis(I, order=GREVLEX) is gb
+    assert groebner_basis(ideal=I, order=GREVLEX) is gb
+    assert groebner.STATS["bases_computed"] == 1
+
+
 # -- the packed, heap-ordered engine against the dict-and-max reference --------
 #
 # The reference is the plain form of the same algorithm on tuple monomials:
