@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 when an answer was computed (negative answers included),
-1 on input/usage errors, 2 when a resource limit (the reduction budget or
-the degree cap) or a substitution search ran out before an answer existed.
+1 on input/usage errors, 2 when a resource limit (the reduction budget, the
+degree cap or the coefficient bound on powers) or a substitution search ran
+out before an answer existed.
 
 JSON output is deterministic byte-for-byte for a fixed input and seed:
 payloads carry "schema": 1 and the seed, keys are sorted, indentation is
@@ -36,6 +37,7 @@ from .endo import (
 )
 from .errors import (
     BudgetExceeded,
+    CoefficientGrowthExceeded,
     DegreeCapExceeded,
     EndoRankError,
     MalformedCertificate,
@@ -744,7 +746,12 @@ def main(argv=None) -> int:
             print(f"endorank: error: bad budget: {exc}", file=sys.stderr)
             return 1
         payload, lines = args.handler(args)
-    except (BudgetExceeded, DegreeCapExceeded, SearchExhausted) as exc:
+    except (
+        BudgetExceeded,
+        CoefficientGrowthExceeded,
+        DegreeCapExceeded,
+        SearchExhausted,
+    ) as exc:
         print(f"endorank: exhausted: {exc}", file=sys.stderr)
         return 2
     except (EndoRankError, OSError, json.JSONDecodeError, KeyError) as exc:

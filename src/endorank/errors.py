@@ -2,8 +2,8 @@
 
 Every error raised by this package derives from EndoRankError, so callers can
 catch one type at the boundary.  Resource-limit errors (DegreeCapExceeded,
-BudgetExceeded, SearchExhausted) are deliberately distinct from negative
-mathematical answers: hitting a cap never means "no".
+CoefficientGrowthExceeded, BudgetExceeded, SearchExhausted) are deliberately
+distinct from negative mathematical answers: hitting a cap never means "no".
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ class InfiniteField(EndoRankError):
 
 class DegreeCapExceeded(EndoRankError):
     """A product or substitution produced a monomial above the degree cap."""
+
+
+class CoefficientGrowthExceeded(EndoRankError):
+    """A power over Q whose coefficients would outgrow the kernel's bound."""
 
 
 class BudgetExceeded(EndoRankError):

@@ -9,13 +9,20 @@ is the typed wrapper used at API boundaries.  Raw representations:
 
 Polynomial code stores raw values internally and wraps them on demand, which
 keeps the inner loops free of wrapper overhead without losing exactness.
+
+`FieldSpec.ints` is the same field with every coefficient a Python int, for
+the product kernel in mpoly: it encodes raw values, reduces an accumulated
+int once per output coefficient, and decodes the result (see IntForm).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from functools import cached_property
+from math import lcm
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     DivisionByZero,
@@ -99,6 +106,87 @@ def _poly_is_irreducible(mod: Sequence[int], p: int) -> bool:
     return True
 
 
+# -- integer form ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class IntForm:
+    """A field's coefficients as Python ints, so that a polynomial kernel
+    multiplies and adds them as ints and normalizes each output coefficient
+    once.
+
+    * encode(raws) -> (den, ints): the coefficients of one polynomial.  Over
+      Q the ints are numerators over one common denominator `den`; over a
+      finite field `den` is 1.
+    * reduce(v) -> int: the canonical int of a sum of products of canonical
+      ints, 0 exactly when the value is zero.  None over Q, where ints are
+      exact as they stand.
+    * decode(den, ints) -> canonical raw values.
+    """
+
+    encode: Callable
+    reduce: Optional[Callable[[int], int]]
+    decode: Callable
+
+
+def _q_encode(raws) -> tuple[int, list[int]]:
+    raws = list(raws)
+    den = lcm(*[c.denominator for c in raws])
+    if den == 1:
+        return 1, [c.numerator for c in raws]
+    return den, [c.numerator * (den // c.denominator) for c in raws]
+
+
+def _q_decode(den: int, ints) -> list:
+    if den == 1:
+        return list(map(Fraction, ints))
+    return [Fraction(v, den) for v in ints]
+
+
+def _fp_encode(raws) -> tuple[int, list[int]]:
+    return 1, list(raws)
+
+
+def _fp_decode(den: int, ints) -> list:
+    return list(ints)
+
+
+# Room in a GF(p^k) digit for 2^32 digit products: a kernel coefficient sums
+# one product per term pair, at most min(#terms) of them, far fewer.
+_DIGIT_ROOM_BITS = 32
+
+
+def _extension_form(p: int, k: int, modulus: tuple[int, ...]) -> IntForm:
+    """GF(p^k) with a_0 + a_1 t + .. + a_(k-1) t^(k-1) packed into the int
+    sum(a_j << (j * w)).  A digit of the product of two canonical elements is
+    at most k (p-1)^2 and w leaves room for 2^32 of those, so sums of
+    products never carry from one digit into the next.  reduce takes the
+    2k-1 digits of such a sum and reduces them modulo p and the (monic)
+    modulus, top digit first, as _poly_mod does."""
+    w = (k * (p - 1) ** 2).bit_length() + _DIGIT_ROOM_BITS
+    mask = (1 << w) - 1
+    shifts = tuple(range(0, w * (2 * k - 1), w))
+    low = shifts[:k]
+    tail = [(j, c) for j, c in enumerate(modulus[:k]) if c]  # t^k = -tail
+
+    def encode(raws) -> tuple[int, list[int]]:
+        return 1, [sum(map(operator.lshift, a, low)) for a in raws]
+
+    def reduce(v: int) -> int:
+        d = [(v >> s) & mask for s in shifts]
+        for i in range(2 * k - 2, k - 1, -1):
+            c = d[i] % p
+            if c:
+                for j, mj in tail:
+                    d[i - k + j] -= c * mj
+        return sum([(d[j] % p) << s for j, s in enumerate(low)])
+
+    def decode(den: int, ints) -> list:
+        return [tuple([(v >> s) & mask for s in low]) for v in ints]
+
+    return IntForm(encode, reduce, decode)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """The ground field.  kind is one of "Q", "Fp", "Fpk"."""
@@ -159,6 +247,15 @@ class FieldSpec:
         if self.kind == "Q":
             raise InfiniteField("the rationals are infinite")
         return self.p**self.k if self.kind == "Fpk" else self.p
+
+    @cached_property
+    def ints(self) -> IntForm:
+        """This field's coefficients as ints (see IntForm)."""
+        if self.kind == "Q":
+            return IntForm(_q_encode, None, _q_decode)
+        if self.kind == "Fp":
+            return IntForm(_fp_encode, self.p.__rmod__, _fp_decode)
+        return _extension_form(self.p, self.k, self.modulus)
 
     # -- raw-value arithmetic ---------------------------------------------
 

@@ -9,11 +9,12 @@ relation ideals in endo) is made by `memoized`: a least-recently-used table
 of at most CACHE_SIZE entries, which clear_caches() empties.
 
 Inside a computation monomials are packed into integers (see _Packing): an
-order key and an exponent vector with guard bits, so a monomial product is
-two additions and a divisibility test is one mask.  Reduction takes terms
-largest first from a heap (Monagan & Pearce, "Sparse polynomial division
-using a heap", JSC 2011), and S-pairs wait in a heap under the total key
-(lcm degree, i, j).  Only finished bases are turned back into MultiPoly.
+order key and mpoly's packed exponent vector with guard bits, so a monomial
+product is two additions and a divisibility test is one mask.  Reduction
+takes terms largest first from a heap (Monagan & Pearce, "Sparse polynomial
+division using a heap", JSC 2011), and S-pairs wait in a heap under the
+total key (lcm degree, i, j).  Only finished bases are turned back into
+MultiPoly.
 
 Work is metered in reduction steps against a module-wide budget; blowing the
 budget raises BudgetExceeded, which is a resource verdict, never a
@@ -40,6 +41,7 @@ from .mpoly import (
     Block,
     MonomialOrder,
     MultiPoly,
+    Packer,
     degree_cap,
     mono_lcm,
 )
@@ -180,48 +182,26 @@ class GroebnerBasis:
 # -- packed monomials ----------------------------------------------------------
 
 
-class _Packing:
+class _Packing(Packer):
     """The monomials of one computation, packed into integers.
 
-    A monomial is the pair (K, P).  K = sum(e_i * W_i) over the order's
-    weights sorts exactly like `order.key`.  P holds the exponents and then
-    the total degree, in fields of `width` bits whose top bit is a guard.  A
-    field holds at most max(degree cap, largest input degree), so adding two
-    fields never carries into the next, and a product that passes the cap
-    check is back within that bound.  Hence:
-
-    * multiplying two monomials adds their K and their P;
-    * a divides b exactly when (P_b - P_a) & guard == 0, with `guard` the
-      guard bits of the exponent fields (the lowest exponent field of a
-      that is larger than b's borrows and sets its guard bit);
-    * the total degree is P >> deg_shift.
+    A monomial is the pair (K, P).  P is the Packer int of its exponents, so
+    a monomial product adds P, divisibility is one mask with `guard`, and
+    the degree is P >> deg_shift.  K = sum(e_i * W_i) over the order's
+    weights sorts exactly like `order.key`, and a product adds K too.  The
+    fields hold max(degree cap, largest input degree).
     """
 
-    __slots__ = ("nvars", "width", "weights", "shifts", "guard", "deg_shift")
+    __slots__ = ("weights",)
 
     def __init__(
         self, nvars: int, order: MonomialOrder, polys: Iterable[MultiPoly]
     ):
-        top = max((f.total_degree() for f in polys), default=0)
-        width = max(degree_cap(), top).bit_length() + 1
-        self.nvars = nvars
-        self.width = width
-        self.weights = order.weights(nvars, 1 << width)
-        self.shifts = tuple(width * i for i in range(nvars))
-        self.deg_shift = width * nvars
-        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
-
-    def holds(self, degree: int) -> bool:
-        """Whether monomials of this degree fit the fields."""
-        return degree < 1 << (self.width - 1)
+        super().__init__(nvars, max((f.total_degree() for f in polys), default=0))
+        self.weights = order.weights(nvars, 1 << self.width)
 
     def mono(self, m: tuple) -> tuple[int, int]:
-        p = sum(map(operator.lshift, m, self.shifts)) + (sum(m) << self.deg_shift)
-        return sum(map(operator.mul, m, self.weights)), p
-
-    def unpack(self, p: int) -> tuple:
-        mask = (1 << self.width) - 1
-        return tuple((p >> s) & mask for s in self.shifts)
+        return sum(map(operator.mul, m, self.weights)), self.pack(m)
 
     def terms(self, f: MultiPoly) -> list:
         """f's terms as (K, P, coefficient) triples, largest first."""

@@ -5,21 +5,42 @@ monomial to nonzero raw coefficient (see fields.py for raw representations).
 Variables are anonymous indices here — names like x1 or t exist only in the
 parser and printer.
 
+Products, powers and substitution run in one integer kernel (Monagan &
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).  Each operand is packed once: a monomial
+becomes one int (see Packer), a coefficient one int in the field's IntForm
+(numerators over a common denominator over Q, residues over GF(p), packed
+digit vectors over GF(p^k)).  Term pairs multiply and add as ints, and each
+output coefficient is reduced once.  substitute keeps the images and their
+powers packed and unpacks only its result.
+
 A global degree cap (default 64 total degree) turns runaway products and
 substitutions into a hard DegreeCapExceeded error instead of an effectively
-hung process.
+hung process; it is checked against every term pair of every product.  Over
+Q a power whose coefficients would outgrow MAX_POWER_BITS raises
+CoefficientGrowthExceeded before any work is done.
 """
 
 from __future__ import annotations
 
+from operator import lshift
 from typing import Iterable, Sequence
 
-from .errors import ArityMismatch, DegreeCapExceeded, SpecMismatch
+from .errors import (
+    ArityMismatch,
+    CoefficientGrowthExceeded,
+    DegreeCapExceeded,
+    SpecMismatch,
+)
 from .fields import FieldElement, FieldSpec, Raw
 
 Monomial = tuple[int, ...]
 
 _degree_cap = 64
+
+# Bound on the estimated coefficient size of one power over Q, in bits
+# (about 315,000 decimal digits).
+MAX_POWER_BITS = 1 << 20
 
 
 def degree_cap() -> int:
@@ -138,9 +159,14 @@ class Block(MonomialOrder):
         return self.eliminated
 
     def _key(self, m):
-        elim = tuple(e for i, e in enumerate(m) if i in self.eliminated)
-        rest = tuple(e for i, e in enumerate(m) if i not in self.eliminated)
-        return (_grevlex_key(elim), _grevlex_key(rest))
+        # _grevlex_key of each block, split off in one pass from the last
+        # variable down: the block's degree, then its reversed, negated
+        # exponents.
+        elim = self.eliminated
+        ne, nr = [], []
+        for i in range(len(m) - 1, -1, -1):
+            (ne if i in elim else nr).append(-m[i])
+        return ((-sum(ne), tuple(ne)), (-sum(nr), tuple(nr)))
 
     def weights(self, nvars, base):
         elim = [i for i in range(nvars) if i in self.eliminated]
@@ -159,6 +185,138 @@ class Block(MonomialOrder):
 
 GREVLEX = GrevLex()
 LEX = Lex()
+
+
+# -- the integer kernel -------------------------------------------------------
+
+
+class Packer:
+    """Monomials of n variables packed into one int each.
+
+    The exponents sit in fields of `width` bits at `shifts` (0, width, ..),
+    and the total degree above them at `deg_shift`; the top bit of each
+    exponent field is a guard.  A field holds at most max(degree cap, `top`),
+    so adding two fields never carries into the next, and a product that
+    passes the cap check is back within that bound.  Hence:
+
+    * multiplying two monomials adds their ints;
+    * a divides b exactly when (b - a) & guard == 0, with `guard` the guard
+      bits of the exponent fields (the lowest exponent field of a that is
+      larger than b's borrows and sets its guard bit);
+    * the total degree is P >> deg_shift, so a larger degree is a larger int.
+    """
+
+    __slots__ = ("nvars", "width", "shifts", "deg_shift", "guard", "mask")
+
+    def __init__(self, nvars: int, top: int = 0):
+        width = max(_degree_cap, top).bit_length() + 1
+        self.nvars = nvars
+        self.width = width
+        self.deg_shift = width * nvars
+        self.shifts = tuple(range(0, self.deg_shift, width))
+        self.mask = (1 << width) - 1
+        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
+
+    def holds(self, degree: int) -> bool:
+        """Whether monomials of this degree fit the fields."""
+        return degree < 1 << (self.width - 1)
+
+    def pack(self, m: Monomial) -> int:
+        return sum(map(lshift, m, self.shifts)) + (sum(m) << self.deg_shift)
+
+    def unpack(self, p: int) -> Monomial:
+        mask = self.mask
+        return tuple([(p >> s) & mask for s in self.shifts])
+
+
+class _Kernel:
+    """Products and powers of polynomials over one field and arity, each a
+    dict from packed monomial to int coefficient in the field's IntForm.
+    A polynomial over Q is such a dict plus its denominator, which the
+    caller carries."""
+
+    __slots__ = ("spec", "ints", "pk", "limit")
+
+    def __init__(self, spec: FieldSpec, nvars: int, top: int):
+        self.spec = spec
+        self.ints = spec.ints
+        self.pk = Packer(nvars, top)
+        # The least packed monomial above the degree cap.
+        self.limit = (_degree_cap + 1) << self.pk.deg_shift
+
+    def pack(self, f: MultiPoly) -> tuple[int, dict]:
+        """(denominator, terms) of f, in f's term order."""
+        den, ints = self.ints.encode(f.terms.values())
+        return den, dict(zip(map(self.pk.pack, f.terms), ints))
+
+    def unpack(self, terms: dict, den: int) -> MultiPoly:
+        monos = map(self.pk.unpack, terms)
+        values = self.ints.decode(den, terms.values())
+        return MultiPoly(self.spec, self.pk.nvars, dict(zip(monos, values)))
+
+    def settle(self, acc: dict) -> dict:
+        """Accumulated coefficients reduced once each, zeros dropped."""
+        reduce = self.ints.reduce
+        if reduce is None:
+            return {p: v for p, v in acc.items() if v}
+        return {p: v for p, v in zip(acc, map(reduce, acc.values())) if v}
+
+    def _over_cap(self, p: int) -> DegreeCapExceeded:
+        return DegreeCapExceeded(
+            f"product degree {p >> self.pk.deg_shift} exceeds cap {_degree_cap}"
+        )
+
+    def product(self, a: dict, b: dict) -> dict:
+        """a * b; every term pair is checked against the cap in the order
+        of the tuple loop this replaces, so the same pair is reported."""
+        limit = self.limit
+        acc: dict = {}
+        get = acc.get
+        bs = b.items()
+        for pa, ca in a.items():
+            for pb, cb in bs:
+                p = pa + pb
+                if p >= limit:
+                    raise self._over_cap(p)
+                acc[p] = get(p, 0) + ca * cb
+        return self.settle(acc)
+
+    def power(self, a: dict, e: int, den: int = 1) -> dict:
+        """a^e by repeated squaring, the products in the tuple loop's order,
+        so a power past the cap reports the same product.  Over Q (den is
+        a's denominator), a power of two or more that the degree cap lets
+        through is first checked against MAX_POWER_BITS."""
+        if e > 1 and a and self.ints.reduce is None:
+            degree = max(a) >> self.pk.deg_shift
+            if degree == 0 or e * degree <= _degree_cap:
+                _check_growth(a, e, den)
+        result = None
+        while e:
+            if e & 1:
+                if result is None:  # 1 * a: only the cap check
+                    for p in a:
+                        if p >= self.limit:
+                            raise self._over_cap(p)
+                    result = a
+                else:
+                    result = self.product(result, a)
+            if e > 1:
+                a = self.product(a, a)
+            e >>= 1
+        return {0: 1} if result is None else result
+
+
+def _check_growth(a: dict, e: int, den: int) -> None:
+    """Coefficients of a^e take at most e * (bits + bits(#terms)) bits, with
+    `bits` the size of a's largest numerator or of its denominator."""
+    bits = max(den.bit_length(), max(abs(v).bit_length() for v in a.values()))
+    estimate = e * (bits + len(a).bit_length())
+    if estimate > MAX_POWER_BITS:
+        raise CoefficientGrowthExceeded(
+            f"mpoly: power {e} of a {len(a)}-term polynomial needs about "
+            f"{estimate} coefficient bits, above the limit of {MAX_POWER_BITS} "
+            "(a resource limit, not a negative answer)"
+        )
 
 
 # -- polynomials --------------------------------------------------------------
@@ -226,9 +384,7 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is reported as -1."""
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max(map(sum, self.terms), default=-1)
 
     def constant_term(self) -> FieldElement:
         raw = self.terms.get((0,) * self.nvars, self.spec.zero_raw())
@@ -305,37 +461,20 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        spec = self.spec
-        cap = _degree_cap
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                if sum(m) > cap:
-                    raise DegreeCapExceeded(
-                        f"product degree {sum(m)} exceeds cap {cap}"
-                    )
-                c = spec.mul_raw(c1, c2)
-                prev = out.get(m)
-                s = c if prev is None else spec.add_raw(prev, c)
-                if spec.is_zero_raw(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return MultiPoly(spec, self.nvars, out)
+        kernel = _Kernel(
+            self.spec, self.nvars, max(self.total_degree(), other.total_degree())
+        )
+        da, a = kernel.pack(self)
+        db, b = kernel.pack(other)
+        return kernel.unpack(kernel.product(a, b), da * db)
 
     def __pow__(self, e: int) -> "MultiPoly":
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = MultiPoly.constant(self.spec, self.nvars, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            if e > 1:
-                base = base * base
-            e >>= 1
-        return result
+        kernel = _Kernel(self.spec, self.nvars, self.total_degree())
+        den, a = kernel.pack(self)
+        terms = kernel.power(a, e, den)
+        return kernel.unpack(terms, den**e)
 
     def scale(self, c) -> "MultiPoly":
         """Multiply by a scalar (FieldElement, raw value, or int)."""
@@ -381,7 +520,9 @@ class MultiPoly:
 
     def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
         """Apply the algebra map x_i -> images[i].  The images may live in a
-        ring with a different number of variables; the result lives there."""
+        ring with a different number of variables; the result lives there.
+        The images and their powers stay packed until the result is read
+        out."""
         if len(images) != self.nvars:
             raise ArityMismatch(
                 f"{self.nvars} variables but {len(images)} substitution images"
@@ -393,26 +534,40 @@ class MultiPoly:
                 raise SpecMismatch("substitution image over a different field")
             if g.nvars != target_n:
                 raise ArityMismatch("substitution images disagree on arity")
-        pow_cache: dict[tuple[int, int], MultiPoly] = {}
-
-        def power(i: int, e: int) -> MultiPoly:
-            key = (i, e)
-            got = pow_cache.get(key)
-            if got is None:
-                got = images[i] ** e
-                pow_cache[key] = got
-            return got
-
-        total = MultiPoly.zero(spec, target_n)
-        for m, c in self.terms.items():
-            acc = MultiPoly.constant(spec, target_n, FieldElement(spec, c))
+        kernel = _Kernel(spec, target_n, max(g.total_degree() for g in images))
+        packed = [kernel.pack(g) for g in images]
+        den, coeffs = kernel.ints.encode(self.terms.values())
+        # Over Q, x_i^e becomes an int polynomial over D_i^e, D_i the
+        # denominator of image i.  Every term is brought over the common
+        # denominator den * prod(D_i^top_i), top_i the largest exponent of x_i.
+        lifts = []
+        for i, (d, _) in enumerate(packed):
+            if d != 1:
+                top = max((m[i] for m in self.terms), default=0)
+                lifts.append((i, d, top))
+                den *= d**top
+        powers: dict[tuple[int, int], dict] = {}
+        total: dict = {}
+        get = total.get
+        for m, c in zip(self.terms, coeffs):
+            for i, d, top in lifts:
+                c *= d ** (top - m[i])
+            acc = None  # the constant c until the first factor
             for i, e in enumerate(m):
                 if e:
-                    acc = acc * power(i, e)
-                    if acc.is_zero:
+                    pw = powers.get((i, e))
+                    if pw is None:
+                        d, terms = packed[i]
+                        pw = powers[(i, e)] = kernel.power(terms, e, d)
+                    if acc is not None:
+                        acc = kernel.product(acc, pw)
+                    else:
+                        acc = pw if c == 1 else kernel.product({0: c}, pw)
+                    if not acc:
                         break
-            total = total + acc
-        return total
+            for p, v in ((0, c),) if acc is None else acc.items():
+                total[p] = get(p, 0) + v
+        return kernel.unpack(kernel.settle(total), den)
 
     def partial_derivative(self, var: int) -> "MultiPoly":
         """Formal partial derivative with respect to x_var (0-based).  Exact

@@ -20,7 +20,7 @@ from .errors import (
     UnknownVariable,
 )
 from .fields import FieldSpec, Raw
-from .mpoly import GREVLEX, MultiPoly
+from .mpoly import GREVLEX, MultiPoly, degree_cap
 
 
 # -- canonical printing -------------------------------------------------------
@@ -46,10 +46,35 @@ def format_modulus(modulus: Sequence[int]) -> str:
     return _t_polynomial(modulus)
 
 
+# Ints of at most this many bits have fewer than 640 digits, the least
+# limit sys.set_int_max_str_digits accepts, so str() prints them.
+_STR_BITS = 2000
+
+
+def _decimal(n: int) -> str:
+    """Exact decimal digits of n, however many: longer ints are split by a
+    power of ten into halves that str() prints."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # below half the digit count, so hi > 0
+    hi, lo = divmod(n, 10**k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
+
+
+def _rational(c: Fraction) -> str:
+    if c.denominator == 1:
+        return _decimal(c.numerator)
+    return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
+
+
 def format_coefficient(spec: FieldSpec, raw: Raw) -> str:
     """Lowest-terms coefficient text.  Extension elements print as compact
     t-polynomials like t+1 (no spaces) so they embed in larger products."""
-    if spec.kind != "Fpk":
+    if spec.kind == "Q":
+        return _rational(raw)
+    if spec.kind == "Fp":
         return str(raw)
     return _t_polynomial(raw)
 
@@ -80,11 +105,11 @@ def format_poly(f: MultiPoly, var: str = "x") -> str:
             mag = -c if neg else c
             ms = _format_monomial(m, var)
             if not ms:
-                body = str(mag)
+                body = _rational(mag)
             elif mag == 1:
                 body = ms
             else:
-                body = f"{mag}*{ms}"
+                body = f"{_rational(mag)}*{ms}"
             if not out:
                 out.append(("-" if neg else "") + body)
             else:
@@ -234,11 +259,17 @@ class _Parser:
             self.take()
             return -self.factor()
         f = self.primary()
-        if self.peek().kind == "^":
-            self.take()
-            e = self.expect("int")
-            return f ** _int(e.text, e.line, e.col)
-        return f
+        if self.peek().kind != "^":
+            return f
+        self.take()
+        tok = self.expect("int")
+        e = _int(tok.text, tok.line, tok.col)
+        # A variable to a power within the cap is read as its monomial.
+        if len(f.terms) == 1 and e <= degree_cap():
+            ((m, c),) = f.terms.items()
+            if sum(m) == 1 and c == f.spec.one_raw():
+                return MultiPoly(f.spec, f.nvars, {tuple(x * e for x in m): c})
+        return f**e
 
     def primary(self) -> MultiPoly:
         t = self.take()

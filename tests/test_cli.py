@@ -553,6 +553,28 @@ def test_degree_cap_exits_two(files, capsys):
     assert "cap 64" in captured.err
 
 
+def test_coefficient_growth_exits_two(files, capsys):
+    path = files("huge.endo", "field Q\nvars 1\nx1 -> 3^99999999*x1\n")
+    code = main(["rank", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("endorank: exhausted: mpoly: power 99999999 ")
+    assert "299999997 coefficient bits" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_long_coefficients_print_every_digit(files, capsys, fmt):
+    path = files("big.endo", "field Q\nvars 1\nx1 -> 3^10000*x1\n")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    code, out = run_cli(capsys, "invert", path, "--format", fmt)
+    assert code == 0
+    assert limit() == before  # not raised for the caller
+    inverse = json.loads(out)["inverse"][0] if fmt == "json" else out.splitlines()[1]
+    digits = inverse.split("1/", 1)[1].split("*x1")[0]
+    assert len(digits) == 4772 and int(digits[-40:]) == 3**10000 % 10**40
+
+
 # -- selftest and determinism --------------------------------------------------------
 
 

@@ -3,10 +3,17 @@
 from fractions import Fraction
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
-from endorank.errors import ArityMismatch, DegreeCapExceeded, SpecMismatch
-from endorank.fields import GF2, GF3, GF4, GF9, QQ
+from endorank.errors import (
+    ArityMismatch,
+    CoefficientGrowthExceeded,
+    DegreeCapExceeded,
+    SpecMismatch,
+)
+from endorank.fields import GF2, GF3, GF4, GF8, GF9, QQ, FieldElement
 from endorank.mpoly import (
     GREVLEX,
     LEX,
@@ -16,7 +23,7 @@ from endorank.mpoly import (
     set_degree_cap,
 )
 from endorank.parsing import parse_polynomial
-from endorank.sampling import random_polynomial
+from endorank.sampling import random_monomial, random_polynomial
 
 
 def p(text, spec=QQ, n=2):
@@ -194,3 +201,243 @@ def test_hash_consistency():
     assert f == g
     assert hash(f) == hash(g)
     assert len({f, g}) == 1
+
+
+def _block_key_two_passes(order, m):
+    """Block._key as it was: one pass over m for each block."""
+
+    def grevlex(block):
+        return (sum(block), tuple(-e for e in reversed(block)))
+
+    elim = tuple(e for i, e in enumerate(m) if i in order.eliminated)
+    rest = tuple(e for i, e in enumerate(m) if i not in order.eliminated)
+    return (grevlex(elim), grevlex(rest))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    eliminated=st.frozensets(st.integers(0, 7)),
+    monomials=st.lists(
+        st.lists(st.integers(0, 9), min_size=1, max_size=7).map(tuple),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_block_keys_equal_the_two_pass_split(eliminated, monomials):
+    order = Block(eliminated)
+    for m in monomials:  # one order, several arities
+        assert order.key(m) == _block_key_two_passes(order, m)
+
+
+# -- the integer kernel against the tuple loop it replaced ---------------------
+
+
+def ref_mul(f, g):
+    """The product loop over exponent tuples and raw coefficients."""
+    spec, cap = f.spec, degree_cap()
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            if sum(m) > cap:
+                raise DegreeCapExceeded(f"product degree {sum(m)} exceeds cap {cap}")
+            c = spec.mul_raw(c1, c2)
+            prev = out.get(m)
+            s = c if prev is None else spec.add_raw(prev, c)
+            if spec.is_zero_raw(s):
+                out.pop(m, None)
+            else:
+                out[m] = s
+    return MultiPoly(spec, f.nvars, out)
+
+
+def ref_pow(f, e):
+    result = MultiPoly.constant(f.spec, f.nvars, 1)
+    base = f
+    while e:
+        if e & 1:
+            result = ref_mul(result, base)
+        if e > 1:
+            base = ref_mul(base, base)
+        e >>= 1
+    return result
+
+
+def ref_substitute(f, images):
+    spec = f.spec
+    powers = {}
+    total = MultiPoly.zero(spec, images[0].nvars)
+    for m, c in f.terms.items():
+        acc = MultiPoly.constant(spec, images[0].nvars, FieldElement(spec, c))
+        for i, e in enumerate(m):
+            if e:
+                if (i, e) not in powers:
+                    powers[i, e] = ref_pow(images[i], e)
+                acc = ref_mul(acc, powers[i, e])
+                if acc.is_zero:
+                    break
+        total = total + acc
+    return total
+
+
+def outcome(fn, *args):
+    """fn's result, or the degree-cap error it raised as (type, message)."""
+    try:
+        return fn(*args)
+    except DegreeCapExceeded as exc:
+        return ("cap", str(exc))
+
+
+KERNEL_FIELDS = (QQ, GF2, GF3, GF4, GF8, GF9)
+
+
+def _coefficient(rng, spec):
+    if spec.kind == "Q":  # mixed denominators
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 9)))
+    if spec.kind == "Fp":
+        return rng.randrange(spec.p)
+    return tuple(rng.randrange(spec.p) for _ in range(spec.k))
+
+
+def _poly(rng, spec, n, max_degree=3, max_terms=4):
+    """Zero, constant and cancelling inputs included: coefficients may be
+    zero and monomials may repeat."""
+    return MultiPoly.from_terms(
+        spec,
+        n,
+        [
+            (random_monomial(rng, n, max_degree), _coefficient(rng, spec))
+            for _ in range(rng.randint(0, max_terms))
+        ],
+    )
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=lambda s: s.header())
+def test_kernel_matches_the_tuple_loop_seeded(spec):
+    rng = random.Random(61)
+    for n in range(1, 7):
+        for _ in range(10):
+            f, g = _poly(rng, spec, n), _poly(rng, spec, n)
+            assert f * g == ref_mul(f, g)
+            e = rng.randint(0, 4)
+            assert f**e == ref_pow(f, e)
+            m = rng.randint(1, 6)  # into another arity, or the same
+            images = tuple(_poly(rng, spec, m, 2, 3) for _ in range(n))
+            assert f.substitute(images) == ref_substitute(f, images)
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=lambda s: s.header())
+def test_kernel_cancellation_zero_and_constants(spec):
+    n = 3
+    x = [MultiPoly.variable(spec, n, i) for i in range(n)]
+    zero, one = MultiPoly.zero(spec, n), MultiPoly.constant(spec, n, 1)
+    c = MultiPoly.constant(spec, n, spec.element((1, 1) if spec.kind == "Fpk" else 2))
+    f = x[0] * x[1] + c * x[2] - one
+    for a, b in [(f, zero), (zero, f), (f, one), (c, f), (c, c), (x[0] - x[1], x[0] + x[1])]:
+        assert a * b == ref_mul(a, b)
+    assert zero**0 == one and zero**3 == zero and c**5 == ref_pow(c, 5)
+    # f(g, g, h) with the x1 - x2 part cancelling to zero
+    g = x[0] + c
+    assert (x[0] - x[1]).substitute((g, g, f)).is_zero
+    assert f.substitute((zero, g, one)) == ref_substitute(f, (zero, g, one))
+    assert f.substitute((zero, zero, zero)) == ref_substitute(f, (zero, zero, zero))
+    assert zero.substitute((f, g, c)) == zero
+
+
+def test_kernel_mixed_denominators_over_q():
+    f = p("1/2*x1 + 1/3*x2 - 5/6")
+    g = p("2/3*x1^2 - 3/4*x2 + 1/9")
+    assert f * g == ref_mul(f, g)
+    assert f**3 == ref_pow(f, 3)
+    images = (p("1/5*x1 + x2"), p("7/4*x2^2 - 1/2"))
+    for h in (f, g, f * g, p("x1^3*x2 - 1/7")):
+        assert h.substitute(images) == ref_substitute(h, images)
+
+
+def test_kernel_raises_the_same_degree_cap_errors():
+    rng = random.Random(13)
+    raised = 0
+    set_degree_cap(6)
+    try:
+        for spec in KERNEL_FIELDS:
+            for _ in range(40):
+                n = rng.randint(1, 4)
+                f, g = _poly(rng, spec, n, 5, 4), _poly(rng, spec, n, 5, 4)
+                e = rng.randint(1, 4)
+                m = rng.randint(1, 4)
+                images = tuple(_poly(rng, spec, m, 4, 3) for _ in range(n))
+                for got, want in [
+                    (outcome(f.__mul__, g), outcome(ref_mul, f, g)),
+                    (outcome(f.__pow__, e), outcome(ref_pow, f, e)),
+                    (outcome(f.substitute, images), outcome(ref_substitute, f, images)),
+                ]:
+                    assert got == want
+                    raised += isinstance(want, tuple)
+    finally:
+        set_degree_cap(64)
+    assert raised > 50
+
+
+def _polys(spec, n, max_exponent):
+    if spec.kind == "Q":
+        coefficient = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    elif spec.kind == "Fp":
+        coefficient = st.integers(0, spec.p - 1)
+    else:
+        coefficient = st.tuples(*[st.integers(0, spec.p - 1)] * spec.k)
+    monomial = st.tuples(*[st.integers(0, max_exponent)] * n)
+    return st.lists(st.tuples(monomial, coefficient), max_size=5).map(
+        lambda items: MultiPoly.from_terms(spec, n, items)
+    )
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_the_tuple_loop_property(data):
+    spec = data.draw(st.sampled_from(KERNEL_FIELDS))
+    n, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    f, g = data.draw(_polys(spec, n, 2)), data.draw(_polys(spec, n, 2))
+    e = data.draw(st.integers(0, 5))
+    images = tuple(data.draw(_polys(spec, m, 2)) for _ in range(n))
+    assert outcome(f.__mul__, g) == outcome(ref_mul, f, g)
+    assert outcome(f.__pow__, e) == outcome(ref_pow, f, e)
+    assert outcome(f.substitute, images) == outcome(ref_substitute, f, images)
+
+
+def test_power_coefficient_growth_is_bounded():
+    with pytest.raises(CoefficientGrowthExceeded, match=r"^mpoly: power 99999999 .* 299999997"):
+        p("3^99999999*x1", QQ, 1)
+    with pytest.raises(CoefficientGrowthExceeded):
+        p("(3^1000)^1000", QQ, 1)  # nested powers are bounded one at a time
+    with pytest.raises(CoefficientGrowthExceeded):
+        p("(3^100000*x1)^12", QQ, 1)  # within the degree cap, not the bound
+    assert p("3^10000*x1", QQ, 1).terms == {(1,): Fraction(3**10000)}
+    # Over a finite field coefficients do not grow.
+    assert p("3^99999999*x1", GF2, 1) == p("x1", GF2, 1)
+    assert p("(t+1)^99999999*x1", GF4, 1) == p("x1", GF4, 1)  # (t+1)^3 = 1
+
+
+def test_large_rationals_print_exactly():
+    f = p("3^10000*x1 - 1/7^6000", QQ, 1)
+    text = str(f)
+    digits, rest = text.split("*x1 - 1/")
+    assert len(digits) == 4772 and digits.startswith("16313501853426258743")
+    assert int(digits[-50:]) == 3**10000 % 10**50
+    assert int(rest[-50:]) == 7**6000 % 10**50 and len(rest) == 5071
+
+
+@pytest.mark.parametrize(
+    "text, spec, expected",
+    [
+        ("x2^3", QQ, {(0, 3): Fraction(1)}),
+        ("x1^0", QQ, {(0, 0): Fraction(1)}),
+        ("(2*x1)^3", QQ, {(3, 0): Fraction(8)}),
+        ("(x1*x2)^2", QQ, {(2, 2): Fraction(1)}),
+        ("(t*x1)^2", GF4, {(2, 0): (1, 1)}),
+        ("(-x1)^3", GF3, {(3, 0): 2}),
+    ],
+)
+def test_powers_in_the_parser(text, spec, expected):
+    assert p(text, spec).terms == expected
+    with pytest.raises(DegreeCapExceeded, match="product degree 65 exceeds cap 64"):
+        p("x1^65", spec)
