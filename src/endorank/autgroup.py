@@ -28,10 +28,9 @@ def map_coeffs(f: MultiPoly, delta: FieldAutomorphism) -> MultiPoly:
         raise SpecMismatch("coefficient map over the wrong field")
     if delta.is_identity:
         return f
-    return MultiPoly.from_terms(
-        f.spec,
-        f.nvars,
-        ((m, delta.apply_raw(c)) for m, c in f.terms.items()),
+    # A field automorphism maps nonzero coefficients to nonzero ones.
+    return MultiPoly(
+        f.spec, f.nvars, {m: delta.apply_raw(c) for m, c in f.terms.items()}
     )
 
 

@@ -43,7 +43,7 @@ from .errors import (
     MalformedCertificate,
     SearchExhausted,
 )
-from .fields import GF4, QQ, FieldAutomorphism, FieldSpec
+from .fields import GF4, QQ, FieldAutomorphism, FieldSpec, builtin_extension
 from .groebner import get_budget, invert_poly_map, set_budget
 from .kronecker import (
     KroneckerSystem,
@@ -324,6 +324,11 @@ def _rebuild_chain(payload) -> Chain:
             if sj.get("lift_to")
             else None
         )
+        if lift is not None and lift != builtin_extension(cur):
+            raise MalformedCertificate(
+                f"{where}: lift_to {lift.header()} is not the stock extension "
+                f"of {cur.header()}"
+            )
         step_spec = lift if lift is not None else cur
         value = None
         if sj.get("value") is not None:

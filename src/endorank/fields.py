@@ -33,26 +33,37 @@ from .errors import (
 
 Raw = Union[Fraction, int, tuple]
 
-# Construction caps: primality by trial division stays tractable below 2^61,
-# and exhaustive irreducibility/enumeration below 2^24 elements.
+# Construction caps: characteristics below 2^61, and exhaustive
+# irreducibility/enumeration below 2^24 elements.
 MAX_PRIME = 2**61
 MAX_ENUMERABLE_ORDER = 2**24
 
+# Miller-Rabin with these bases is exact below 318665857834031151167461,
+# about 3.18 * 10^23 (Sorenson & Webster, Math. Comp. 2017), far above
+# MAX_PRIME.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division.  Cost grows like sqrt(n)."""
+    """Deterministic Miller-Rabin (exact in the range above); cost grows like
+    log(n)."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7):
-        if n == small:
-            return True
-        if n % small == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-    d = 11
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
     return True
 
 

@@ -8,13 +8,12 @@ table (bases by (ideal, order), subalgebra memberships, map inverses, and
 relation ideals in endo) is made by `memoized`: a least-recently-used table
 of at most CACHE_SIZE entries, which clear_caches() empties.
 
-Inside a computation monomials are packed into integers (see _Packing): an
-order key and mpoly's packed exponent vector with guard bits, so a monomial
-product is two additions and a divisibility test is one mask.  Reduction
-takes terms largest first from a heap (Monagan & Pearce, "Sparse polynomial
-division using a heap", JSC 2011), and S-pairs wait in a heap under the
-total key (lcm degree, i, j).  Only finished bases are turned back into
-MultiPoly.
+Inside a computation a monomial is the packed int a MultiPoly keys its terms
+by, plus an order key (see _Packing), so a monomial product is two additions
+and a divisibility test is one mask.  Reduction takes terms largest first
+from a heap (Monagan & Pearce, "Sparse polynomial division using a heap",
+JSC 2011), and S-pairs wait in a heap under the total key (lcm degree, i,
+j).  Only finished bases are turned back into MultiPoly.
 
 Work is metered in reduction steps against a module-wide budget; blowing the
 budget raises BudgetExceeded, which is a resource verdict, never a
@@ -26,12 +25,11 @@ S-polynomials reduce to zero, with counters in STATS.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import ArityMismatch, BudgetExceeded, DegreeCapExceeded, SpecMismatch
@@ -41,7 +39,9 @@ from .mpoly import (
     Block,
     MonomialOrder,
     MultiPoly,
-    Packer,
+    _exponents,
+    _layout,
+    _pack,
     degree_cap,
     mono_lcm,
 )
@@ -118,7 +118,7 @@ class _Work:
 
 
 def _poly_sort_key(f: MultiPoly):
-    return (f.total_degree(), len(f.terms), sorted(f.terms.items()))
+    return (f.total_degree(), len(f.terms), sorted(f.tuple_terms().items()))
 
 
 @dataclass(frozen=True)
@@ -182,30 +182,30 @@ class GroebnerBasis:
 # -- packed monomials ----------------------------------------------------------
 
 
-class _Packing(Packer):
-    """The monomials of one computation, packed into integers.
+class _Packing:
+    """The monomials of one computation, as pairs (K, P).
 
-    A monomial is the pair (K, P).  P is the Packer int of its exponents, so
-    a monomial product adds P, divisibility is one mask with `guard`, and
-    the degree is P >> deg_shift.  K = sum(e_i * W_i) over the order's
-    weights sorts exactly like `order.key`, and a product adds K too.  The
-    fields hold max(degree cap, largest input degree).
+    P is the packed int of mpoly, so a monomial product adds P, divisibility
+    is one mask with `guard`, and the degree is P >> deg_shift.  K =
+    sum(e_i * W_i) over the order's weights in base 256 sorts exactly like
+    `order.key`, and a product adds K too.  Every degree reached (at most
+    254, an lcm of two monomials) is below the base, so K is injective.
     """
 
-    __slots__ = ("weights",)
+    __slots__ = ("nvars", "deg_shift", "guard", "weights")
 
-    def __init__(
-        self, nvars: int, order: MonomialOrder, polys: Iterable[MultiPoly]
-    ):
-        super().__init__(nvars, max((f.total_degree() for f in polys), default=0))
-        self.weights = order.weights(nvars, 1 << self.width)
+    def __init__(self, nvars: int, order: MonomialOrder):
+        self.nvars = nvars
+        self.deg_shift, self.guard = _layout(nvars)
+        self.weights = order.weights(nvars, 256)
 
-    def mono(self, m: tuple) -> tuple[int, int]:
-        return sum(map(operator.mul, m, self.weights)), self.pack(m)
+    def key(self, p: int) -> int:
+        return sum(map(mul, _exponents(p, self.nvars), self.weights))
 
     def terms(self, f: MultiPoly) -> list:
         """f's terms as (K, P, coefficient) triples, largest first."""
-        out = [(*self.mono(m), c) for m, c in f.terms.items()]
+        key = self.key
+        out = [(key(p), p, c) for p, c in f.terms.items()]
         out.sort(key=itemgetter(0), reverse=True)
         return out
 
@@ -213,11 +213,6 @@ class _Packing(Packer):
         """A monic f as a basis element: (lead K, lead P, tail triples)."""
         (k, p, _), *tail = self.terms(f)
         return k, p, tuple(tail)
-
-    def poly(self, spec: FieldSpec, terms: Iterable) -> MultiPoly:
-        return MultiPoly(
-            spec, self.nvars, {self.unpack(p): c for _, p, c in terms}
-        )
 
 
 # -- core reduction ------------------------------------------------------------
@@ -358,15 +353,14 @@ def _groebner_basis(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
 def _buchberger(ideal: Ideal, order: MonomialOrder, work: _Work) -> tuple:
     """The reduced basis as (polys, packing, packed elements)."""
     spec = ideal.spec
+    n = ideal.nvars
     monic = [_make_monic(f, order) for f in ideal.generators]
-    pk = _Packing(ideal.nvars, order, monic)
+    pk = _Packing(n, order)
     guard = pk.guard
     seed = [(pk.element(f), _poly_sort_key(f)) for f in monic]
     seed.sort(key=lambda t: (t[0][0], t[1]))
-    # Each element is packed once, here or when it enters, and kept packed
-    # until the reduced basis is read out.
+    # Each element gets its order keys once, here or when it enters.
     G: list[tuple] = [el for el, _ in seed]
-    lms: list[tuple] = [pk.unpack(g[1]) for g in G]
     # Pairs wait in a heap under the total key (lcm degree, i, j); `pending`
     # holds the same pairs for the chain criterion.
     pairs: list[tuple] = []
@@ -374,8 +368,8 @@ def _buchberger(ideal: Ideal, order: MonomialOrder, work: _Work) -> tuple:
 
     def add_pairs(t: int) -> None:
         for s in range(t):
-            lk, lp = pk.mono(mono_lcm(lms[s], lms[t]))
-            heappush(pairs, (lp >> pk.deg_shift, s, t, lk, lp))
+            lp = mono_lcm(G[s][1], G[t][1], n)
+            heappush(pairs, (lp >> pk.deg_shift, s, t, pk.key(lp), lp))
             pending.add((s, t))
 
     for t in range(1, len(G)):
@@ -404,7 +398,6 @@ def _buchberger(ideal: Ideal, order: MonomialOrder, work: _Work) -> tuple:
         if not r:
             continue
         G.append(_monic_element(r, spec))
-        lms.append(pk.unpack(r[0][1]))
         add_pairs(len(G) - 1)
 
     # Minimal: keep only leads not divisible by another kept lead.
@@ -424,7 +417,10 @@ def _buchberger(ideal: Ideal, order: MonomialOrder, work: _Work) -> tuple:
             tail = tuple(_reduce(tail, others, pk, spec, work))
         reduced.append((k, p, tail))
     one = spec.one_raw()
-    polys = tuple(pk.poly(spec, [(k, p, one), *tail]) for k, p, tail in reduced)
+    polys = tuple(
+        MultiPoly(spec, n, {q: c for _, q, c in ((k, p, one), *tail)})
+        for k, p, tail in reduced
+    )
     return polys, pk, reduced
 
 
@@ -433,12 +429,12 @@ def _verify_spolys(gb: GroebnerBasis) -> None:
     reduce to zero against it."""
     spec = gb.ideal.spec
     pk, els = gb._packed
-    lms = [pk.unpack(g[1]) for g in els]
     work = _Work(_budget)
     for i in range(len(els)):
         for j in range(i + 1, len(els)):
             STATS["spoly_checks"] += 1
-            lcm = pk.mono(mono_lcm(lms[i], lms[j]))
+            lp = mono_lcm(els[i][1], els[j][1], pk.nvars)
+            lcm = (pk.key(lp), lp)
             if _reduce(_spoly(els[i], els[j], lcm, pk, spec), els, pk, spec, work):
                 STATS["spoly_failures"] += 1
                 raise RuntimeError(
@@ -455,10 +451,8 @@ def normal_form(f: MultiPoly, gb: GroebnerBasis) -> MultiPoly:
     if not gb.polys:
         return f
     pk, basis = gb._packed
-    if not pk.holds(max(degree_cap(), f.total_degree())):
-        pk = _Packing(f.nvars, gb.order, (f, *gb.polys))
-        basis = [pk.element(g) for g in gb.polys]
-    return pk.poly(f.spec, _reduce(pk.terms(f), basis, pk, f.spec, _Work(_budget)))
+    remainder = _reduce(pk.terms(f), basis, pk, f.spec, _Work(_budget))
+    return MultiPoly(f.spec, f.nvars, {p: c for _, p, c in remainder})
 
 
 # -- derived questions -----------------------------------------------------------
@@ -507,21 +501,21 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
     for g in gb.polys:
         if g.variables_used() & dropped:
             continue
-        out.append(
-            MultiPoly(
-                ideal.spec,
-                len(keep),
-                {tuple(m[i] for i in keep): c for m, c in g.terms.items()},
-            )
-        )
+        out.append(_reindex(g, len(keep), lambda m: [m[i] for i in keep]))
     return Ideal.of(ideal.spec, len(keep), out)
+
+
+def _reindex(f: MultiPoly, nvars: int, place) -> MultiPoly:
+    """f in nvars variables, each exponent tuple m moved to place(m); place
+    must be one-to-one on f's monomials."""
+    return MultiPoly(
+        f.spec, nvars, {_pack(place(m)): c for m, c in f.tuple_terms().items()}
+    )
 
 
 def _pad(h: MultiPoly, extra: int) -> MultiPoly:
     """h read in a ring with `extra` more variables after its own."""
-    return MultiPoly(
-        h.spec, h.nvars + extra, {mo + (0,) * extra: c for mo, c in h.terms.items()}
-    )
+    return _reindex(h, h.nvars + extra, lambda m: m + (0,) * extra)
 
 
 def graph_ideal(images: Sequence[MultiPoly]) -> Ideal:
@@ -563,9 +557,9 @@ def _subalgebra_member_cached(
 
     gb = groebner_basis(graph_ideal(gens), Block(range(n)))
     nf = normal_form(_pad(f, m), gb)
-    if any(any(mo[:n]) for mo in nf.terms):
+    if nf.variables_used() & set(range(n)):
         return None
-    witness = MultiPoly(spec, m, {mo[n:]: c for mo, c in nf.terms.items()})
+    witness = _reindex(nf, m, lambda mo: mo[n:])
     if witness.substitute(gens) != f:
         raise RuntimeError("membership witness failed its substitution check")
     return witness

@@ -385,7 +385,7 @@ def image_generator(
     candidates: list[MultiPoly] = list(hints)
     images = sorted(
         (img for img in phi.images if not (img.is_zero or img.is_constant())),
-        key=lambda f: (f.total_degree(), sorted(f.terms)),
+        key=lambda f: (f.total_degree(), sorted(f.tuple_terms())),
     )
     candidates.extend(images)
     for img in images:

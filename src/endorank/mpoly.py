@@ -1,29 +1,39 @@
 """Sparse multivariate polynomials over an exact ground field.
 
-Monomials are plain exponent tuples; a MultiPoly is a canonical map from
-monomial to nonzero raw coefficient (see fields.py for raw representations).
-Variables are anonymous indices here — names like x1 or t exist only in the
-parser and printer.
+A MultiPoly is a canonical map from packed monomial to nonzero raw
+coefficient (see fields.py for raw representations).  Variables are
+anonymous indices here — names like x1 or t exist only in the parser and
+printer.  Exponent tuples appear only at the API edge: from_terms,
+coefficient, leading_monomial and tuple_terms.
 
-Products, powers and substitution run in one integer kernel (Monagan &
-Pearce, "Polynomial division using dynamic arrays, heaps, and packed
-exponent vectors", CASC 2007).  Each operand is packed once: a monomial
-becomes one int (see Packer), a coefficient one int in the field's IntForm
-(numerators over a common denominator over Q, residues over GF(p), packed
-digit vectors over GF(p^k)).  Term pairs multiply and add as ints, and each
-output coefficient is reduced once.  substitute keeps the images and their
-powers packed and unpacks only its result.
+A monomial x1^e1..xn^en is one int, the same for every polynomial of n
+variables (packed exponent vectors, Monagan & Pearce, CASC 2007): byte i-1
+holds e_i, and the total degree, at most MAX_DEGREE = 127, sits above the n
+exponent bytes.  So the top bit of every exponent byte is clear (a guard)
+and an exponent sum of two monomials fits its byte.  Hence:
 
-A global degree cap (default 64 total degree) turns runaway products and
-substitutions into a hard DegreeCapExceeded error instead of an effectively
-hung process; it is checked against every term pair of every product.  Over
-Q a power whose coefficients would outgrow MAX_POWER_BITS raises
-CoefficientGrowthExceeded before any work is done.
+* multiplying two monomials adds their ints;
+* a divides b exactly when (b - a) & guard == 0, with `guard` the top bits
+  of the exponent bytes (the lowest exponent of a that is larger than b's
+  borrows and sets its guard bit);
+* the total degree is P >> 8n, so a larger degree is a larger int, and the
+  constant monomial is 0.
+
+Products, powers and substitution run in one integer kernel: each
+coefficient becomes one int in the field's IntForm (numerators over a common
+denominator over Q, residues over GF(p), packed digit vectors over
+GF(p^k)), term pairs multiply and add as ints, and each output coefficient
+is reduced once.
+
+A global degree cap (default 64 total degree, at most MAX_DEGREE) turns
+runaway products and substitutions into a hard DegreeCapExceeded error
+instead of an effectively hung process; it is checked against every term
+pair of every product.  Over Q a power whose coefficients would outgrow
+MAX_POWER_BITS raises CoefficientGrowthExceeded before any work is done.
 """
 
 from __future__ import annotations
 
-from operator import lshift
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -35,6 +45,10 @@ from .errors import (
 from .fields import FieldElement, FieldSpec, Raw
 
 Monomial = tuple[int, ...]
+
+# The largest total degree of a packed monomial: an exponent byte keeps its
+# top bit as a guard.
+MAX_DEGREE = 127
 
 _degree_cap = 64
 
@@ -48,26 +62,46 @@ def degree_cap() -> int:
 
 
 def set_degree_cap(cap: int) -> None:
-    """Set the global total-degree cap (must be positive)."""
+    """Set the global total-degree cap, in 1..MAX_DEGREE."""
     global _degree_cap
-    if cap < 1:
-        raise ValueError("degree cap must be positive")
+    if not 1 <= cap <= MAX_DEGREE:
+        raise ValueError(f"degree cap must lie in 1..{MAX_DEGREE}")
     _degree_cap = cap
 
 
-# -- monomial helpers --------------------------------------------------------
+# -- packed monomials ----------------------------------------------------------
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+def _pack(m) -> int:
+    """The packed int of an exponent sequence (exponents in 0..255)."""
+    return int.from_bytes(bytes(m), "little") + (sum(m) << (8 * len(m)))
 
 
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+def _exponents(p: int, nvars: int) -> bytes:
+    """The exponents of a packed monomial of nvars variables."""
+    return p.to_bytes(nvars + 1, "little")[:nvars]
 
 
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
+def _layout(nvars: int) -> tuple[int, int]:
+    """(shift of the degree, guard bits) of monomials of nvars variables."""
+    return 8 * nvars, int.from_bytes(b"\x80" * nvars, "little")
+
+
+def _checked_pack(m: Monomial, nvars: int) -> int:
+    """An exponent tuple from outside, packed; refused when it does not fit."""
+    if len(m) != nvars:
+        raise ArityMismatch(f"monomial arity {len(m)} != {nvars}")
+    degree = sum(m)
+    if degree > MAX_DEGREE:
+        raise DegreeCapExceeded(
+            f"monomial degree {degree} exceeds the limit of {MAX_DEGREE}"
+        )
+    return _pack(m)
+
+
+def mono_lcm(a: int, b: int, nvars: int) -> int:
+    """The least common multiple of two packed monomials."""
+    return _pack(bytes(map(max, _exponents(a, nvars), _exponents(b, nvars))))
 
 
 # -- monomial orders ---------------------------------------------------------
@@ -190,69 +224,30 @@ LEX = Lex()
 # -- the integer kernel -------------------------------------------------------
 
 
-class Packer:
-    """Monomials of n variables packed into one int each.
-
-    The exponents sit in fields of `width` bits at `shifts` (0, width, ..),
-    and the total degree above them at `deg_shift`; the top bit of each
-    exponent field is a guard.  A field holds at most max(degree cap, `top`),
-    so adding two fields never carries into the next, and a product that
-    passes the cap check is back within that bound.  Hence:
-
-    * multiplying two monomials adds their ints;
-    * a divides b exactly when (b - a) & guard == 0, with `guard` the guard
-      bits of the exponent fields (the lowest exponent field of a that is
-      larger than b's borrows and sets its guard bit);
-    * the total degree is P >> deg_shift, so a larger degree is a larger int.
-    """
-
-    __slots__ = ("nvars", "width", "shifts", "deg_shift", "guard", "mask")
-
-    def __init__(self, nvars: int, top: int = 0):
-        width = max(_degree_cap, top).bit_length() + 1
-        self.nvars = nvars
-        self.width = width
-        self.deg_shift = width * nvars
-        self.shifts = tuple(range(0, self.deg_shift, width))
-        self.mask = (1 << width) - 1
-        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
-
-    def holds(self, degree: int) -> bool:
-        """Whether monomials of this degree fit the fields."""
-        return degree < 1 << (self.width - 1)
-
-    def pack(self, m: Monomial) -> int:
-        return sum(map(lshift, m, self.shifts)) + (sum(m) << self.deg_shift)
-
-    def unpack(self, p: int) -> Monomial:
-        mask = self.mask
-        return tuple([(p >> s) & mask for s in self.shifts])
-
-
 class _Kernel:
     """Products and powers of polynomials over one field and arity, each a
     dict from packed monomial to int coefficient in the field's IntForm.
     A polynomial over Q is such a dict plus its denominator, which the
     caller carries."""
 
-    __slots__ = ("spec", "ints", "pk", "limit")
+    __slots__ = ("spec", "nvars", "ints", "deg_shift", "limit")
 
-    def __init__(self, spec: FieldSpec, nvars: int, top: int):
+    def __init__(self, spec: FieldSpec, nvars: int):
         self.spec = spec
+        self.nvars = nvars
         self.ints = spec.ints
-        self.pk = Packer(nvars, top)
+        self.deg_shift = 8 * nvars
         # The least packed monomial above the degree cap.
-        self.limit = (_degree_cap + 1) << self.pk.deg_shift
+        self.limit = (_degree_cap + 1) << self.deg_shift
 
-    def pack(self, f: MultiPoly) -> tuple[int, dict]:
+    def encode(self, f: MultiPoly) -> tuple[int, dict]:
         """(denominator, terms) of f, in f's term order."""
         den, ints = self.ints.encode(f.terms.values())
-        return den, dict(zip(map(self.pk.pack, f.terms), ints))
+        return den, dict(zip(f.terms, ints))
 
-    def unpack(self, terms: dict, den: int) -> MultiPoly:
-        monos = map(self.pk.unpack, terms)
+    def decode(self, terms: dict, den: int) -> MultiPoly:
         values = self.ints.decode(den, terms.values())
-        return MultiPoly(self.spec, self.pk.nvars, dict(zip(monos, values)))
+        return MultiPoly(self.spec, self.nvars, dict(zip(terms, values)))
 
     def settle(self, acc: dict) -> dict:
         """Accumulated coefficients reduced once each, zeros dropped."""
@@ -263,7 +258,7 @@ class _Kernel:
 
     def _over_cap(self, p: int) -> DegreeCapExceeded:
         return DegreeCapExceeded(
-            f"product degree {p >> self.pk.deg_shift} exceeds cap {_degree_cap}"
+            f"product degree {p >> self.deg_shift} exceeds cap {_degree_cap}"
         )
 
     def product(self, a: dict, b: dict) -> dict:
@@ -287,7 +282,7 @@ class _Kernel:
         a's denominator), a power of two or more that the degree cap lets
         through is first checked against MAX_POWER_BITS."""
         if e > 1 and a and self.ints.reduce is None:
-            degree = max(a) >> self.pk.deg_shift
+            degree = max(a) >> self.deg_shift
             if degree == 0 or e * degree <= _degree_cap:
                 _check_growth(a, e, den)
         result = None
@@ -323,8 +318,8 @@ def _check_growth(a: dict, e: int, den: int) -> None:
 
 
 class MultiPoly:
-    """Immutable sparse polynomial.  `terms` maps monomial -> nonzero raw
-    coefficient and must never be mutated after construction."""
+    """Immutable sparse polynomial.  `terms` maps packed monomial -> nonzero
+    raw coefficient and must never be mutated after construction."""
 
     __slots__ = ("spec", "nvars", "terms", "_hash")
 
@@ -340,18 +335,18 @@ class MultiPoly:
 
     @staticmethod
     def from_terms(spec: FieldSpec, nvars: int, items: Iterable[tuple[Monomial, Raw]]) -> "MultiPoly":
-        """Build from (monomial, raw) pairs, merging duplicates and dropping
-        zeros so the stored form is canonical."""
+        """Build from (exponent tuple, raw) pairs, merging duplicates and
+        dropping zeros so the stored form is canonical.  A monomial of
+        total degree above MAX_DEGREE raises DegreeCapExceeded."""
         acc: dict = {}
         for m, c in items:
-            if len(m) != nvars:
-                raise ArityMismatch(f"monomial arity {len(m)} != {nvars}")
-            prev = acc.get(m)
+            p = _checked_pack(m, nvars)
+            prev = acc.get(p)
             c = c if prev is None else spec.add_raw(prev, c)
             if spec.is_zero_raw(c):
-                acc.pop(m, None)
+                acc.pop(p, None)
             else:
-                acc[m] = c
+                acc[p] = c
         return MultiPoly(spec, nvars, acc)
 
     @staticmethod
@@ -363,14 +358,14 @@ class MultiPoly:
         c = spec.element(value).raw
         if spec.is_zero_raw(c):
             return MultiPoly.zero(spec, nvars)
-        return MultiPoly(spec, nvars, {(0,) * nvars: c})
+        return MultiPoly(spec, nvars, {0: c})
 
     @staticmethod
     def variable(spec: FieldSpec, nvars: int, index: int) -> "MultiPoly":
         """The polynomial x_index (0-based index)."""
         if not 0 <= index < nvars:
             raise ArityMismatch(f"variable index {index} out of range")
-        mono = tuple(1 if i == index else 0 for i in range(nvars))
+        mono = (1 << (8 * index)) + (1 << (8 * nvars))
         return MultiPoly(spec, nvars, {mono: spec.one_raw()})
 
     # -- inspectors ----------------------------------------------------------
@@ -380,41 +375,45 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(mono_degree(m) == 0 for m in self.terms)
+        return not any(self.terms)
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is reported as -1."""
-        return max(map(sum, self.terms), default=-1)
+        return max(self.terms, default=-1) >> (8 * self.nvars)
+
+    def tuple_terms(self) -> dict[Monomial, Raw]:
+        """The terms keyed by exponent tuples, in the same order."""
+        n = self.nvars
+        return {tuple(_exponents(p, n)): c for p, c in self.terms.items()}
 
     def constant_term(self) -> FieldElement:
-        raw = self.terms.get((0,) * self.nvars, self.spec.zero_raw())
-        return FieldElement(self.spec, raw)
+        return FieldElement(self.spec, self.terms.get(0, self.spec.zero_raw()))
 
     def coefficient(self, m: Monomial) -> FieldElement:
-        return FieldElement(self.spec, self.terms.get(m, self.spec.zero_raw()))
+        raw = self.terms.get(_checked_pack(m, self.nvars), self.spec.zero_raw())
+        return FieldElement(self.spec, raw)
 
     def variables_used(self) -> set[int]:
-        used: set[int] = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(i)
-        return used
+        support = 0
+        for p in self.terms:
+            support |= p
+        return {i for i, e in enumerate(_exponents(support, self.nvars)) if e}
 
     def leading_monomial(self, order: MonomialOrder) -> Monomial:
         if not self.terms:
             raise ValueError("the zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        return max(self.tuple_terms(), key=order.key)
 
     def leading_coefficient(self, order: MonomialOrder) -> FieldElement:
-        return FieldElement(self.spec, self.terms[self.leading_monomial(order)])
+        return self.coefficient(self.leading_monomial(order))
 
     def degree_one_part(self) -> "MultiPoly":
         """The homogeneous degree-1 slice (used for linear-part analysis)."""
+        shift = 8 * self.nvars
         return MultiPoly(
             self.spec,
             self.nvars,
-            {m: c for m, c in self.terms.items() if mono_degree(m) == 1},
+            {p: c for p, c in self.terms.items() if p >> shift == 1},
         )
 
     # -- arithmetic ----------------------------------------------------------
@@ -461,20 +460,17 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        kernel = _Kernel(
-            self.spec, self.nvars, max(self.total_degree(), other.total_degree())
-        )
-        da, a = kernel.pack(self)
-        db, b = kernel.pack(other)
-        return kernel.unpack(kernel.product(a, b), da * db)
+        kernel = _Kernel(self.spec, self.nvars)
+        da, a = kernel.encode(self)
+        db, b = kernel.encode(other)
+        return kernel.decode(kernel.product(a, b), da * db)
 
     def __pow__(self, e: int) -> "MultiPoly":
         if e < 0:
             raise ValueError("negative polynomial power")
-        kernel = _Kernel(self.spec, self.nvars, self.total_degree())
-        den, a = kernel.pack(self)
-        terms = kernel.power(a, e, den)
-        return kernel.unpack(terms, den**e)
+        kernel = _Kernel(self.spec, self.nvars)
+        den, a = kernel.encode(self)
+        return kernel.decode(kernel.power(a, e, den), den**e)
 
     def scale(self, c) -> "MultiPoly":
         """Multiply by a scalar (FieldElement, raw value, or int)."""
@@ -505,7 +501,7 @@ class MultiPoly:
                 raws.append(spec.element(v).raw)
         pow_cache: dict[tuple[int, int], Raw] = {}
         total = spec.zero_raw()
-        for m, c in self.terms.items():
+        for m, c in self.tuple_terms().items():
             acc = c
             for i, e in enumerate(m):
                 if e:
@@ -521,8 +517,8 @@ class MultiPoly:
     def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
         """Apply the algebra map x_i -> images[i].  The images may live in a
         ring with a different number of variables; the result lives there.
-        The images and their powers stay packed until the result is read
-        out."""
+        The images and their powers stay in the kernel's int form until the
+        result is read out."""
         if len(images) != self.nvars:
             raise ArityMismatch(
                 f"{self.nvars} variables but {len(images)} substitution images"
@@ -534,22 +530,23 @@ class MultiPoly:
                 raise SpecMismatch("substitution image over a different field")
             if g.nvars != target_n:
                 raise ArityMismatch("substitution images disagree on arity")
-        kernel = _Kernel(spec, target_n, max(g.total_degree() for g in images))
-        packed = [kernel.pack(g) for g in images]
+        kernel = _Kernel(spec, target_n)
+        encoded = [kernel.encode(g) for g in images]
         den, coeffs = kernel.ints.encode(self.terms.values())
+        exponents = [_exponents(p, self.nvars) for p in self.terms]
         # Over Q, x_i^e becomes an int polynomial over D_i^e, D_i the
         # denominator of image i.  Every term is brought over the common
         # denominator den * prod(D_i^top_i), top_i the largest exponent of x_i.
         lifts = []
-        for i, (d, _) in enumerate(packed):
+        for i, (d, _) in enumerate(encoded):
             if d != 1:
-                top = max((m[i] for m in self.terms), default=0)
+                top = max((m[i] for m in exponents), default=0)
                 lifts.append((i, d, top))
                 den *= d**top
         powers: dict[tuple[int, int], dict] = {}
         total: dict = {}
         get = total.get
-        for m, c in zip(self.terms, coeffs):
+        for m, c in zip(exponents, coeffs):
             for i, d, top in lifts:
                 c *= d ** (top - m[i])
             acc = None  # the constant c until the first factor
@@ -557,7 +554,7 @@ class MultiPoly:
                 if e:
                     pw = powers.get((i, e))
                     if pw is None:
-                        d, terms = packed[i]
+                        d, terms = encoded[i]
                         pw = powers[(i, e)] = kernel.power(terms, e, d)
                     if acc is not None:
                         acc = kernel.product(acc, pw)
@@ -567,7 +564,7 @@ class MultiPoly:
                         break
             for p, v in ((0, c),) if acc is None else acc.items():
                 total[p] = get(p, 0) + v
-        return kernel.unpack(kernel.settle(total), den)
+        return kernel.decode(kernel.settle(total), den)
 
     def partial_derivative(self, var: int) -> "MultiPoly":
         """Formal partial derivative with respect to x_var (0-based).  Exact
@@ -575,21 +572,16 @@ class MultiPoly:
         if not 0 <= var < self.nvars:
             raise ArityMismatch(f"variable index {var} out of range")
         spec = self.spec
+        shift = 8 * var
+        # Dividing by x_var: one off its exponent byte and one off the degree.
+        step = (1 << shift) + (1 << (8 * self.nvars))
         out: dict = {}
-        for m, c in self.terms.items():
-            e = m[var]
-            if e == 0:
-                continue
-            d = spec.mul_int_raw(c, e)
-            if spec.is_zero_raw(d):
-                continue
-            mm = tuple(x - 1 if i == var else x for i, x in enumerate(m))
-            prev = out.get(mm)
-            s = d if prev is None else spec.add_raw(prev, d)
-            if spec.is_zero_raw(s):
-                out.pop(mm, None)
-            else:
-                out[mm] = s
+        for p, c in self.terms.items():
+            e = (p >> shift) & 0xFF
+            if e:
+                d = spec.mul_int_raw(c, e)
+                if not spec.is_zero_raw(d):
+                    out[p - step] = d
         return MultiPoly(spec, self.nvars, out)
 
     # -- equality, hashing, printing -----------------------------------------

@@ -20,7 +20,7 @@ from .errors import (
     UnknownVariable,
 )
 from .fields import FieldSpec, Raw
-from .mpoly import GREVLEX, MultiPoly, degree_cap
+from .mpoly import GREVLEX, MultiPoly
 
 
 # -- canonical printing -------------------------------------------------------
@@ -94,13 +94,14 @@ def format_poly(f: MultiPoly, var: str = "x") -> str:
     if f.is_zero:
         return "0"
     spec = f.spec
-    monos = sorted(f.terms, key=GREVLEX.key, reverse=True)
+    terms = f.tuple_terms()
+    monos = sorted(terms, key=GREVLEX.key, reverse=True)
     multi = len(monos) > 1
 
     if spec.kind == "Q":
         out = []
         for m in monos:
-            c: Fraction = f.terms[m]
+            c: Fraction = terms[m]
             neg = c < 0
             mag = -c if neg else c
             ms = _format_monomial(m, var)
@@ -118,7 +119,7 @@ def format_poly(f: MultiPoly, var: str = "x") -> str:
 
     pieces = []
     for m in monos:
-        cs = format_coefficient(spec, f.terms[m])
+        cs = format_coefficient(spec, terms[m])
         ms = _format_monomial(m, var)
         if not ms:
             pieces.append(f"({cs})" if ("+" in cs and multi) else cs)
@@ -263,13 +264,7 @@ class _Parser:
             return f
         self.take()
         tok = self.expect("int")
-        e = _int(tok.text, tok.line, tok.col)
-        # A variable to a power within the cap is read as its monomial.
-        if len(f.terms) == 1 and e <= degree_cap():
-            ((m, c),) = f.terms.items()
-            if sum(m) == 1 and c == f.spec.one_raw():
-                return MultiPoly(f.spec, f.nvars, {tuple(x * e for x in m): c})
-        return f**e
+        return f ** _int(tok.text, tok.line, tok.col)
 
     def primary(self) -> MultiPoly:
         t = self.take()
@@ -338,8 +333,8 @@ def _parse_modulus_text(text: str, p: int, line0: int, col0: int) -> tuple[int, 
     if deg < 1:
         raise PolySyntaxError("modulus must be non-constant", line0, None)
     out = [0] * (deg + 1)
-    for m, c in f.terms.items():
-        out[m[0]] = c
+    for (e,), c in f.tuple_terms().items():
+        out[e] = c
     return tuple(out)
 
 

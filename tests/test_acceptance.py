@@ -327,7 +327,9 @@ def test_criterion_7_spoly_audit_and_tame_inversions():
     for spec in (QQ, GF3):
         for _ in range(10):
             p = random_polynomial(rng, spec, 1, max_degree=3, max_terms=2)
-            shear = MultiPoly(spec, 2, {(0, m[0]): c for m, c in p.terms.items()})
+            shear = MultiPoly.from_terms(
+                spec, 2, (((0, m[0]), c) for m, c in p.tuple_terms().items())
+            )
             images = (
                 MultiPoly.variable(spec, 2, 0) + shear,
                 MultiPoly.variable(spec, 2, 1).scale(random_nonzero_scalar(rng, spec)),

@@ -86,3 +86,26 @@ def test_mutated_certificates_never_raise(r_max, slot, delete, junk):
 
 def test_lifted_certificate_is_exercised():
     assert any(step["lift_to"] for step in _certificate(1)["steps"])
+
+
+def _verify(payload):
+    """(exit code, stdout, stderr) of replaying a certificate."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "chain.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["chain", path, "--verify", "--format", "json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_lift_to_must_be_the_stock_extension_of_the_current_field():
+    code, out, _ = _verify(_certificate(1))
+    assert code == 0 and json.loads(out)["ok"] is True
+    payload = _certificate(1)
+    step = next(k for k, s in enumerate(payload["steps"], start=1) if s["lift_to"])
+    payload["steps"][step - 1]["lift_to"] = "F 2^3 mod t^3+t+1"
+    code, _, err = _verify(payload)
+    assert code == 1
+    assert f"step {step}: lift_to F 2^3 mod t^3+t+1 is not the stock extension of F 2" in err

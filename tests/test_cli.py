@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -551,6 +552,22 @@ def test_degree_cap_exits_two(files, capsys):
     assert code == 2
     assert captured.err.startswith("endorank: exhausted: ")
     assert "cap 64" in captured.err
+
+
+@pytest.mark.parametrize("image", ["x1^100*x2^100", "x1^127*x2", "x1^128"])
+def test_monomials_past_the_packed_limit_exit_two(files, capsys, image):
+    path = files("big.endo", f"field Q\nvars 2\nx1 -> {image}\nx2 -> x2\n")
+    code = main(["rank", path])
+    assert code == 2
+    assert "exceeds cap 64" in capsys.readouterr().err
+
+
+def test_prime_header_near_the_characteristic_cap_answers_fast(files, capsys):
+    path = files("p.endo", "field F 2305843009213693951\nvars 1\nx1 -> x1^2 + 3\n")
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "rank", path, "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["rank"] == 1
 
 
 def test_coefficient_growth_exits_two(files, capsys):

@@ -23,6 +23,7 @@ from endorank.fields import (
     builtin_extension,
     embed_raw,
     enumerate_elements,
+    is_prime,
 )
 
 
@@ -188,3 +189,33 @@ def test_headers_round_trip_identity():
     assert GF2.header() == "F 2"
     assert GF4.header() == "F 2^2 mod t^2+t+1"
     assert GF9.header() == "F 3^2 mod t^2+1"
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division_below_10_5():
+    assert all(is_prime(n) == _trial_division(n) for n in range(10**5))
+
+
+@pytest.mark.parametrize(
+    "n",
+    # the least strong pseudoprimes to the first 1..7 prime bases
+    [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_accepts_a_mersenne_prime_near_the_cap():
+    assert is_prime(2**61 - 1)
+    assert not is_prime((2**31 - 1) * (2**19 - 1))  # two Mersenne primes
+    assert FieldSpec.prime_field(2**61 - 1).p == 2**61 - 1

@@ -28,15 +28,13 @@ from endorank.groebner import (
     set_budget,
     subalgebra_member,
 )
+from endorank import mpoly
 from endorank.mpoly import (
     GREVLEX,
     LEX,
     Block,
     MultiPoly,
     degree_cap,
-    mono_degree,
-    mono_lcm,
-    mono_mul,
     set_degree_cap,
 )
 from endorank.parsing import parse_polynomial
@@ -271,6 +269,18 @@ def test_groebner_basis_spellings_share_one_entry():
 # step counts, which do see the order.
 
 
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def mono_degree(a):
+    return sum(a)
+
+
 def mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
@@ -282,7 +292,7 @@ def mono_div(a, b):
 def _reference_reduce(f, basis, lms, order, work):
     spec = f.spec
     cap = degree_cap()
-    cur = dict(f.terms)
+    cur = f.tuple_terms()
     out = {}
     while cur:
         m = max(cur, key=order.key)
@@ -299,7 +309,7 @@ def _reference_reduce(f, basis, lms, order, work):
         g = basis[hit]
         glm = lms[hit]
         shift = mono_div(m, glm)
-        for gm, gc in g.terms.items():
+        for gm, gc in g.tuple_terms().items():
             if gm == glm:
                 continue
             mm = mono_mul(gm, shift)
@@ -312,7 +322,7 @@ def _reference_reduce(f, basis, lms, order, work):
                 cur.pop(mm, None)
             else:
                 cur[mm] = s
-    return MultiPoly(spec, f.nvars, out)
+    return MultiPoly.from_terms(spec, f.nvars, out.items())
 
 
 def _reference_spoly(f, flm, g, glm):
@@ -322,7 +332,7 @@ def _reference_spoly(f, flm, g, glm):
 
     def shifted(h, hlm):
         shift = mono_div(lcm, hlm)
-        for m, c in h.terms.items():
+        for m, c in h.tuple_terms().items():
             mm = mono_mul(m, shift)
             if sum(mm) > cap:
                 raise DegreeCapExceeded(f"S-polynomial reached degree {sum(mm)} above cap {cap}")
@@ -390,9 +400,9 @@ def _reference_buchberger(ideal, order, work):
 
 
 def _packed_normal_form(f, basis, order, work):
-    pk = groebner._Packing(f.nvars, order, (f, *basis))
+    pk = groebner._Packing(f.nvars, order)
     out = groebner._reduce(pk.terms(f), [pk.element(g) for g in basis], pk, f.spec, work)
-    return pk.poly(f.spec, out)
+    return MultiPoly(f.spec, f.nvars, {p: c for _, p, c in out})
 
 
 def _outcome(run, budget=10**5):
@@ -421,25 +431,36 @@ def test_packed_key_orders_like_order_key_and_mask_divides_like_tuples():
     rng = random.Random(11)
     for n in range(1, 7):
         for order in _orders(rng, n):
-            top = rng.choice((3, 9, 70))  # 70 is above the default cap
-            widest = MultiPoly(QQ, n, {(top,) + (0,) * (n - 1): QQ.one_raw()})
-            pk = groebner._Packing(n, order, [widest])
+            # 70 is above the default cap, 127 the packed limit
+            top = rng.choice((3, 9, 70, mpoly.MAX_DEGREE))
+            pk = groebner._Packing(n, order)
             monos = set()
             while len(monos) < min(60, math.comb(top + n, n)):
                 d = rng.randint(0, top)
                 cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
                 monos.add(tuple(b - a for a, b in zip([0, *cuts], [*cuts, d])))
             monos = sorted(monos)
-            packed = {m: pk.mono(m) for m in monos}
+            packed = {}
+            for m in monos:
+                f = MultiPoly.from_terms(QQ, n, [(m, QQ.one_raw())])
+                ((P, _),) = f.terms.items()
+                packed[m] = (pk.key(P), P)
             by_key = sorted(monos, key=order.key)
             assert sorted(monos, key=lambda m: packed[m][0]) == by_key, (n, order)
             assert len({k for k, _ in packed.values()}) == len(monos)
             for m in monos:
-                assert pk.unpack(packed[m][1]) == m
+                assert MultiPoly(QQ, n, {packed[m][1]: QQ.one_raw()}).leading_monomial(order) == m
                 assert packed[m][1] >> pk.deg_shift == sum(m)
+            lcms = {}
             for a, b in itertools.product(monos[:25], monos):
                 got = not (packed[b][1] - packed[a][1]) & pk.guard
                 assert got == mono_divides(a, b), (n, order, a, b)
+                lcms[mono_lcm(a, b)] = mpoly.mono_lcm(packed[a][1], packed[b][1], n)
+            # lcms reach degree 254; their keys still order like tuples
+            for m, lcm in lcms.items():
+                assert lcm == mpoly._pack(m), (n, m)
+            by_key = sorted(lcms, key=order.key)
+            assert sorted(lcms, key=lambda m: pk.key(lcms[m])) == by_key, (n, order)
 
 
 def test_reduce_matches_reference_remainders_and_steps():
@@ -467,7 +488,7 @@ def _no_constant_term(rng, spec, n):
     never the unit ideal."""
     while True:
         f = random_polynomial(rng, spec, n, max_degree=4, max_terms=4, nonzero=True)
-        f = MultiPoly(spec, n, {m: c for m, c in f.terms.items() if any(m)})
+        f = f - MultiPoly.constant(spec, n, f.constant_term())
         if not f.is_zero:
             return f
 
@@ -491,7 +512,7 @@ def test_inputs_above_the_degree_cap_are_never_packed_into_a_guard_bit():
     old = degree_cap()
     set_degree_cap(4)
     try:
-        f = MultiPoly(QQ, 2, {(10, 0): QQ.one_raw()})  # x1^10, past the cap
+        f = MultiPoly.from_terms(QQ, 2, [((10, 0), QQ.one_raw())])  # past the cap
         for text in ("x1", "x2", "x1^2", "x1*x2", "x1^3 - x2", "x1 - 1"):
             g = p(text)
             want = _outcome(lambda w: _reference_reduce(f, [g], [g.leading_monomial(GREVLEX)], GREVLEX, w))
@@ -501,8 +522,7 @@ def test_inputs_above_the_degree_cap_are_never_packed_into_a_guard_bit():
         assert _packed_normal_form(f, [p("x2")], GREVLEX, groebner._Work(10)) == f
         with pytest.raises(DegreeCapExceeded):
             _packed_normal_form(f, [p("x1 - 1")], GREVLEX, groebner._Work(10))
-        # normal_form reuses the packing a basis was computed in only when
-        # the input fits it
+        # normal_form reduces in the packing the basis was computed in
         clear_caches()
         assert normal_form(f, groebner_basis(ideal("x1"))).is_zero
         assert normal_form(f, groebner_basis(ideal("x2"))) == f
