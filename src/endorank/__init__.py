@@ -21,7 +21,6 @@ from .chains import (
     ChainVerification,
     SubstitutionRecord,
     build_full_chain,
-    internal_rank_lower_bound,
     lift_endo,
     reduce_rank_once,
     verify_chain,
@@ -59,7 +58,6 @@ from .groebner import (
     eliminate,
     get_budget,
     groebner_basis,
-    ideal_contains,
     ideal_dimension,
     invert_poly_map,
     normal_form,
@@ -73,13 +71,11 @@ from .kronecker import (
     KroneckerSystem,
     NormalizationResult,
     RepresentationKind,
-    StructureReport,
     SubbaseReport,
     check_internal_base_condition,
     classify_representation,
     image_generator,
     normalize_base,
-    structure_analysis,
     verify_base_external,
     verify_subbase,
 )

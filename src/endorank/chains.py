@@ -282,22 +282,6 @@ def build_full_chain(
     return Chain(phi, tuple(steps))
 
 
-def internal_rank_lower_bound(
-    phi: Endomorphism, policy: ChainPolicy = ChainPolicy()
-) -> tuple[int, bool]:
-    """Chain length as a rank lower bound.
-
-    Returns (length, reached_zero).  Each accepted step drops the rank by
-    exactly one, so when the chain reaches rank 0 the length equals the rank;
-    otherwise it is a strict lower bound on nothing stronger than itself and
-    the flag is False.
-    """
-    try:
-        return build_full_chain(phi, policy).length, True
-    except SearchExhausted as exc:
-        return exc.chain.length, False
-
-
 @dataclass(frozen=True)
 class ChainVerification:
     ok: bool

@@ -93,6 +93,20 @@ def _arg(*flags, **options):
     return flags, options
 
 
+def _at_least(low: int):
+    """An int argument type refusing values below low: argparse reports the
+    refusal as a usage error (exit 1) that names the flag."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse words a ValueError as "invalid int value"
+    return parse
+
+
 _ENDO_FILE = _arg("file", help="endomorphism file")
 _KRON_FILE = _arg("file", help="Kronecker-system file")
 
@@ -169,7 +183,7 @@ def _cmd_rank(args) -> tuple[dict, list[str]]:
     _arg("other", help="second endomorphism file"),
     _arg(
         "--falsify",
-        type=int,
+        type=_at_least(0),
         default=0,
         metavar="N",
         help="also run N falsifier trials on the verdict",
@@ -360,7 +374,9 @@ def _rebuild_chain(payload) -> Chain:
     "chain",
     "rank-reducing substitution chain down to rank 0",
     _arg("file", help="endomorphism file (or chain JSON with --verify)"),
-    _arg("--r-max", type=int, default=8, help="largest power substitution tried"),
+    _arg(
+        "--r-max", type=_at_least(1), default=8, help="largest power substitution tried"
+    ),
     _arg(
         "--verify",
         action="store_true",
@@ -479,7 +495,7 @@ def _cmd_kron_normalize(args) -> tuple[dict, list[str]]:
         action="store_true",
         help="also spot-check automorphism invariants",
     ),
-    _arg("--trials", type=int, default=6, help="samples for --properties"),
+    _arg("--trials", type=_at_least(0), default=6, help="samples for --properties"),
     seed=True,
 )
 def _cmd_conj(args) -> tuple[dict, list[str]]:

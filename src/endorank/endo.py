@@ -99,28 +99,12 @@ class Endomorphism:
         """The induced map on points: evaluate every image at the point."""
         return tuple(img.evaluate(point) for img in self.images)
 
-    def linear_part(self) -> tuple[tuple[FieldElement, ...], ...]:
-        """Matrix L with L[a][b] = coefficient of x_(a+1) in the image of
-        x_(b+1).  Composition of maps multiplies these matrices in the same
-        order."""
-        n = self.nvars
-        unit = [
-            tuple(1 if i == a else 0 for i in range(n)) for a in range(n)
-        ]
-        return tuple(
-            tuple(self.images[b].coefficient(unit[a]) for b in range(n))
-            for a in range(n)
-        )
-
     def constant_part(self) -> tuple[FieldElement, ...]:
         return tuple(img.constant_term() for img in self.images)
 
     @property
     def is_identity(self) -> bool:
         return self == Endomorphism.identity(self.spec, self.nvars)
-
-    def max_degree(self) -> int:
-        return max(img.total_degree() for img in self.images)
 
     def __str__(self) -> str:
         return "; ".join(

@@ -81,14 +81,6 @@ class RelationViolation(EndoRankError):
     """A composition table does not satisfy the required delta relations."""
 
 
-class NoFixedPointFound(EndoRankError):
-    """The fixed-point schedule was exhausted (ground field too small)."""
-
-
-class ConstantTermSurvives(EndoRankError):
-    """Translation by the found fixed point left a constant term behind."""
-
-
 class NonAffineImage(EndoRankError):
     """A generator image that must be affine in a single generator is not."""
 

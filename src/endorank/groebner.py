@@ -458,10 +458,6 @@ def normal_form(f: MultiPoly, gb: GroebnerBasis) -> MultiPoly:
 # -- derived questions -----------------------------------------------------------
 
 
-def ideal_contains(ideal: Ideal, f: MultiPoly) -> bool:
-    return groebner_basis(ideal, GREVLEX).contains(f)
-
-
 def ideal_dimension(ideal: Ideal) -> int:
     """Krull dimension of K[x]/I, computed combinatorially from the leading
     monomials: the largest variable subset S such that no leading monomial

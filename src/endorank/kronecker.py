@@ -1,5 +1,5 @@
-"""Matrix-unit families of endomorphisms: subbase verification, structure
-analysis, base extraction, and normalization.
+"""Matrix-unit families of endomorphisms: subbase verification,
+classification, base extraction, and normalization.
 
 A KroneckerSystem is an n x n grid of endomorphisms expected to multiply like
 matrix units: entry(i,j) . entry(k,m) equals entry(i,m) when j = k and a
@@ -17,16 +17,13 @@ matrix-unit action becomes literally e(i,j): z_j -> z_i, all other z -> 0.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from .endo import Endomorphism, compose, kronecker_endo, rank
 from .errors import (
-    ConstantTermSurvives,
     GeneratorNotFound,
-    NoFixedPointFound,
     NonAffineImage,
     RelationViolation,
     ZeroScale,
@@ -34,8 +31,6 @@ from .errors import (
 from .fields import FieldElement, FieldSpec
 from .groebner import invert_poly_map, subalgebra_member
 from .mpoly import GREVLEX, MultiPoly
-
-_ENUM_POINT_CAP = 4096  # max points enumerated in fixed-point search
 
 
 @dataclass(frozen=True)
@@ -79,7 +74,7 @@ class KroneckerSystem:
         self, fn: Callable[[Endomorphism], Endomorphism]
     ) -> "KroneckerSystem":
         """Apply fn to every entry (and the zero, if present); used to build
-        conjugated and translated variants."""
+        conjugated variants."""
         grid = tuple(tuple(fn(e) for e in row) for row in self.entries)
         zero = fn(self.zero) if self.zero is not None else None
         return KroneckerSystem(grid[0][0].spec, self.n, grid, zero)
@@ -188,176 +183,6 @@ def classify_representation(system: KroneckerSystem) -> RepresentationKind:
             "neither singular nor nonsingular: " + "; ".join(report.problems[:5])
         )
     return RepresentationKind.NONSINGULAR
-
-
-# -- structure analysis ------------------------------------------------------------
-
-
-Matrix = tuple[tuple[FieldElement, ...], ...]
-
-
-def _mat_mul(spec: FieldSpec, a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(
-            sum(
-                (a[r][c] * b[c][s] for c in range(n)),
-                start=spec.zero(),
-            )
-            for s in range(n)
-        )
-        for r in range(n)
-    )
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    fixed_point: tuple[FieldElement, ...]
-    translated: KroneckerSystem
-    constant_terms_vanish: bool
-    linear_parts: tuple[tuple[Matrix, ...], ...]  # [i-1][j-1]
-    matrix_units_ok: bool
-    problems: tuple[str, ...]
-
-
-def _translate_endo(e: Endomorphism, d: Sequence[FieldElement]) -> Endomorphism:
-    """Conjugate by the translation x -> x + d: new images are
-    e_k(x + d) - d_k, so a fixed point d of the point map moves to the
-    origin."""
-    spec = e.spec
-    n = e.nvars
-    shifted = [
-        MultiPoly.variable(spec, n, b) + MultiPoly.constant(spec, n, d[b])
-        for b in range(n)
-    ]
-    images = tuple(
-        img.substitute(shifted) - MultiPoly.constant(spec, n, d[k])
-        for k, img in enumerate(e.images)
-    )
-    return Endomorphism(spec, n, images)
-
-
-def _fixed_point_candidates(system: KroneckerSystem, seed: int):
-    """Schedule: origin and all-ones; their images under each diagonal; the
-    full diagonal sweep (entry (n,n) after .. after entry (1,1), which walks
-    any starting point onto the common fixed locus coordinate by
-    coordinate); then brute force — every point over a small finite field,
-    seeded integer points over Q."""
-    spec = system.spec
-    n = system.n
-    base_points = [
-        tuple(spec.zero() for _ in range(n)),
-        tuple(spec.one() for _ in range(n)),
-    ]
-    for p in base_points:
-        yield p
-    for p in base_points:
-        for j in range(1, n + 1):
-            yield system.entry(j, j).point_map(p)
-    for p in base_points:
-        cur = p
-        for j in range(1, n + 1):
-            cur = system.entry(j, j).point_map(cur)
-        yield cur
-    if spec.is_finite:
-        from .fields import enumerate_elements
-
-        if spec.order**n <= _ENUM_POINT_CAP:
-            elems = list(enumerate_elements(spec))
-
-            def walk(prefix):
-                if len(prefix) == n:
-                    yield tuple(prefix)
-                    return
-                for v in elems:
-                    yield from walk(prefix + [v])
-
-            yield from walk([])
-    else:
-        rng = random.Random(7919 + seed)
-        for _ in range(32):
-            yield tuple(
-                spec.element(rng.randint(-5, 5)) for _ in range(n)
-            )
-
-
-def structure_analysis(system: KroneckerSystem, seed: int = 0) -> StructureReport:
-    """Find a common fixed point of the whole family, translate it to the
-    origin, and check that what remains is linear-looking: no constant
-    terms, and degree-1 parts multiplying exactly like matrix units.
-
-    Candidates are accepted only if the fully translated system has no
-    constant terms anywhere (equivalent to being fixed by every entry).
-    NoFixedPointFound means not even entry (1,1) fixed any candidate;
-    ConstantTermSurvives means some points were (1,1)-fixed but none was
-    fixed by the whole family.
-    """
-    n = system.n
-    saw_diagonal_fixed = False
-    seen: set = set()
-    for point in _fixed_point_candidates(system, seed):
-        key = tuple(v.raw for v in point)
-        if key in seen:
-            continue
-        seen.add(key)
-        if system.entry(1, 1).point_map(point) != tuple(point):
-            continue
-        saw_diagonal_fixed = True
-        translated = system.transformed(lambda e: _translate_endo(e, point))
-        if all(
-            img.constant_term().is_zero
-            for row in translated.entries
-            for e in row
-            for img in e.images
-        ):
-            return _finish_structure_report(system, point, translated)
-    if saw_diagonal_fixed:
-        raise ConstantTermSurvives(
-            "points fixed by entry (1,1) exist, but none is fixed by the "
-            "whole family; translation cannot remove all constant terms"
-        )
-    raise NoFixedPointFound(
-        "no candidate point is fixed by entry (1,1); over a small finite "
-        "field the fixed point may only exist after a field extension"
-    )
-
-
-def _finish_structure_report(
-    system: KroneckerSystem,
-    point: tuple[FieldElement, ...],
-    translated: KroneckerSystem,
-) -> StructureReport:
-    spec = system.spec
-    n = system.n
-    parts = tuple(
-        tuple(translated.entry(i, j).linear_part() for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
-    problems: list[str] = []
-    zero_mat = tuple(
-        tuple(spec.zero() for _ in range(n)) for _ in range(n)
-    )
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for m in range(1, n + 1):
-                    prod = _mat_mul(
-                        spec, parts[i - 1][j - 1], parts[k - 1][m - 1]
-                    )
-                    want = parts[i - 1][m - 1] if j == k else zero_mat
-                    if prod != want:
-                        problems.append(
-                            f"L({i},{j}).L({k},{m}) != "
-                            + (f"L({i},{m})" if j == k else "0")
-                        )
-    return StructureReport(
-        fixed_point=tuple(point),
-        translated=translated,
-        constant_terms_vanish=True,
-        linear_parts=parts,
-        matrix_units_ok=not problems,
-        problems=tuple(problems),
-    )
 
 
 # -- image generators and bases -----------------------------------------------------

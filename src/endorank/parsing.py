@@ -11,6 +11,7 @@ Field headers:  field Q   |   field F 5   |   field F 2^2 mod t^2+t+1
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -132,10 +133,15 @@ def format_poly(f: MultiPoly, var: str = "x") -> str:
 
 # -- tokenizer ----------------------------------------------------------------
 
-_OPS = set("+-*^()/")
-
+# One match per token: the blanks before it (\s is exactly str.isspace; a
+# newline is a token of its own), then ASCII digits, a run of \w (exactly
+# str.isalnum or '_'), any other single character, or nothing at the end.
 # Numbers are ASCII 0-9 only: str.isdigit also accepts digits such as '²',
-# which int() rejects, and '٣', which int() reads as 3.
+# which int() rejects, and '٣', which int() reads as 3.  A name must start
+# with a letter (str.isalpha), which no class expresses, so the tokenizer
+# refuses a \w run that starts otherwise.
+_TOKEN = re.compile(r"([^\S\n]*)([0-9]+|\w+|.|\Z)", re.DOTALL)
+_OPS = frozenset("+-*^()/")
 _DIGITS = frozenset("0123456789")
 
 
@@ -153,54 +159,31 @@ def _int(text: str, line: int | None, col: int | None = None) -> int:
         ) from None
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind  # "int" | "name" | one of + - * ^ ( ) / | "end"
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str, line0: int, col0: int) -> list[_Token]:
+def _tokenize(text: str, line0: int, col0: int) -> list[tuple[str, str, int, int]]:
+    """Tokens as (kind, text, line, column); kind is "int", "name", the
+    operator itself (one of + - * ^ ( ) /) or "end"."""
     toks = []
     line, col = line0, col0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    for m in _TOKEN.finditer(text):
+        blanks, s = m.groups()
+        col += len(blanks)
+        if not s:
+            continue  # the end of the text
+        if s == "\n":
             line += 1
             col = 1
-            i += 1
             continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            toks.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OPS:
-            toks.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise PolySyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("end", "", line, col))
+        if s in _OPS:
+            kind = s
+        elif s[0] in _DIGITS:
+            kind = "int"
+        elif s[0].isalpha():
+            kind = "name"
+        else:
+            raise PolySyntaxError(f"unexpected character {s[0]!r}", line, col)
+        toks.append((kind, s, line, col))
+        col += len(s)
+    toks.append(("end", "", line, col))
     return toks
 
 
@@ -215,107 +198,102 @@ class _Parser:
         self.nvars = nvars
         self.t_is_variable = t_is_variable
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.toks[self.pos][0]
 
-    def take(self) -> _Token:
+    def take(self) -> tuple[str, str, int, int]:
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> tuple[str, str, int, int]:
         t = self.take()
-        if t.kind != kind:
+        if t[0] != kind:
+            _, text, line, col = t
             raise PolySyntaxError(
-                f"expected {kind!r}, found {t.text or 'end of input'!r}",
-                t.line,
-                t.col,
+                f"expected {kind!r}, found {text or 'end of input'!r}", line, col
             )
         return t
 
     def parse(self) -> MultiPoly:
         f = self.expr()
-        t = self.peek()
-        if t.kind != "end":
-            raise PolySyntaxError(f"trailing input {t.text!r}", t.line, t.col)
+        kind, text, line, col = self.take()
+        if kind != "end":
+            raise PolySyntaxError(f"trailing input {text!r}", line, col)
         return f
 
     def expr(self) -> MultiPoly:
         f = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
+        while self.peek() in ("+", "-"):
+            op = self.take()[0]
             g = self.term()
             f = f + g if op == "+" else f - g
         return f
 
     def term(self) -> MultiPoly:
         f = self.factor()
-        while self.peek().kind == "*":
+        while self.peek() == "*":
             self.take()
             f = f * self.factor()
         return f
 
     def factor(self) -> MultiPoly:
-        if self.peek().kind == "-":
+        if self.peek() == "-":
             self.take()
             return -self.factor()
         f = self.primary()
-        if self.peek().kind != "^":
+        if self.peek() != "^":
             return f
         self.take()
-        tok = self.expect("int")
-        return f ** _int(tok.text, tok.line, tok.col)
+        _, text, line, col = self.expect("int")
+        return f ** _int(text, line, col)
 
     def primary(self) -> MultiPoly:
-        t = self.take()
-        if t.kind == "int":
-            value = _int(t.text, t.line, t.col)
-            if self.peek().kind == "/":
-                slash = self.take()
+        kind, text, line, col = self.take()
+        if kind == "int":
+            value = _int(text, line, col)
+            if self.peek() == "/":
+                _, _, line, col = self.take()
                 if self.spec.kind != "Q":
                     raise CoefficientParseError(
-                        "fractional coefficients are only valid over Q",
-                        slash.line,
-                        slash.col,
+                        "fractional coefficients are only valid over Q", line, col
                     )
-                den = self.expect("int")
-                d = _int(den.text, den.line, den.col)
+                _, den, line, col = self.expect("int")
+                d = _int(den, line, col)
                 if d == 0:
-                    raise CoefficientParseError(
-                        "zero denominator", den.line, den.col
-                    )
+                    raise CoefficientParseError("zero denominator", line, col)
                 return MultiPoly.constant(self.spec, self.nvars, Fraction(value, d))
             return MultiPoly.constant(self.spec, self.nvars, value)
-        if t.kind == "name":
-            return self.name_atom(t)
-        if t.kind == "(":
+        if kind == "name":
+            return self.name_atom(text, line, col)
+        if kind == "(":
             f = self.expr()
             self.expect(")")
             return f
         raise PolySyntaxError(
-            f"expected a term, found {t.text or 'end of input'!r}", t.line, t.col
+            f"expected a term, found {text or 'end of input'!r}", line, col
         )
 
-    def name_atom(self, t: _Token) -> MultiPoly:
-        name = t.text
+    def name_atom(self, name: str, line: int, col: int) -> MultiPoly:
         if name == "t":
             if self.t_is_variable:
                 return MultiPoly.variable(self.spec, self.nvars, 0)
             if self.spec.kind != "Fpk":
                 raise UnknownVariable(
-                    "t is only defined over an extension field", t.line, t.col
+                    "t is only defined over an extension field", line, col
                 )
             return MultiPoly.constant(self.spec, self.nvars, self.spec.generator())
         if name.startswith("x") and _is_digits(name[1:]):
-            idx = _int(name[1:], t.line, t.col)
+            idx = _int(name[1:], line, col)
             if not 1 <= idx <= self.nvars:
                 raise UnknownVariable(
                     f"{name} is outside the declared variables x1..x{self.nvars}",
-                    t.line,
-                    t.col,
+                    line,
+                    col,
                 )
             return MultiPoly.variable(self.spec, self.nvars, idx - 1)
-        raise UnknownVariable(f"unknown name {name!r}", t.line, t.col)
+        raise UnknownVariable(f"unknown name {name!r}", line, col)
 
 
 def parse_polynomial(

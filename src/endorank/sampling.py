@@ -1,5 +1,6 @@
-"""Seeded random generators used by the falsifier, the conjugation checker,
-and the test corpora.
+"""Seeded random scalars, polynomials and endomorphisms, used by the
+falsifier, the conjugation checker, and the test corpora (a random point is a
+tuple of random_scalar values).
 
 Everything takes an explicit random.Random so callers stay reproducible.
 Polynomials come out sparse with small coefficients and degrees, which keeps
@@ -29,12 +30,6 @@ def random_nonzero_scalar(rng: random.Random, spec: FieldSpec) -> FieldElement:
         c = random_scalar(rng, spec)
         if not c.is_zero:
             return c
-
-
-def random_point(
-    rng: random.Random, spec: FieldSpec, nvars: int
-) -> tuple[FieldElement, ...]:
-    return tuple(random_scalar(rng, spec) for _ in range(nvars))
 
 
 def random_monomial(rng: random.Random, nvars: int, max_degree: int) -> tuple:

@@ -9,7 +9,6 @@ from endorank.chains import (
     ChainPolicy,
     SubstitutionRecord,
     build_full_chain,
-    internal_rank_lower_bound,
     lift_endo,
     reduce_rank_once,
     verify_chain,
@@ -123,9 +122,11 @@ def test_chain_length_equals_rank_when_complete():
         assert verify_chain(chain).ok
 
 
-def test_internal_rank_lower_bound_matches():
-    assert internal_rank_lower_bound(gf2_vanishing_pair()) == (2, True)
-    assert internal_rank_lower_bound(Endomorphism.zero(QQ, 2)) == (0, True)
+def test_complete_chain_length_is_the_rank():
+    chain = build_full_chain(gf2_vanishing_pair())
+    assert (chain.length, chain.complete) == (2, True)
+    chain = build_full_chain(Endomorphism.zero(QQ, 2))
+    assert (chain.length, chain.complete) == (0, True)
 
 
 def test_exhausted_search_keeps_the_partial_chain():
@@ -134,12 +135,12 @@ def test_exhausted_search_keeps_the_partial_chain():
     u = "(x1^2 + x1) * (x2^2 + x2)"
     phi = endo(GF2, "x3", f"{u} * x1", f"{u} * x2")
     policy = ChainPolicy(r_max=1, allow_extension=False)
-    assert internal_rank_lower_bound(phi, policy) == (1, False)
     with pytest.raises(SearchExhausted) as exc_info:
         build_full_chain(phi, policy)
     partial = exc_info.value.chain
     assert partial.start == phi
     assert partial.length == 1
+    assert not partial.complete
     assert partial.steps[0].record.describe() == "x3 := 0"
 
 
@@ -185,7 +186,9 @@ def test_search_exhausted_carries_the_attempt_log():
     assert attempts[0][0].describe() == "x1 := 0"
     assert attempts[0][1] == "rank 2 -> 0"
     assert {outcome for _, outcome in attempts} == {"rank 2 -> 0"}
-    assert internal_rank_lower_bound(phi, policy) == (0, False)
+    with pytest.raises(SearchExhausted) as exc_info:
+        build_full_chain(phi, policy)
+    assert exc_info.value.chain.length == 0
 
 
 # -- the verifier catches tampering ---------------------------------------------

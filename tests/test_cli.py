@@ -497,6 +497,42 @@ def test_no_arguments_exits_one():
     assert result.returncode == 1
 
 
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main(list(argv))
+    return exc_info.value.code, capsys.readouterr().err
+
+
+def test_negative_trials_are_a_usage_error(files, capsys):
+    aut = files("aut.aut", "field Q\nvars 2\ndelta identity\nx1 -> x1 + x2^2\nx2 -> x2\n")
+    swap = files("swap.endo", "field Q\nvars 2\nx1 -> x2\nx2 -> x1\n")
+    code, err = usage_error(capsys, "conj", aut, swap, "--properties", "--trials", "-2")
+    assert code == 1
+    assert "argument --trials: must be at least 0, got -2" in err
+    code, out = run_cli(capsys, "conj", aut, swap, "--properties", "--trials", "0")
+    assert code == 0 and "properties: ok" in out
+
+
+def test_r_max_below_one_is_a_usage_error(files, capsys):
+    path = files("ce.endo", GF2_COUNTEREXAMPLE)
+    code, err = usage_error(capsys, "chain", path, "--r-max", "-5")
+    assert code == 1
+    assert "argument --r-max: must be at least 1, got -5" in err
+    code, err = usage_error(capsys, "chain", path, "--r-max", "0")
+    assert code == 1 and "argument --r-max" in err
+    code, out = run_cli(capsys, "chain", path, "--r-max", "1", "--seed", "1")
+    assert code == 0 and "chain length: 2" in out
+
+
+def test_negative_falsify_is_a_usage_error(files, capsys):
+    path = files("ce.endo", GF2_COUNTEREXAMPLE)
+    code, err = usage_error(capsys, "compare", path, path, "--falsify", "-3")
+    assert code == 1
+    assert "argument --falsify: must be at least 0, got -3" in err
+    code, err = usage_error(capsys, "compare", path, path, "--falsify", "x")
+    assert code == 1 and "argument --falsify: invalid int value: 'x'" in err
+
+
 # -- budget -----------------------------------------------------------------------
 
 

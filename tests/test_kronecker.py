@@ -1,13 +1,11 @@
-"""Matrix-unit families: subbase audit, classification, structure, bases,
-and normalization."""
+"""Matrix-unit families: subbase audit, classification, bases, and
+normalization."""
 
 import pytest
 
 from endorank import kronecker
 from endorank.endo import Endomorphism, compose, kronecker_endo, rank
 from endorank.errors import (
-    ConstantTermSurvives,
-    NoFixedPointFound,
     NonAffineImage,
     RelationViolation,
     ZeroScale,
@@ -20,7 +18,6 @@ from endorank.kronecker import (
     classify_representation,
     image_generator,
     normalize_base,
-    structure_analysis,
     verify_base_external,
     verify_subbase,
 )
@@ -191,58 +188,20 @@ def test_classify_rejects_mixed_family():
         classify_representation(KroneckerSystem(QQ, 2, grid, zero))
 
 
-# -- structure analysis ------------------------------------------------------------
+# -- the common zero ----------------------------------------------------------------
 
 
-def test_structure_of_the_standard_family():
-    report = structure_analysis(KroneckerSystem.standard(QQ, 2))
-    assert report.fixed_point == (QQ.element(0), QQ.element(0))
-    assert report.constant_terms_vanish
-    assert report.matrix_units_ok
-    assert report.problems == ()
-    # the linear part of entry (1,2) is the matrix unit E_12
-    assert report.linear_parts[0][1] == (
-        (QQ.element(0), QQ.element(1)),
-        (QQ.element(0), QQ.element(0)),
-    )
-
-
-def test_structure_finds_hidden_fixed_point():
-    # conjugating by x -> x + c moves the common fixed point to -c; only
-    # the full diagonal sweep reaches it from the scheduled start points
-    s = endo(QQ, "x1 + 1", "x2 + 2")
-    s_inv = endo(QQ, "x1 - 1", "x2 - 2")
-    moved = conjugated(KroneckerSystem.standard(QQ, 2), s, s_inv)
-    assert verify_subbase(moved).ok
-    report = structure_analysis(moved)
-    assert report.fixed_point == (QQ.element(-1), QQ.element(-2))
-    assert report.matrix_units_ok
-
-
-def test_structure_over_finite_field_enumerates():
-    s = endo(GF3, "x1 + 1", "x2 + 2")
-    s_inv = endo(GF3, "x1 - 1", "x2 - 2")
-    moved = conjugated(KroneckerSystem.standard(GF3, 2), s, s_inv)
-    report = structure_analysis(moved)
-    assert report.fixed_point == (GF3.element(-1), GF3.element(-2))
-    assert report.matrix_units_ok
-
-
-def test_structure_rejects_surviving_constants():
-    grid = (
-        (kronecker_endo(QQ, 2, 1, 1), kronecker_endo(QQ, 2, 1, 2)),
-        (kronecker_endo(QQ, 2, 2, 1), endo(QQ, "0", "x2 + 1")),
-    )
-    with pytest.raises(ConstantTermSurvives):
-        structure_analysis(KroneckerSystem(QQ, 2, grid, None))
-
-
-def test_structure_needs_a_fixed_point_somewhere():
-    # x1 + 1 permutes GF(2) without fixed points
-    flip = Endomorphism(GF2, 1, (parse_polynomial("x1 + 1", GF2, 1),))
-    system = KroneckerSystem(GF2, 1, ((flip,),), None)
-    with pytest.raises(NoFixedPointFound):
-        structure_analysis(system)
+@pytest.mark.parametrize("spec", [QQ, GF3])
+def test_subbase_audit_finds_the_moved_common_zero(spec):
+    # conjugating by x -> x + (1, 2) moves the common zero to the constant
+    # map at (-1, -2); the audit reads it off the products and hands it on
+    s = endo(spec, "x1 + 1", "x2 + 2")
+    s_inv = endo(spec, "x1 - 1", "x2 - 2")
+    moved = conjugated(KroneckerSystem.standard(spec, 2), s, s_inv)
+    report = verify_subbase(moved)
+    assert report.ok
+    assert report.zero == Endomorphism.constant(spec, 2, [-1, -2])
+    assert verify_base_external(moved).certificate.zero == report.zero
 
 
 # -- image generators ---------------------------------------------------------------

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endorank.errors import (
     CoefficientParseError,
@@ -11,8 +13,8 @@ from endorank.errors import (
     UnknownVariable,
 )
 from endorank.fields import GF2, GF3, GF4, GF9, QQ, FieldSpec
-from endorank.mpoly import MultiPoly
 from endorank.parsing import (
+    _tokenize,
     dump_endomorphism,
     format_field_header,
     load_automorphism,
@@ -185,3 +187,79 @@ def test_load_automorphism():
 
     with pytest.raises(NotABase):
         load_automorphism("field Q\nvars 2\ndelta identity\nx1 -> x1^2\nx2 -> x2\n")
+
+
+# -- the tokenizer against the character loop it replaced ------------------------
+
+
+def _reference_tokenize(text, line0, col0):
+    """The tokenizer as a loop over characters, kept as the reference for the
+    compiled expression: (kind, text, line, col) per token, or the error's
+    (message, line, col)."""
+    toks = []
+    line, col = line0, col0
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if ch in "0123456789":
+            j = i
+            while j < len(text) and text[j] in "0123456789":
+                j += 1
+            toks.append(("int", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("name", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in "+-*^()/":
+            toks.append((ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        return ("error", f"unexpected character {ch!r}", line, col)
+    toks.append(("end", "", line, col))
+    return toks
+
+
+def _tokens(text, line0, col0):
+    try:
+        return _tokenize(text, line0, col0)
+    except PolySyntaxError as exc:
+        return ("error", str(exc).split(" at line")[0], exc.line, exc.col)
+
+
+# Digits that are not ASCII ('²' is a digit but no letter, '٣' a decimal,
+# '½' numeric), letters beyond ASCII, and every kind of whitespace.
+_TOKEN_TEXT = st.text(
+    alphabet=st.sampled_from(
+        list("x1t09+-*^()/_ ") + ["\t", "\n", "\r", "\x0b", "\xa0", "\u2028",
+                                  "²", "٣", "½", "é", "Ω", "#", "."]
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_TOKEN_TEXT, st.integers(1, 3), st.integers(1, 9))
+def test_tokenizer_matches_the_character_loop(text, line0, col0):
+    assert _tokens(text, line0, col0) == _reference_tokenize(text, line0, col0)
+
+
+@pytest.mark.parametrize("text", ["x1²", "x²", "²", "x1 + ٣", "x_1", "_x1", "x1\t*\n\tx2", "3½"])
+def test_tokenizer_matches_the_character_loop_on_non_ascii(text):
+    assert _tokens(text, 2, 5) == _reference_tokenize(text, 2, 5)
