@@ -146,6 +146,8 @@ def verify_automorphism_properties(
     and constants fixed (as classes), inverse conjugation undoes it, and the
     conjugated standard matrix-unit family is still a verified base with
     generators s_1..s_n."""
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     spec = aut.spec
     n = aut.nvars
     rng = random.Random(seed)

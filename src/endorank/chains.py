@@ -50,19 +50,19 @@ class ChainPolicy:
     allow_extension: bool = True
     seed: int = 0
 
+    def __post_init__(self):
+        if self.r_max < 1:
+            raise ValueError(f"r_max must be at least 1, got {self.r_max}")
+
 
 def lift_endo(endo: Endomorphism, dst: FieldSpec) -> Endomorphism:
-    """Re-read a map over a prime field as a map over a stock extension."""
+    """Re-read a map over a prime field as a map over a stock extension.  A
+    residue already is the raw of its constant in the extension, so each
+    image keeps its terms."""
     if endo.spec == dst:
         return endo
-    images = tuple(
-        MultiPoly(
-            dst,
-            endo.nvars,
-            {m: embed_raw(c, endo.spec, dst) for m, c in img.terms.items()},
-        )
-        for img in endo.images
-    )
+    embed_raw(0, endo.spec, dst)  # raises unless dst extends the map's field
+    images = tuple(MultiPoly(dst, endo.nvars, img.terms) for img in endo.images)
     return Endomorphism(dst, endo.nvars, images)
 
 

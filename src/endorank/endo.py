@@ -335,6 +335,8 @@ def equivalence_falsifier(
     """
     from .sampling import random_endomorphism, random_nonzero_scalar
 
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     verdict = compare(phi, psi)
     rng = random.Random(seed)
     spec = phi.spec

@@ -4,24 +4,26 @@ A FieldSpec names the field and owns arithmetic on *raw* values; FieldElement
 is the typed wrapper used at API boundaries.  Raw representations:
 
     Q       -> fractions.Fraction
-    GF(p)   -> int in [0, p)
-    GF(p^k) -> tuple[int, ...] of length k, coefficients of 1, t, .., t^(k-1)
+    GF(p^k) -> the int sum(a_j << (j * w)) of a_0 + a_1 t + .. + a_(k-1) t^(k-1),
+               every digit a_j in [0, p); over GF(p) (k = 1) the residue itself
+
+The digit width w = bits(k (p-1)^2) + 32 leaves room in a digit for 2^32
+products of two digits, so the product of two raws, or a sum of such
+products, carries nothing from one digit into the next, and
+`FieldSpec.reduce` turns it back into a raw once.  The polynomial kernel in
+mpoly multiplies and adds the same ints and calls the same reduce.
+Coefficient tuples appear only at the edge: as input to `element` and as
+output of `digits`.
 
 Polynomial code stores raw values internally and wraps them on demand, which
 keeps the inner loops free of wrapper overhead without losing exactness.
-
-`FieldSpec.ints` is the same field with every coefficient a Python int, for
-the product kernel in mpoly: it encodes raw values, reduces an accumulated
-int once per output coefficient, and decodes the result (see IntForm).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -31,7 +33,7 @@ from .errors import (
     SpecMismatch,
 )
 
-Raw = Union[Fraction, int, tuple]
+Raw = Union[Fraction, int]
 
 # Construction caps: characteristics below 2^61, and exhaustive
 # irreducibility/enumeration below 2^24 elements.
@@ -67,15 +69,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_trim(cs: Sequence[int]) -> tuple[int, ...]:
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def _poly_mod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[int, ...]:
-    """Remainder of num by den in GF(p)[t]; den need not be monic."""
+def _poly_mod(num: Sequence[int], den: Sequence[int], p: int) -> list[int]:
+    """Remainder of num by den in GF(p)[t], as len(den) - 1 coefficients;
+    den need not be monic."""
     num = list(num)
     dd = len(den) - 1
     inv_lead = pow(den[-1], -1, p)
@@ -86,7 +82,7 @@ def _poly_mod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[int, ...]
         q = (c * inv_lead) % p
         for j in range(dd + 1):
             num[i - dd + j] = (num[i - dd + j] - q * den[j]) % p
-    return _poly_trim(c % p for c in num[:dd])
+    return [c % p for c in num[:dd]]
 
 
 def _poly_is_irreducible(mod: Sequence[int], p: int) -> bool:
@@ -112,76 +108,28 @@ def _poly_is_irreducible(mod: Sequence[int], p: int) -> bool:
                 cs.append(v % p)
                 v //= p
             cs.append(1)
-            if not _poly_mod(mod, cs, p):
+            if not any(_poly_mod(mod, cs, p)):
                 return False
     return True
 
 
-# -- integer form ---------------------------------------------------------------
+# -- packed finite-field elements -----------------------------------------------
 
-
-@dataclass(frozen=True)
-class IntForm:
-    """A field's coefficients as Python ints, so that a polynomial kernel
-    multiplies and adds them as ints and normalizes each output coefficient
-    once.
-
-    * encode(raws) -> (den, ints): the coefficients of one polynomial.  Over
-      Q the ints are numerators over one common denominator `den`; over a
-      finite field `den` is 1.
-    * reduce(v) -> int: the canonical int of a sum of products of canonical
-      ints, 0 exactly when the value is zero.  None over Q, where ints are
-      exact as they stand.
-    * decode(den, ints) -> canonical raw values.
-    """
-
-    encode: Callable
-    reduce: Optional[Callable[[int], int]]
-    decode: Callable
-
-
-def _q_encode(raws) -> tuple[int, list[int]]:
-    raws = list(raws)
-    den = lcm(*[c.denominator for c in raws])
-    if den == 1:
-        return 1, [c.numerator for c in raws]
-    return den, [c.numerator * (den // c.denominator) for c in raws]
-
-
-def _q_decode(den: int, ints) -> list:
-    if den == 1:
-        return list(map(Fraction, ints))
-    return [Fraction(v, den) for v in ints]
-
-
-def _fp_encode(raws) -> tuple[int, list[int]]:
-    return 1, list(raws)
-
-
-def _fp_decode(den: int, ints) -> list:
-    return list(ints)
-
-
-# Room in a GF(p^k) digit for 2^32 digit products: a kernel coefficient sums
-# one product per term pair, at most min(#terms) of them, far fewer.
+# Room in a digit for 2^32 digit products: a kernel coefficient sums one
+# product per term pair, at most min(#terms) of them, far fewer.
 _DIGIT_ROOM_BITS = 32
 
 
-def _extension_form(p: int, k: int, modulus: tuple[int, ...]) -> IntForm:
-    """GF(p^k) with a_0 + a_1 t + .. + a_(k-1) t^(k-1) packed into the int
-    sum(a_j << (j * w)).  A digit of the product of two canonical elements is
-    at most k (p-1)^2 and w leaves room for 2^32 of those, so sums of
-    products never carry from one digit into the next.  reduce takes the
-    2k-1 digits of such a sum and reduces them modulo p and the (monic)
-    modulus, top digit first, as _poly_mod does."""
-    w = (k * (p - 1) ** 2).bit_length() + _DIGIT_ROOM_BITS
+def _extension_reduce(
+    p: int, k: int, modulus: tuple[int, ...], w: int
+) -> Callable[[int], int]:
+    """reduce over GF(p^k): takes the 2k-1 digits of a sum of products of
+    raws and reduces them modulo p and the (monic) modulus, top digit first,
+    as _poly_mod does."""
     mask = (1 << w) - 1
     shifts = tuple(range(0, w * (2 * k - 1), w))
     low = shifts[:k]
     tail = [(j, c) for j, c in enumerate(modulus[:k]) if c]  # t^k = -tail
-
-    def encode(raws) -> tuple[int, list[int]]:
-        return 1, [sum(map(operator.lshift, a, low)) for a in raws]
 
     def reduce(v: int) -> int:
         d = [(v >> s) & mask for s in shifts]
@@ -192,10 +140,7 @@ def _extension_form(p: int, k: int, modulus: tuple[int, ...]) -> IntForm:
                     d[i - k + j] -= c * mj
         return sum([(d[j] % p) << s for j, s in enumerate(low)])
 
-    def decode(den: int, ints) -> list:
-        return [tuple([(v >> s) & mask for s in low]) for v in ints]
-
-    return IntForm(encode, reduce, decode)
+    return reduce
 
 
 @dataclass(frozen=True)
@@ -257,83 +202,76 @@ class FieldSpec:
         """Number of elements; raises over Q."""
         if self.kind == "Q":
             raise InfiniteField("the rationals are infinite")
-        return self.p**self.k if self.kind == "Fpk" else self.p
+        return self.p**self.k
+
+    # -- packed raws -------------------------------------------------------
 
     @cached_property
-    def ints(self) -> IntForm:
-        """This field's coefficients as ints (see IntForm)."""
+    def _width(self) -> int:
+        """Bits per digit of a finite-field raw."""
+        return (self.k * (self.p - 1) ** 2).bit_length() + _DIGIT_ROOM_BITS
+
+    @cached_property
+    def _all_p(self) -> int:
+        """p in every digit: added to a difference of raws, it keeps every
+        digit non-negative."""
+        return self._pack([self.p] * self.k)
+
+    @cached_property
+    def reduce(self) -> Optional[Callable[[int], int]]:
+        """The raw of a non-negative int whose 2k-1 digits are each a sum of
+        at most 2^32 products of two digits, 0 exactly when its value is zero
+        (over GF(p), the residue mod p).  None over Q, whose raws are exact as
+        they stand."""
         if self.kind == "Q":
-            return IntForm(_q_encode, None, _q_decode)
+            return None
         if self.kind == "Fp":
-            return IntForm(_fp_encode, self.p.__rmod__, _fp_decode)
-        return _extension_form(self.p, self.k, self.modulus)
+            return self.p.__rmod__
+        return _extension_reduce(self.p, self.k, self.modulus, self._width)
+
+    def _pack(self, cs: Sequence[int]) -> int:
+        w = self._width
+        return sum(c << (j * w) for j, c in enumerate(cs))
+
+    def digits(self, raw: int) -> tuple[int, ...]:
+        """The coefficients of 1, t, .., t^(k-1) in a finite-field raw."""
+        w = self._width
+        mask = (1 << w) - 1
+        return tuple((raw >> (j * w)) & mask for j in range(self.k))
 
     # -- raw-value arithmetic ---------------------------------------------
 
     def zero_raw(self) -> Raw:
-        if self.kind == "Q":
-            return Fraction(0)
-        if self.kind == "Fp":
-            return 0
-        return (0,) * self.k
+        return Fraction(0) if self.kind == "Q" else 0
 
     def one_raw(self) -> Raw:
-        if self.kind == "Q":
-            return Fraction(1)
-        if self.kind == "Fp":
-            return 1
-        return (1,) + (0,) * (self.k - 1)
+        return Fraction(1) if self.kind == "Q" else 1
 
     def from_int_raw(self, n: int) -> Raw:
-        if self.kind == "Q":
-            return Fraction(n)
-        if self.kind == "Fp":
-            return n % self.p
-        return (n % self.p,) + (0,) * (self.k - 1)
+        return Fraction(n) if self.kind == "Q" else n % self.p
 
     def is_zero_raw(self, a: Raw) -> bool:
-        if self.kind == "Fpk":
-            return all(c == 0 for c in a)
         return a == 0
 
     def add_raw(self, a: Raw, b: Raw) -> Raw:
         if self.kind == "Q":
             return a + b
-        if self.kind == "Fp":
-            return (a + b) % self.p
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return self.reduce(a + b)
 
     def sub_raw(self, a: Raw, b: Raw) -> Raw:
         if self.kind == "Q":
             return a - b
-        if self.kind == "Fp":
-            return (a - b) % self.p
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return self.reduce(a + self._all_p - b)
 
     def neg_raw(self, a: Raw) -> Raw:
         if self.kind == "Q":
             return -a
-        if self.kind == "Fp":
-            return (-a) % self.p
-        p = self.p
-        return tuple((-x) % p for x in a)
+        return self.reduce(self._all_p - a)
 
     def mul_raw(self, a: Raw, b: Raw) -> Raw:
         if self.kind == "Q":
             return a * b
-        if self.kind == "Fp":
-            return (a * b) % self.p
-        p, k = self.p, self.k
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] = (prod[i + j] + x * y) % p
-        red = _poly_mod(prod, self.modulus, p)
-        return red + (0,) * (k - len(red))
+        return self.reduce(a * b)
 
     def inv_raw(self, a: Raw) -> Raw:
         if self.is_zero_raw(a):
@@ -370,35 +308,31 @@ class FieldSpec:
         return FieldElement(self, self.one_raw())
 
     def element(self, value) -> "FieldElement":
-        """Coerce an int, Fraction, or coefficient sequence into this field."""
+        """Coerce an int, Fraction, or (over GF(p^k)) coefficient sequence of
+        1, t, t^2, .. into this field."""
         if isinstance(value, FieldElement):
             if value.spec != self:
                 raise SpecMismatch("element belongs to a different field")
             return value
         if self.kind == "Q":
             return FieldElement(self, Fraction(value))
-        if self.kind == "Fp":
-            if isinstance(value, Fraction):
-                if value.denominator % self.p == 0:
-                    raise DivisionByZero("denominator divisible by p")
-                raw = (value.numerator * pow(value.denominator, -1, self.p)) % self.p
-                return FieldElement(self, raw)
-            return FieldElement(self, int(value) % self.p)
-        if isinstance(value, int):
-            return FieldElement(self, self.from_int_raw(value))
-        cs = tuple(int(c) % self.p for c in value)
+        p = self.p
+        if isinstance(value, Fraction):
+            if value.denominator % p == 0:
+                raise DivisionByZero("denominator divisible by p")
+            value = value.numerator * pow(value.denominator, -1, p)
+        if isinstance(value, int) or self.kind == "Fp":
+            return FieldElement(self, int(value) % p)
+        cs = [int(c) % p for c in value]
         if len(cs) > self.k:
-            red = _poly_mod(cs, self.modulus, self.p)
-            cs = red + (0,) * (self.k - len(red))
-        else:
-            cs = cs + (0,) * (self.k - len(cs))
-        return FieldElement(self, cs)
+            cs = _poly_mod(cs, self.modulus, p)
+        return FieldElement(self, self._pack(cs))
 
     def generator(self) -> "FieldElement":
         """The class of t in GF(p^k)."""
         if self.kind != "Fpk":
             raise FieldConstructionError("only extension fields have a generator t")
-        return FieldElement(self, (0, 1) + (0,) * (self.k - 2))
+        return FieldElement(self, 1 << self._width)
 
     def __repr__(self) -> str:
         return f"FieldSpec({self.header()})"
@@ -535,18 +469,14 @@ def enumerate_elements(spec: FieldSpec) -> Iterator[FieldElement]:
     (constant coefficient fastest); raises InfiniteField over Q."""
     if spec.kind == "Q":
         raise InfiniteField("cannot enumerate the rationals")
-    if spec.kind == "Fp":
-        for a in range(spec.p):
-            yield FieldElement(spec, a)
-        return
-    p, k = spec.p, spec.k
-    for idx in range(p**k):
-        cs = []
-        v = idx
-        for _ in range(k):
-            cs.append(v % p)
-            v //= p
-        yield FieldElement(spec, tuple(cs))
+    p, w = spec.p, spec._width
+    for idx in range(spec.order):
+        raw = shift = 0
+        while idx:
+            idx, c = divmod(idx, p)
+            raw |= c << shift
+            shift += w
+        yield FieldElement(spec, raw)
 
 
 # -- stock fields ------------------------------------------------------------
@@ -569,9 +499,9 @@ def builtin_extension(spec: FieldSpec) -> FieldSpec | None:
 
 
 def embed_raw(value: Raw, src: FieldSpec, dst: FieldSpec) -> Raw:
-    """Embed GF(p) into a stock GF(p^k) (constants go to constants)."""
-    if src == dst:
-        return value
-    if src.kind != "Fp" or dst.kind != "Fpk" or dst.p != src.p:
+    """Embed GF(p) into a stock GF(p^k) (constants go to constants).  A
+    residue already is the raw of its constant, so only the fields are
+    checked."""
+    if src != dst and (src.kind != "Fp" or dst.kind != "Fpk" or dst.p != src.p):
         raise SpecMismatch(f"no embedding {src.header()} -> {dst.header()}")
-    return (value,) + (0,) * (dst.k - 1)
+    return value

@@ -19,11 +19,11 @@ and an exponent sum of two monomials fits its byte.  Hence:
 * the total degree is P >> 8n, so a larger degree is a larger int, and the
   constant monomial is 0.
 
-Products, powers and substitution run in one integer kernel: each
-coefficient becomes one int in the field's IntForm (numerators over a common
-denominator over Q, residues over GF(p), packed digit vectors over
-GF(p^k)), term pairs multiply and add as ints, and each output coefficient
-is reduced once.
+Products, powers and substitution run in one integer kernel: term pairs
+multiply and add as ints, and each output coefficient is reduced once, by
+the field's `reduce`.  Over a finite field the raws already are those ints
+(see fields.py); over Q the kernel works on numerators over one common
+denominator.
 
 A global degree cap (default 64 total degree, at most MAX_DEGREE) turns
 runaway products and substitutions into a hard DegreeCapExceeded error
@@ -34,6 +34,8 @@ MAX_POWER_BITS raises CoefficientGrowthExceeded before any work is done.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -226,32 +228,40 @@ LEX = Lex()
 
 class _Kernel:
     """Products and powers of polynomials over one field and arity, each a
-    dict from packed monomial to int coefficient in the field's IntForm.
-    A polynomial over Q is such a dict plus its denominator, which the
-    caller carries."""
+    dict from packed monomial to int coefficient: the raw itself over a
+    finite field, a numerator over Q, where the caller carries the common
+    denominator."""
 
-    __slots__ = ("spec", "nvars", "ints", "deg_shift", "limit")
+    __slots__ = ("spec", "nvars", "reduce", "deg_shift", "limit")
 
     def __init__(self, spec: FieldSpec, nvars: int):
         self.spec = spec
         self.nvars = nvars
-        self.ints = spec.ints
+        self.reduce = spec.reduce
         self.deg_shift = 8 * nvars
         # The least packed monomial above the degree cap.
         self.limit = (_degree_cap + 1) << self.deg_shift
 
     def encode(self, f: MultiPoly) -> tuple[int, dict]:
         """(denominator, terms) of f, in f's term order."""
-        den, ints = self.ints.encode(f.terms.values())
-        return den, dict(zip(f.terms, ints))
+        if self.reduce is not None:
+            return 1, f.terms
+        den = lcm(*[c.denominator for c in f.terms.values()])
+        if den == 1:
+            return 1, {p: c.numerator for p, c in f.terms.items()}
+        return den, {p: c.numerator * (den // c.denominator) for p, c in f.terms.items()}
 
     def decode(self, terms: dict, den: int) -> MultiPoly:
-        values = self.ints.decode(den, terms.values())
-        return MultiPoly(self.spec, self.nvars, dict(zip(terms, values)))
+        if self.reduce is None:
+            if den == 1:
+                terms = {p: Fraction(v) for p, v in terms.items()}
+            else:
+                terms = {p: Fraction(v, den) for p, v in terms.items()}
+        return MultiPoly(self.spec, self.nvars, terms)
 
     def settle(self, acc: dict) -> dict:
         """Accumulated coefficients reduced once each, zeros dropped."""
-        reduce = self.ints.reduce
+        reduce = self.reduce
         if reduce is None:
             return {p: v for p, v in acc.items() if v}
         return {p: v for p, v in zip(acc, map(reduce, acc.values())) if v}
@@ -281,7 +291,7 @@ class _Kernel:
         so a power past the cap reports the same product.  Over Q (den is
         a's denominator), a power of two or more that the degree cap lets
         through is first checked against MAX_POWER_BITS."""
-        if e > 1 and a and self.ints.reduce is None:
+        if e > 1 and a and self.reduce is None:
             degree = max(a) >> self.deg_shift
             if degree == 0 or e * degree <= _degree_cap:
                 _check_growth(a, e, den)
@@ -532,7 +542,7 @@ class MultiPoly:
                 raise ArityMismatch("substitution images disagree on arity")
         kernel = _Kernel(spec, target_n)
         encoded = [kernel.encode(g) for g in images]
-        den, coeffs = kernel.ints.encode(self.terms.values())
+        den, coeffs = kernel.encode(self)
         exponents = [_exponents(p, self.nvars) for p in self.terms]
         # Over Q, x_i^e becomes an int polynomial over D_i^e, D_i the
         # denominator of image i.  Every term is brought over the common
@@ -546,7 +556,7 @@ class MultiPoly:
         powers: dict[tuple[int, int], dict] = {}
         total: dict = {}
         get = total.get
-        for m, c in zip(exponents, coeffs):
+        for m, c in zip(exponents, coeffs.values()):
             for i, d, top in lifts:
                 c *= d ** (top - m[i])
             acc = None  # the constant c until the first factor

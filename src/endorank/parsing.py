@@ -75,9 +75,7 @@ def format_coefficient(spec: FieldSpec, raw: Raw) -> str:
     t-polynomials like t+1 (no spaces) so they embed in larger products."""
     if spec.kind == "Q":
         return _rational(raw)
-    if spec.kind == "Fp":
-        return str(raw)
-    return _t_polynomial(raw)
+    return _t_polynomial(spec.digits(raw))
 
 
 def _format_monomial(m, var: str) -> str:

@@ -18,7 +18,7 @@ import pytest
 
 from endorank import groebner
 from endorank.autgroup import SemiLinearAut, verify_automorphism_properties
-from endorank.chains import ChainPolicy, SubstitutionRecord, build_full_chain, verify_chain
+from endorank.chains import SubstitutionRecord, build_full_chain, verify_chain
 from endorank.endo import Endomorphism, Verdict, compare, compose, rank
 from endorank.errors import JacobianUnavailable, SearchExhausted
 from endorank.fields import GF2, GF3, GF4, QQ, FieldAutomorphism

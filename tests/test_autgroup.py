@@ -225,6 +225,13 @@ def test_property_verifier_passes_for_inner_automorphism():
     assert all(a == b for a, b in report.rank_pairs)
 
 
+def test_property_verifier_refuses_negative_trials():
+    with pytest.raises(ValueError, match="^trials must be at least 0, got -2$"):
+        verify_automorphism_properties(triangular_shift(), trials=-2)
+    report = verify_automorphism_properties(triangular_shift(), trials=0)
+    assert report.ok and report.rank_pairs == ()
+
+
 def test_property_verifier_passes_for_frobenius_twist():
     report = verify_automorphism_properties(gf4_frobenius(), trials=6, seed=1)
     assert report.ok

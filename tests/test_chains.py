@@ -7,7 +7,6 @@ import pytest
 from endorank.chains import (
     Chain,
     ChainPolicy,
-    SubstitutionRecord,
     build_full_chain,
     lift_endo,
     reduce_rank_once,
@@ -142,6 +141,13 @@ def test_exhausted_search_keeps_the_partial_chain():
     assert partial.length == 1
     assert not partial.complete
     assert partial.steps[0].record.describe() == "x3 := 0"
+
+
+def test_policy_refuses_r_max_below_one():
+    for r_max in (-5, 0):
+        with pytest.raises(ValueError, match=f"^r_max must be at least 1, got {r_max}$"):
+            ChainPolicy(r_max=r_max)
+    assert ChainPolicy(r_max=1).r_max == 1
 
 
 # -- the extension lift ---------------------------------------------------------

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from endorank.cli import main
-from endorank.groebner import clear_caches, get_budget, set_budget
+from endorank.groebner import clear_caches, get_budget
 
 GF2_COUNTEREXAMPLE = """\
 field F 2

@@ -24,7 +24,6 @@ from endorank.errors import (
     SpecMismatch,
 )
 from endorank.fields import GF2, GF3, GF4, QQ
-from endorank.mpoly import MultiPoly
 from endorank.parsing import parse_polynomial
 from endorank.sampling import random_endomorphism, random_scalar
 
@@ -357,6 +356,14 @@ def test_falsifier_on_all_four_verdicts():
         assert report.consistent
         assert report.implication_failures == 0
         assert len(report.separation_witnesses) == witnesses
+
+
+def test_falsifier_refuses_negative_trials():
+    ident = Endomorphism.identity(QQ, 2)
+    with pytest.raises(ValueError, match="^trials must be at least 0, got -3$"):
+        equivalence_falsifier(ident, ident, trials=-3)
+    report = equivalence_falsifier(ident, ident, trials=0)
+    assert report.consistent and report.samples == 0
 
 
 def test_falsifier_engineered_pairs_are_nonvacuous():

@@ -1,6 +1,7 @@
 """Field layer: exact rationals, prime fields, small extensions, Frobenius."""
 
 from fractions import Fraction
+from itertools import product
 import random
 
 import pytest
@@ -219,3 +220,92 @@ def test_is_prime_accepts_a_mersenne_prime_near_the_cap():
     assert is_prime(2**61 - 1)
     assert not is_prime((2**31 - 1) * (2**19 - 1))  # two Mersenne primes
     assert FieldSpec.prime_field(2**61 - 1).p == 2**61 - 1
+
+
+# -- packed raws against the tuple arithmetic they replaced --------------------
+
+GF32 = FieldSpec.extension_field(2, 5, (1, 0, 1, 0, 0, 1))  # t^5 + t^2 + 1
+GF27 = FieldSpec.extension_field(3, 3, (1, 2, 0, 1))  # t^3 + 2t + 1
+
+
+def _ref_mod(num, modulus, p):
+    """Remainder of num by the monic modulus in GF(p)[t], as k coefficients."""
+    num = [c % p for c in num]
+    k = len(modulus) - 1
+    for i in range(len(num) - 1, k - 1, -1):
+        c = num[i]
+        for j in range(k + 1):
+            num[i - k + j] = (num[i - k + j] - c * modulus[j]) % p
+    return tuple(num[:k]) + (0,) * (k - len(num))
+
+
+def ref_add(spec, a, b):
+    return tuple((x + y) % spec.p for x, y in zip(a, b))
+
+
+def ref_sub(spec, a, b):
+    return tuple((x - y) % spec.p for x, y in zip(a, b))
+
+
+def ref_neg(spec, a):
+    return tuple(-x % spec.p for x in a)
+
+
+def ref_mul(spec, a, b):
+    """Schoolbook product of coefficient tuples, then the remainder."""
+    prod = [0] * (2 * spec.k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_mod(prod, spec.modulus, spec.p)
+
+
+def _check_pair(spec, a, b):
+    one = (1,) + (0,) * (spec.k - 1)
+    x, y = spec.element(a), spec.element(b)
+    assert spec.digits((x + y).raw) == ref_add(spec, a, b)
+    assert spec.digits((x - y).raw) == ref_sub(spec, a, b)
+    assert spec.digits((-x).raw) == ref_neg(spec, a)
+    assert spec.digits((x * y).raw) == ref_mul(spec, a, b)
+    if any(a):
+        assert ref_mul(spec, a, spec.digits(x.inverse().raw)) == one
+
+
+@pytest.mark.parametrize("spec", [GF4, GF8, GF9], ids=str)
+def test_packed_arithmetic_matches_tuples_on_every_pair(spec):
+    vectors = list(product(range(spec.p), repeat=spec.k))
+    for a in vectors:
+        for b in vectors:
+            _check_pair(spec, a, b)
+
+
+@pytest.mark.parametrize("spec", [GF32, GF27], ids=str)
+def test_packed_arithmetic_matches_tuples_seeded(spec):
+    rng = random.Random(5)
+
+    def draw():
+        return tuple(rng.randrange(spec.p) for _ in range(spec.k))
+
+    for _ in range(300):
+        _check_pair(spec, draw(), draw())
+    # A sum of many products reduced once, as the polynomial kernel does.
+    pairs = [(draw(), draw()) for _ in range(200)]
+    acc = (0,) * spec.k
+    for a, b in pairs:
+        acc = ref_add(spec, acc, ref_mul(spec, a, b))
+    total = sum(spec.element(a).raw * spec.element(b).raw for a, b in pairs)
+    assert spec.digits(spec.reduce(total)) == acc
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF8, GF9, GF27], ids=str)
+def test_digits_round_trip_and_enumeration_order(spec):
+    # constant coefficient fastest: the chain search's candidate order
+    vectors = [v[::-1] for v in product(range(spec.p), repeat=spec.k)]
+    assert [spec.digits(e.raw) for e in enumerate_elements(spec)] == vectors
+    if spec.k > 1:  # coefficient sequences are read over GF(p^k) only
+        for cs in vectors:
+            assert spec.digits(spec.element(cs).raw) == cs
+        rng = random.Random(3)  # longer input is reduced by the modulus first
+        for _ in range(50):
+            cs = tuple(rng.randrange(spec.p) for _ in range(2 * spec.k))
+            assert spec.digits(spec.element(cs).raw) == _ref_mod(cs, spec.modulus, spec.p)
