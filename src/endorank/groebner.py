@@ -10,15 +10,34 @@ of at most CACHE_SIZE entries, which clear_caches() empties.
 
 Inside a computation a monomial is the packed int a MultiPoly keys its terms
 by, plus an order key (see _Packing), so a monomial product is two additions
-and a divisibility test is one mask.  Reduction takes terms largest first
-from a heap (Monagan & Pearce, "Sparse polynomial division using a heap",
-JSC 2011), and S-pairs wait in a heap under the total key (lcm degree, i,
-j).  Only finished bases are turned back into MultiPoly.
+and a divisibility test is one mask.  S-pairs wait in a heap under the total
+key (lcm degree, i, j).  Only finished bases are turned back into MultiPoly.
 
-Work is metered in reduction steps against a module-wide budget; blowing the
-budget raises BudgetExceeded, which is a resource verdict, never a
-mathematical "no".  The step count of a computation does not depend on the
-representation: it is the number of divisions the algorithm makes.
+Reduction is one integer loop for every field.  It takes terms largest first
+from a heap (Monagan & Pearce, "Sparse polynomial division using a heap",
+JSC 2011), and a step is `coef[m] += c * t` over ints, with no field call:
+each basis element keeps, beside its raw tail, the tail negated as ints over
+a denominator D.  Over a finite field the ints are the raws themselves
+(D = 1) and products pile up unreduced; each coefficient is reduced once,
+by `FieldSpec.reduce`, when its term is popped, and a term that reduced to
+zero is skipped.  One coefficient absorbs at most one product per step, so
+the budget is capped at 2^32 steps, the room `fields` leaves in a digit.
+
+Over Q the remainder is integer numerators over one running denominator
+`den` (fraction-free reduction, Becker & Weispfenning, "Groebner Bases",
+GTM 141).  A popped numerator c reduced by an element with D != 1 needs
+c * t / D; with h = gcd(c, D), only D / h is new, so when h != D every
+numerator left, and the remainder so far, is scaled by D / h and den
+with them.  den thus grows only by the part of each D that the popped
+coefficient does not already carry.  The remainder turns into raws only at
+readout: a normal form, a new monic element (whose tail c_i / c_0 needs no
+den), or the tail of a reduced basis.
+
+S-polynomials use the field's own raw arithmetic, one operation per term
+and pair.  Work is metered in reduction steps against a module-wide budget;
+blowing the budget raises BudgetExceeded, which is a resource verdict,
+never a mathematical "no".  The step count of a computation does not depend
+on the representation: it is the number of divisions the algorithm makes.
 Setting CHECK_SPOLYS makes every finished basis re-verify that all its
 S-polynomials reduce to zero, with counters in STATS.
 """
@@ -26,14 +45,16 @@ S-polynomials reduce to zero, with counters in STATS.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import ArityMismatch, BudgetExceeded, DegreeCapExceeded, SpecMismatch
-from .fields import FieldSpec
+from .fields import _DIGIT_ROOM_BITS, FieldSpec
 from .mpoly import (
     GREVLEX,
     Block,
@@ -50,6 +71,10 @@ from .mpoly import (
 
 _budget = 10**6
 
+# A coefficient absorbs at most one unreduced product per reduction step, and
+# a finite-field digit has room for 2^32 of them (see fields).
+MAX_BUDGET = 2**_DIGIT_ROOM_BITS
+
 CHECK_SPOLYS = False
 
 STATS = {"bases_computed": 0, "spoly_checks": 0, "spoly_failures": 0}
@@ -65,6 +90,8 @@ def set_budget(budget: int) -> None:
     global _budget
     if budget < 1:
         raise ValueError("budget must be positive")
+    if budget > MAX_BUDGET:
+        raise ValueError(f"budget must be at most 2^{_DIGIT_ROOM_BITS} = {MAX_BUDGET}")
     _budget = budget
 
 
@@ -210,9 +237,9 @@ class _Packing:
         return out
 
     def element(self, f: MultiPoly) -> tuple:
-        """A monic f as a basis element: (lead K, lead P, tail triples)."""
+        """A monic f as a basis element (see _element)."""
         (k, p, _), *tail = self.terms(f)
-        return k, p, tuple(tail)
+        return _element(k, p, tuple(tail), f.spec)
 
 
 # -- core reduction ------------------------------------------------------------
@@ -226,73 +253,107 @@ def _make_monic(f: MultiPoly, order: MonomialOrder) -> MultiPoly:
     return f.scale(lc.inverse())
 
 
-def _monic_element(terms: list, spec: FieldSpec) -> tuple:
-    """A nonzero remainder (triples, largest first) scaled to a monic basis
-    element."""
-    lc = terms[0][2]
-    if lc != spec.one_raw():
+def _element(k: int, p: int, tail: tuple, spec: FieldSpec) -> tuple:
+    """A monic basis element: (lead K, lead P, raw tail triples, D, int tail
+    triples), where the int tail is the raw tail negated and times D.  Over
+    Q, D is the least common denominator of the tail; over a finite field
+    D = 1 and the int tail holds the negated raws."""
+    if spec.is_finite:
+        return k, p, tail, 1, tuple((tk, tp, spec.neg_raw(c)) for tk, tp, c in tail)
+    D = lcm(*(c.denominator for _, _, c in tail))
+    ints = tuple((tk, tp, -c.numerator * (D // c.denominator)) for tk, tp, c in tail)
+    return k, p, tail, D, ints
+
+
+def _monic_element(out: list, spec: FieldSpec) -> tuple:
+    """The triples of a nonzero remainder of _reduce scaled to a monic basis
+    element.  Over Q the numerators' common denominator cancels."""
+    (k, p, lc), *tail = out
+    if not spec.is_finite:
+        tail = [(tk, tp, Fraction(c, lc)) for tk, tp, c in tail]
+    elif lc != 1:
         inv = spec.inv_raw(lc)
-        terms = [(k, p, spec.mul_raw(c, inv)) for k, p, c in terms]
-    (k, p, _), *tail = terms
-    return k, p, tuple(tail)
+        tail = [(tk, tp, spec.mul_raw(c, inv)) for tk, tp, c in tail]
+    return _element(k, p, tuple(tail), spec)
+
+
+def _readout(remainder: tuple, spec: FieldSpec) -> list:
+    """The raw triples of a remainder of _reduce."""
+    out, den = remainder
+    if spec.is_finite:
+        return out
+    return [(k, p, Fraction(c, den)) for k, p, c in out]
 
 
 def _reduce(
-    terms: Iterable, basis: Sequence, pk: _Packing, spec: FieldSpec, work: _Work
-) -> list:
-    """Full normal form of a polynomial, given as (K, P, c) triples, against
-    monic basis elements.  Terms are taken largest first from a heap of -K;
-    an entry whose term cancelled after it was pushed is skipped when
-    popped.  The first basis element whose lead divides the term reduces it,
-    so the result is deterministic for a fixed basis order (and unique
-    anyway once the basis is a Groebner basis).  Returns the remainder's
-    triples, largest first."""
+    terms: Sequence, basis: Sequence, pk: _Packing, spec: FieldSpec, work: _Work
+) -> tuple:
+    """Full normal form of a polynomial, given as raw (K, P, c) triples,
+    against basis elements (see _element).  Terms are taken largest first
+    from a heap of -K; a term whose coefficient is zero when popped is
+    skipped.  The first basis element whose lead divides the term reduces
+    it, so the result is deterministic for a fixed basis order (and unique
+    anyway once the basis is a Groebner basis).  Returns (triples largest
+    first, den): the remainder's numerators over den (see the module
+    docstring) and, over a finite field, its raws over den = 1."""
     cap = degree_cap()
     guard, deg_shift = pk.guard, pk.deg_shift
-    mul, sub, neg, is_zero = spec.mul_raw, spec.sub_raw, spec.neg_raw, spec.is_zero_raw
+    above_cap = (cap + 1) << deg_shift  # the degree is P's top field
+    reduce = spec.reduce
     coef: dict = {}
     packed: dict = {}
+    den = 1
+    if reduce is None:
+        den = lcm(*(c.denominator for _, _, c in terms))
+        terms = [(k, p, c.numerator * (den // c.denominator)) for k, p, c in terms]
     for k, p, c in terms:
         coef[k] = c
         packed[k] = p
+    # Each key enters the heap once: reduction only makes terms below the
+    # one popped, and a cancelled term stays in coef until it is popped.
     heap = [-k for k in coef]
     heapify(heap)
     out = []
     while heap:
         k = -heappop(heap)
-        c = coef.pop(k, None)
-        if c is None:
+        c = coef.pop(k)
+        if reduce is not None:
+            c = reduce(c)
+        if not c:
             continue
         p = packed[k]
-        for lk, lp, tail in basis:
+        for lk, lp, _, D, tail in basis:
             if not (p - lp) & guard:
                 break
         else:
             out.append((k, p, c))
             continue
         work.step()
+        if D != 1:
+            h = gcd(c, D)
+            if h != D:
+                s = D // h
+                den *= s
+                for m in coef:
+                    coef[m] *= s
+                out = [(ok, op, oc * s) for ok, op, oc in out]
+            c //= h
         sk, sp = k - lk, p - lp
-        for tk, tp, tc in tail:
+        for tk, tp, t in tail:
             mp = tp + sp
-            if mp >> deg_shift > cap:
+            if mp >= above_cap:
                 raise DegreeCapExceeded(
                     f"reduction reached degree {mp >> deg_shift} above cap {cap}"
                 )
             mk = tk + sk
-            d = mul(c, tc)
             prev = coef.get(mk)
             if prev is None:
-                # Products of nonzero field elements are nonzero.
-                coef[mk] = neg(d)
+                coef[mk] = c * t
                 packed[mk] = mp
                 heappush(heap, -mk)
             else:
-                s = sub(prev, d)
-                if is_zero(s):
-                    del coef[mk]
-                else:
-                    coef[mk] = s
-    return out
+                coef[mk] = prev + c * t
+    return out, den
 
 
 def _spoly(a: tuple, b: tuple, lcm: tuple, pk: _Packing, spec: FieldSpec) -> list:
@@ -394,10 +455,10 @@ def _buchberger(ideal: Ideal, order: MonomialOrder, work: _Work) -> tuple:
                 break
         if redundant:
             continue
-        r = _reduce(_spoly(G[i], G[j], (lk, lp), pk, spec), G, pk, spec, work)
-        if not r:
+        out, _ = _reduce(_spoly(G[i], G[j], (lk, lp), pk, spec), G, pk, spec, work)
+        if not out:
             continue
-        G.append(_monic_element(r, spec))
+        G.append(_monic_element(out, spec))
         add_pairs(len(G) - 1)
 
     # Minimal: keep only leads not divisible by another kept lead.
@@ -411,15 +472,18 @@ def _buchberger(ideal: Ideal, order: MonomialOrder, work: _Work) -> tuple:
     # lead divides its lead, and reduction only makes smaller terms).
     # `kept` ascends by lead, and so does the result.
     reduced = []
-    for i, (k, p, tail) in enumerate(kept):
+    for i, g in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
         if others:
-            tail = tuple(_reduce(tail, others, pk, spec, work))
-        reduced.append((k, p, tail))
+            steps = work.steps
+            remainder = _reduce(g[2], others, pk, spec, work)
+            if work.steps != steps:  # else the tail is already reduced
+                g = _element(g[0], g[1], tuple(_readout(remainder, spec)), spec)
+        reduced.append(g)
     one = spec.one_raw()
     polys = tuple(
         MultiPoly(spec, n, {q: c for _, q, c in ((k, p, one), *tail)})
-        for k, p, tail in reduced
+        for k, p, tail, _, _ in reduced
     )
     return polys, pk, reduced
 
@@ -435,7 +499,7 @@ def _verify_spolys(gb: GroebnerBasis) -> None:
             STATS["spoly_checks"] += 1
             lp = mono_lcm(els[i][1], els[j][1], pk.nvars)
             lcm = (pk.key(lp), lp)
-            if _reduce(_spoly(els[i], els[j], lcm, pk, spec), els, pk, spec, work):
+            if _reduce(_spoly(els[i], els[j], lcm, pk, spec), els, pk, spec, work)[0]:
                 STATS["spoly_failures"] += 1
                 raise RuntimeError(
                     "finished basis failed its S-polynomial postcondition"
@@ -452,7 +516,7 @@ def normal_form(f: MultiPoly, gb: GroebnerBasis) -> MultiPoly:
         return f
     pk, basis = gb._packed
     remainder = _reduce(pk.terms(f), basis, pk, f.spec, _Work(_budget))
-    return MultiPoly(f.spec, f.nvars, {p: c for _, p, c in remainder})
+    return MultiPoly(f.spec, f.nvars, {p: c for _, p, c in _readout(remainder, f.spec)})
 
 
 # -- derived questions -----------------------------------------------------------

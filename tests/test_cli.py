@@ -581,6 +581,20 @@ def test_bad_budget_value_exits_one(files, tmp_path):
     assert result.returncode == 1
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_budget_above_the_digit_room_exits_one(files, capsys, monkeypatch, source):
+    path = files("ce.endo", GF2_COUNTEREXAMPLE)
+    before = get_budget()
+    if source == "flag":
+        code = main(["rank", path, "--budget", str(2**32 + 1)])
+    else:
+        monkeypatch.setenv("ENDORANK_BUDGET", str(2**32 + 1))
+        code = main(["rank", path])
+    assert code == 1
+    assert "bad budget: budget must be at most 2^32 = 4294967296" in capsys.readouterr().err
+    assert get_budget() == before
+
+
 def test_degree_cap_exits_two(files, capsys):
     path = files("big.endo", "field Q\nvars 2\nx1 -> x1^70\nx2 -> x2\n")
     code = main(["rank", path])

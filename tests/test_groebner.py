@@ -6,6 +6,7 @@ with the standard computer-algebra references for these classic examples),
 then frozen.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -13,7 +14,7 @@ import random
 import pytest
 
 from endorank.errors import ArityMismatch, BudgetExceeded, DegreeCapExceeded
-from endorank.fields import GF2, GF3, GF4, QQ
+from endorank.fields import GF2, GF3, GF4, GF9, QQ
 from endorank import groebner
 from endorank.groebner import (
     Ideal,
@@ -36,7 +37,8 @@ from endorank.mpoly import (
     degree_cap,
     set_degree_cap,
 )
-from endorank.parsing import parse_polynomial
+from endorank.autgroup import conjugate
+from endorank.parsing import load_automorphism, load_endomorphism, parse_polynomial
 from endorank.sampling import random_polynomial
 
 
@@ -163,6 +165,19 @@ def test_budget_is_a_resource_verdict():
         set_budget(old)
     with pytest.raises(ValueError):
         set_budget(0)
+
+
+def test_budget_is_bounded_by_the_digit_room():
+    # A finite-field coefficient takes one unreduced product per step.
+    old = get_budget()
+    try:
+        set_budget(2**32)
+        assert get_budget() == 2**32
+        with pytest.raises(ValueError, match=r"at most 2\^32 = 4294967296"):
+            set_budget(2**32 + 1)
+        assert get_budget() == 2**32
+    finally:
+        set_budget(old)
 
 
 def test_spoly_postcondition_hook():
@@ -401,7 +416,7 @@ def _reference_buchberger(ideal, order, work):
 def _packed_normal_form(f, basis, order, work):
     pk = groebner._Packing(f.nvars, order)
     out = groebner._reduce(pk.terms(f), [pk.element(g) for g in basis], pk, f.spec, work)
-    return MultiPoly(f.spec, f.nvars, {p: c for _, p, c in out})
+    return MultiPoly(f.spec, f.nvars, {p: c for _, p, c in groebner._readout(out, f.spec)})
 
 
 def _outcome(run, budget=10**5):
@@ -480,6 +495,108 @@ def test_reduce_matches_reference_remainders_and_steps():
                     assert got == want, (spec, n, order, f, basis)
                     cases += 1
     assert cases == 6 * 4 * 5 * 4
+
+
+def _reduce_both(f, basis, order):
+    """_outcome of the reference and of the packed reduction of f, and the
+    packed remainder's running denominator."""
+    basis = [groebner._make_monic(g, order) for g in basis]
+    lms = [g.leading_monomial(order) for g in basis]
+    want = _outcome(lambda w: _reference_reduce(f, basis, lms, order, w))
+    got = _outcome(lambda w: _packed_normal_form(f, basis, order, w))
+    pk = groebner._Packing(f.nvars, order)
+    _, den = groebner._reduce(
+        pk.terms(f), [pk.element(g) for g in basis], pk, f.spec, groebner._Work(10**5)
+    )
+    return want, got, den
+
+
+@pytest.mark.parametrize(
+    "lead, den",
+    [
+        ("12", 1),  # gcd(c, D) = D = 6: no rescale
+        ("4", 3),  # gcd(c, D) = 2: scale by 3
+        ("5", 6),  # gcd(c, D) = 1: scale by 6
+        ("5/7", 42),  # the input's own denominator 7, then 6
+    ],
+)
+def test_reduce_over_q_rescales_by_the_new_part_of_d(lead, den):
+    # x1 - 1/6*x2 has D = 6.  The remainder already holds x2^3, and x2, 1
+    # are live when x1 is popped, so both are scaled.
+    f = p(f"3*x2^3 + {lead}*x1 + 7*x2 + 2")
+    want, got, got_den = _reduce_both(f, [p("6*x1 - x2")], GREVLEX)
+    assert got == want
+    assert got_den == den
+
+
+def test_reduce_over_q_rescales_repeatedly():
+    # Several elements with D = 6, 10, 15, 4, reached by numerators with
+    # every gcd, over many steps.
+    basis = [p("6*x1^2 - x2 + 5"), p("10*x1*x2 - 3*x2^2 + x1"), p("15*x2^3 - 2*x1 + 7"),
+             p("4*x2^2*x1 - x1 + 1")]
+    rng = random.Random(5)
+    for _ in range(40):
+        f = random_polynomial(rng, QQ, 2, max_degree=7, max_terms=9, nonzero=True)
+        want, got, _ = _reduce_both(f, basis, GREVLEX)
+        assert got == want, f
+
+
+@pytest.mark.parametrize("spec", [GF4, GF9])
+def test_reduce_over_extensions_absorbs_many_products_before_a_pop(spec):
+    # Under lex, x1 - (a1*x2 + .. + a15*x2^15) turns each x1^2*x2^j into
+    # terms x1*x2^(j+e) and then x2^(j+e+e'): x2^K takes one unreduced
+    # product from each step on x1*x2^(K-e), up to 15 before it is popped.
+    rng = random.Random(9)
+    t = spec.generator().raw
+    coeffs = [spec.element(rng.randrange(spec.order)) for _ in range(15)]
+    g = MultiPoly.from_terms(
+        spec, 2, [((1, 0), spec.one_raw())] + [((0, e), c.raw) for e, c in enumerate(coeffs, 1) if c]
+    )
+    f = MultiPoly.from_terms(
+        spec, 2, [((2, j), spec.add_raw(t, spec.from_int_raw(j))) for j in range(20)]
+    )
+    want, got, den = _reduce_both(f, [g], LEX)
+    assert got == want
+    assert den == 1
+    assert len(got[0].terms) > 20 and got[1] >= 40
+
+
+def test_normal_form_reads_out_a_non_integral_remainder():
+    gb = groebner_basis(ideal("3*x1 - 2*x2", "5*x2^3 - x2"))
+    f = p("x1*x2 + 1/7*x1 + x2^2")
+    nf = normal_form(f, gb)
+    assert str(nf) == "5/3*x2^2 + 2/21*x2"
+    lms = [g.leading_monomial(GREVLEX) for g in gb.polys]
+    want = _outcome(lambda w: _reference_reduce(f, list(gb.polys), lms, GREVLEX, w))
+    assert (nf, want[1]) == want
+    assert gb.contains(f - nf)
+
+
+def test_rank_two_conjugate_relation_basis_is_golden():
+    # The conjugate of (x1*x2 - 3*x2^2 + x1, 2*x1 - x2^2, their product +
+    # 3*x1) by s = (x1 + x2^2, x2 + x3^2, x3): its graph ideal's reduced
+    # basis under the elimination order, S-polynomials re-checked.
+    s = load_automorphism(
+        "field Q\nvars 3\ndelta identity\nx1 -> x1 + x2^2\nx2 -> x2 + x3^2\nx3 -> x3\n"
+    )
+    g = load_endomorphism(
+        "field Q\nvars 3\nx1 -> x1*x2 - 3*x2^2 + x1\nx2 -> 2*x1 - x2^2\n"
+        "x3 -> (x1*x2 - 3*x2^2 + x1) * (2*x1 - x2^2) + 3*x1\n"
+    )
+    clear_caches()
+    groebner.reset_stats()
+    groebner.CHECK_SPOLYS = True
+    try:
+        endo = conjugate(s, g)
+        gb = groebner_basis(groebner.graph_ideal(endo.images), Block(range(3)))
+    finally:
+        groebner.CHECK_SPOLYS = False
+        clear_caches()
+    assert groebner.STATS["spoly_checks"] > 0 and groebner.STATS["spoly_failures"] == 0
+    text = "\n".join(map(str, gb.polys))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f319fc002ed701205bb907ace81d1023e5b274fd89f4af754a8fbf6f9785f01d"
+    )
 
 
 def _no_constant_term(rng, spec, n):
