@@ -1,8 +1,7 @@
 """Heavy tier: the slow CLI cases, run as subprocesses and timed end to end.
 
-    python3 bench/heavy.py [--case NAME ...]             # time this checkout
     python3 bench/heavy.py --answers [--case NAME ...]   # exit codes and digests only
-    python3 bench/heavy.py --against DIR --rounds N --out FILE
+    python3 bench/heavy.py --against DIR [--case NAME ...] > record.json
 
 Run from the root of a checkout; stdlib only.  Each case is one
 `python3 -m endorank.cli ... --format json` call with the checkout's src on
@@ -13,9 +12,9 @@ sha256 of its stdout.
 two checkouts (or a checkout and a pinned list) compare with diff.
 
 --against DIR times the checkout at DIR ("parent") and this one ("change")
-in alternation, case by case for --rounds rounds, because CPU speed on a
-shared machine drifts over minutes; it writes the runs and their medians to
---out as JSON.
+in alternation, case by case for ROUNDS rounds, because CPU speed on a
+shared machine drifts over minutes; it prints the runs and their medians as
+JSON.
 
 The inputs are written to a temporary directory from the text below:
 
@@ -46,6 +45,7 @@ import tempfile
 import time
 
 TIMEOUT_S = 300
+ROUNDS = 3
 
 S_AUT = "delta identity\nx1 -> x1 + x2^2\nx2 -> x2 + x3^2\nx3 -> x3\n"
 A2_AUT = "delta identity\nx1 -> x1 + x2^2 + x3^3\nx2 -> x2 + x3^2\nx3 -> x3\n"
@@ -123,10 +123,9 @@ def _median(values):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--case", action="append", choices=CASES, help="run only these cases")
-    ap.add_argument("--answers", action="store_true", help="exit codes and digests, no timings")
-    ap.add_argument("--against", metavar="DIR", help="a second checkout, timed in alternation")
-    ap.add_argument("--rounds", type=int, default=3, help="rounds with --against (default 3)")
-    ap.add_argument("--out", help="write the --against record here")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--answers", action="store_true", help="exit codes and digests, no timings")
+    mode.add_argument("--against", metavar="DIR", help="a second checkout, timed in alternation")
     args = ap.parse_args(argv)
     root = os.getcwd()
     if not os.path.isdir(os.path.join(root, "src", "endorank")):
@@ -139,12 +138,9 @@ def main(argv=None):
                 r = run_case(root, inputs[name])
                 print(f"{name} {r['exit']} {r['sha256']}")
             return 0
-        if not args.against:
-            print(json.dumps({name: run_case(root, inputs[name]) for name in cases}, indent=2))
-            return 0
         roots = {"parent": os.path.abspath(args.against), "change": root}
         runs = {name: {"parent": [], "change": []} for name in cases}
-        for rnd in range(args.rounds):
+        for rnd in range(ROUNDS):
             for name in cases:
                 for side in ("parent", "change") if rnd % 2 == 0 else ("change", "parent"):
                     r = run_case(roots[side], inputs[name])
@@ -154,7 +150,7 @@ def main(argv=None):
             "python": platform.python_version(),
             "cpus": os.cpu_count(),
             "timeout_s": TIMEOUT_S,
-            "rounds": args.rounds,
+            "rounds": ROUNDS,
             "cases": {},
         }
         for name, sides in runs.items():
@@ -166,10 +162,7 @@ def main(argv=None):
                 {(r["exit"], r["sha256"]) for rs in sides.values() for r in rs}
             ) == 1
             record["cases"][name] = entry
-        text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-        if args.out:
-            _write(args.out, text)
-        print(text)
+        print(json.dumps(record, indent=2, sort_keys=True))
     return 0
 
 

@@ -16,12 +16,13 @@ key (lcm degree, i, j).  Only finished bases are turned back into MultiPoly.
 Reduction is one integer loop for every field.  It takes terms largest first
 from a heap (Monagan & Pearce, "Sparse polynomial division using a heap",
 JSC 2011), and a step is `coef[m] += c * t` over ints, with no field call:
-each basis element keeps, beside its raw tail, the tail negated as ints over
-a denominator D.  Over a finite field the ints are the raws themselves
-(D = 1) and products pile up unreduced; each coefficient is reduced once,
-by `FieldSpec.reduce`, when its term is popped, and a term that reduced to
-zero is skipped.  One coefficient absorbs at most one product per step, so
-the budget is capped at 2^32 steps, the room `fields` leaves in a digit.
+each basis element keeps its tail negated as ints over a denominator D.
+Over a finite field the ints are the negated raws themselves (D = 1), the
+only tail the element keeps, and products pile up unreduced; each
+coefficient is reduced once, by `FieldSpec.reduce`, when its term is
+popped, and a term that reduced to zero is skipped.  One coefficient absorbs
+at most one product per step, so the budget is capped at 2^32 steps, the
+room `fields` leaves in a digit.
 
 Over Q the remainder is integer numerators over one running denominator
 `den` (fraction-free reduction, Becker & Weispfenning, "Groebner Bases",
@@ -29,17 +30,19 @@ GTM 141).  A popped numerator c reduced by an element with D != 1 needs
 c * t / D; with h = gcd(c, D), only D / h is new, so when h != D every
 numerator left, and the remainder so far, is scaled by D / h and den
 with them.  den thus grows only by the part of each D that the popped
-coefficient does not already carry.  The remainder turns into raws only at
+coefficient does not already carry.  Over Q an element also keeps its raw
+tail, for S-polynomials and readout.  The remainder turns into raws only at
 readout: a normal form, a new monic element (whose tail c_i / c_0 needs no
 den), or the tail of a reduced basis.
 
 S-polynomials use the field's own raw arithmetic, one operation per term
-and pair.  Work is metered in reduction steps against a module-wide budget;
-blowing the budget raises BudgetExceeded, which is a resource verdict,
-never a mathematical "no".  The step count of a computation does not depend
-on the representation: it is the number of divisions the algorithm makes.
-Setting CHECK_SPOLYS makes every finished basis re-verify that all its
-S-polynomials reduce to zero, with counters in STATS.
+and pair (over a finite field on the negated tails).  Work is metered in
+reduction steps against a module-wide budget; blowing the budget raises
+BudgetExceeded, which is a resource verdict, never a mathematical "no".
+The step count of a computation does not depend on the representation: it
+is the number of divisions the algorithm makes.  Setting CHECK_SPOLYS makes
+every finished basis re-verify that all its S-polynomials reduce to zero,
+with counters in STATS.
 """
 
 from __future__ import annotations
@@ -254,15 +257,31 @@ def _make_monic(f: MultiPoly, order: MonomialOrder) -> MultiPoly:
 
 
 def _element(k: int, p: int, tail: tuple, spec: FieldSpec) -> tuple:
-    """A monic basis element: (lead K, lead P, raw tail triples, D, int tail
-    triples), where the int tail is the raw tail negated and times D.  Over
-    Q, D is the least common denominator of the tail; over a finite field
-    D = 1 and the int tail holds the negated raws."""
+    """A monic basis element from its raw tail triples: (lead K, lead P,
+    tail, D, int tail), where the int tail is the raw tail negated and times
+    D.  Over Q, D is the least common denominator and `tail` stays raw;
+    over a finite field see _negated_element."""
     if spec.is_finite:
-        return k, p, tail, 1, tuple((tk, tp, spec.neg_raw(c)) for tk, tp, c in tail)
+        neg = spec.neg_raw
+        return _negated_element(k, p, tuple((tk, tp, neg(c)) for tk, tp, c in tail))
     D = lcm(*(c.denominator for _, _, c in tail))
     ints = tuple((tk, tp, -c.numerator * (D // c.denominator)) for tk, tp, c in tail)
     return k, p, tail, D, ints
+
+
+def _negated_element(k: int, p: int, neg_tail: tuple) -> tuple:
+    """A finite-field basis element from its negated raw tail, which is both
+    its tail and its int tail (D = 1)."""
+    return k, p, neg_tail, 1, neg_tail
+
+
+def _poly(el: tuple, nvars: int, spec: FieldSpec) -> MultiPoly:
+    """A basis element as a MultiPoly."""
+    tail = el[2]
+    if spec.is_finite:
+        tail = [(k, p, spec.neg_raw(c)) for k, p, c in tail]
+    lead = (el[0], el[1], spec.one_raw())
+    return MultiPoly(spec, nvars, {q: c for _, q, c in (lead, *tail)})
 
 
 def _monic_element(out: list, spec: FieldSpec) -> tuple:
@@ -272,8 +291,9 @@ def _monic_element(out: list, spec: FieldSpec) -> tuple:
     if not spec.is_finite:
         tail = [(tk, tp, Fraction(c, lc)) for tk, tp, c in tail]
     elif lc != 1:
-        inv = spec.inv_raw(lc)
-        tail = [(tk, tp, spec.mul_raw(c, inv)) for tk, tp, c in tail]
+        m, mul_raw = spec.neg_raw(spec.inv_raw(lc)), spec.mul_raw
+        tail = tuple((tk, tp, mul_raw(c, m)) for tk, tp, c in tail)
+        return _negated_element(k, p, tail)
     return _element(k, p, tuple(tail), spec)
 
 
@@ -358,7 +378,9 @@ def _reduce(
 
 def _spoly(a: tuple, b: tuple, lcm: tuple, pk: _Packing, spec: FieldSpec) -> list:
     """S-polynomial of two monic basis elements as (K, P, c) triples; `lcm`
-    is the packed lcm of their leads, which cancel."""
+    is the packed lcm of their leads, which cancel.  Over a finite field,
+    whose elements keep negated tails, it comes out negated, which its uses
+    do not see: a remainder is tested for zero or made monic."""
     cap = degree_cap()
     deg_shift = pk.deg_shift
     lk, lp = lcm
@@ -478,13 +500,12 @@ def _buchberger(ideal: Ideal, order: MonomialOrder, work: _Work) -> tuple:
             steps = work.steps
             remainder = _reduce(g[2], others, pk, spec, work)
             if work.steps != steps:  # else the tail is already reduced
-                g = _element(g[0], g[1], tuple(_readout(remainder, spec)), spec)
+                if spec.is_finite:  # a negated tail leaves a negated remainder
+                    g = _negated_element(g[0], g[1], tuple(remainder[0]))
+                else:
+                    g = _element(g[0], g[1], tuple(_readout(remainder, spec)), spec)
         reduced.append(g)
-    one = spec.one_raw()
-    polys = tuple(
-        MultiPoly(spec, n, {q: c for _, q, c in ((k, p, one), *tail)})
-        for k, p, tail, _, _ in reduced
-    )
+    polys = tuple(_poly(g, n, spec) for g in reduced)
     return polys, pk, reduced
 
 
