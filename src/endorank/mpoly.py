@@ -23,7 +23,9 @@ Products, powers and substitution run in one integer kernel: term pairs
 multiply and add as ints, and each output coefficient is reduced once, by
 the field's `reduce`.  Over a finite field the raws already are those ints
 (see fields.py); over Q the kernel works on numerators over one common
-denominator.
+denominator.  A product or power with a one-term operand bypasses the
+kernel: c*x^q shifts the other operand's keys by q and scales its
+coefficients by c, and (c*x^q)^e is c^e*x^(q*e).
 
 A global degree cap (default 64 total degree, at most MAX_DEGREE) turns
 runaway products and substitutions into a hard DegreeCapExceeded error
@@ -266,11 +268,6 @@ class _Kernel:
             return {p: v for p, v in acc.items() if v}
         return {p: v for p, v in zip(acc, map(reduce, acc.values())) if v}
 
-    def _over_cap(self, p: int) -> DegreeCapExceeded:
-        return DegreeCapExceeded(
-            f"product degree {p >> self.deg_shift} exceeds cap {_degree_cap}"
-        )
-
     def product(self, a: dict, b: dict) -> dict:
         """a * b; every term pair is checked against the cap in the order
         of the tuple loop this replaces, so the same pair is reported."""
@@ -282,7 +279,7 @@ class _Kernel:
             for pb, cb in bs:
                 p = pa + pb
                 if p >= limit:
-                    raise self._over_cap(p)
+                    raise _over_cap(p >> self.deg_shift)
                 acc[p] = get(p, 0) + ca * cb
         return self.settle(acc)
 
@@ -301,7 +298,7 @@ class _Kernel:
                 if result is None:  # 1 * a: only the cap check
                     for p in a:
                         if p >= self.limit:
-                            raise self._over_cap(p)
+                            raise _over_cap(p >> self.deg_shift)
                     result = a
                 else:
                     result = self.product(result, a)
@@ -309,6 +306,10 @@ class _Kernel:
                 a = self.product(a, a)
             e >>= 1
         return {0: 1} if result is None else result
+
+
+def _over_cap(degree: int) -> DegreeCapExceeded:
+    return DegreeCapExceeded(f"product degree {degree} exceeds cap {_degree_cap}")
 
 
 def _check_growth(a: dict, e: int, den: int) -> None:
@@ -322,6 +323,23 @@ def _check_growth(a: dict, e: int, den: int) -> None:
             f"{estimate} coefficient bits, above the limit of {MAX_POWER_BITS} "
             "(a resource limit, not a negative answer)"
         )
+
+
+def _add_terms(spec: FieldSpec, out: dict, terms: dict, negate: bool = False) -> dict:
+    """out + terms (out - terms when negate), in place and returned: a new
+    monomial goes last, a sum that cancels is dropped."""
+    add = spec.sub_raw if negate else spec.add_raw
+    for m, c in terms.items():
+        prev = out.get(m)
+        if prev is None:
+            s = spec.neg_raw(c) if negate else c
+        else:
+            s = add(prev, c)
+        if spec.is_zero_raw(s):
+            out.pop(m, None)
+        else:
+            out[m] = s
+    return out
 
 
 # -- polynomials --------------------------------------------------------------
@@ -438,29 +456,13 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        spec = self.spec
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = out.get(m)
-            s = c if prev is None else spec.add_raw(prev, c)
-            if spec.is_zero_raw(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return MultiPoly(spec, self.nvars, out)
+        out = _add_terms(self.spec, dict(self.terms), other.terms)
+        return MultiPoly(self.spec, self.nvars, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        spec = self.spec
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = out.get(m)
-            s = spec.neg_raw(c) if prev is None else spec.sub_raw(prev, c)
-            if spec.is_zero_raw(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return MultiPoly(spec, self.nvars, out)
+        out = _add_terms(self.spec, dict(self.terms), other.terms, negate=True)
+        return MultiPoly(self.spec, self.nvars, out)
 
     def __neg__(self) -> "MultiPoly":
         spec = self.spec
@@ -470,15 +472,47 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
+        a, b = self.terms, other.terms
+        # A one-term operand goes second, the one with coefficient 1 when
+        # both have one term.
+        if len(a) == 1 and (len(b) != 1 or 1 in a.values()):
+            a, b = b, a
+        if len(b) == 1:
+            return self._times_term(a, *next(iter(b.items())))
         kernel = _Kernel(self.spec, self.nvars)
         da, a = kernel.encode(self)
         db, b = kernel.encode(other)
         return kernel.decode(kernel.product(a, b), da * db)
 
+    def _times_term(self, terms: dict, q: int, d: Raw) -> "MultiPoly":
+        """terms times d*x^q.  A field has no zero divisors, so no term
+        vanishes; past the cap, the first term in order is reported, the
+        term pair the kernel would report."""
+        limit = (_degree_cap + 1) << (8 * self.nvars)
+        if terms and max(terms) + q >= limit:
+            p = next(p for p in terms if p + q >= limit)
+            raise _over_cap((p + q) >> (8 * self.nvars))
+        if d == 1:
+            out = {p + q: c for p, c in terms.items()}
+        else:
+            mul = self.spec.mul_raw
+            out = {p + q: mul(c, d) for p, c in terms.items()}
+        return MultiPoly(self.spec, self.nvars, out)
+
     def __pow__(self, e: int) -> "MultiPoly":
         if e < 0:
             raise ValueError("negative polynomial power")
-        kernel = _Kernel(self.spec, self.nvars)
+        spec, terms = self.spec, self.terms
+        if len(terms) == 1 and e:
+            ((q, d),) = terms.items()
+            # Past the cap the kernel's squaring chain reports the product.
+            if (q >> (8 * self.nvars)) * e <= _degree_cap:
+                if e > 1 and d != 1:
+                    if spec.kind == "Q" and d != -1:
+                        _check_growth({q: d.numerator}, e, d.denominator)
+                    d = spec.pow_raw(d, e)
+                return MultiPoly(spec, self.nvars, {q * e: d})
+        kernel = _Kernel(spec, self.nvars)
         den, a = kernel.encode(self)
         return kernel.decode(kernel.power(a, e, den), den**e)
 

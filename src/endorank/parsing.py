@@ -21,7 +21,7 @@ from .errors import (
     UnknownVariable,
 )
 from .fields import FieldSpec, Raw
-from .mpoly import GREVLEX, MultiPoly
+from .mpoly import GREVLEX, MultiPoly, _add_terms
 
 
 # -- canonical printing -------------------------------------------------------
@@ -223,11 +223,13 @@ class _Parser:
 
     def expr(self) -> MultiPoly:
         f = self.term()
+        if self.peek() not in ("+", "-"):
+            return f
+        out = dict(f.terms)  # the running sum, one dict for every term
         while self.peek() in ("+", "-"):
-            op = self.take()[0]
-            g = self.term()
-            f = f + g if op == "+" else f - g
-        return f
+            negate = self.take()[0] == "-"
+            _add_terms(self.spec, out, self.term().terms, negate)
+        return MultiPoly(self.spec, self.nvars, out)
 
     def term(self) -> MultiPoly:
         f = self.factor()

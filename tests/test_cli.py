@@ -629,6 +629,13 @@ def test_coefficient_growth_exits_two(files, capsys):
     assert "299999997 coefficient bits" in captured.err
 
 
+@pytest.mark.parametrize("base", ["1", "(-1)"])
+def test_powers_of_one_and_minus_one_are_computed(files, capsys, base):
+    path = files("unit.endo", f"field Q\nvars 1\nx1 -> {base}^99999999*x1\n")
+    code, out = run_cli(capsys, "rank", path, "--format", "json")
+    assert code == 0 and json.loads(out)["rank"] == 1
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_long_coefficients_print_every_digit(files, capsys, fmt):
     path = files("big.endo", "field Q\nvars 1\nx1 -> 3^10000*x1\n")

@@ -427,14 +427,76 @@ def test_kernel_matches_the_tuple_loop_property(data):
     assert outcome(f.substitute, images) == outcome(ref_substitute, f, images)
 
 
+def _one_term_coefficients(spec):
+    """1, -1 and a coefficient that is neither, where the field has one."""
+    raws = [spec.one_raw(), spec.neg_raw(spec.one_raw())]
+    if spec.kind == "Q":
+        raws.append(Fraction(-5, 3))
+    elif spec.kind == "Fpk":
+        raws.append(spec.generator().raw)
+    return list(dict.fromkeys(raws))
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=lambda s: s.header())
+def test_one_term_operands_match_the_tuple_loop(spec):
+    rng = random.Random(29)
+    n = 3
+    monomials = [(0, 0, 0), (1, 0, 0), (2, 1, 0), (0, 3, 1)]
+    terms = [
+        MultiPoly.from_terms(spec, n, [(m, c)])
+        for m in monomials
+        for c in _one_term_coefficients(spec)
+    ]
+    others = [MultiPoly.zero(spec, n)] + terms[::3] + [_poly(rng, spec, n) for _ in range(6)]
+    for t in terms:
+        for f in others:
+            for got, want in [(t * f, ref_mul(t, f)), (f * t, ref_mul(f, t))]:
+                assert got == want
+                assert list(got.terms) == list(want.terms)  # the kernel's order
+        for e in range(6):
+            assert t**e == ref_pow(t, e)
+
+
+def test_one_term_products_and_powers_past_the_cap():
+    set_degree_cap(6)
+    try:
+        for spec in KERNEL_FIELDS:
+            x1, x2 = (MultiPoly.variable(spec, 2, i) for i in range(2))
+            two_x1 = MultiPoly.constant(spec, 2, 2) * x1
+            f = x1 + x1**5 + x2**6  # x1^5 * x1^2 is its first term past the cap
+            cases = [
+                (outcome((x1**4).__mul__, x1**3), outcome(ref_mul, x1**4, x1**3)),
+                (outcome(f.__mul__, x1**2), outcome(ref_mul, f, x1**2)),
+                (outcome((x1**2).__mul__, f), outcome(ref_mul, x1**2, f)),
+                (outcome(x1.__pow__, 7), outcome(ref_pow, x1, 7)),
+                (outcome((x1 * x2).__pow__, 4), outcome(ref_pow, x1 * x2, 4)),
+                (outcome(two_x1.__pow__, 7), outcome(ref_pow, two_x1, 7)),
+            ]
+            for got, want in cases:
+                assert got == want
+            # Over F2, 2*x1 is zero and its power is too.
+            assert all(isinstance(want, tuple) for _, want in cases[:-1])
+            assert isinstance(cases[-1][1], tuple) == (spec.char != 2)
+    finally:
+        set_degree_cap(64)
+
+
 def test_power_coefficient_growth_is_bounded():
-    with pytest.raises(CoefficientGrowthExceeded, match=r"^mpoly: power 99999999 .* 299999997"):
-        p("3^99999999*x1", QQ, 1)
-    with pytest.raises(CoefficientGrowthExceeded):
-        p("(3^1000)^1000", QQ, 1)  # nested powers are bounded one at a time
-    with pytest.raises(CoefficientGrowthExceeded):
-        p("(3^100000*x1)^12", QQ, 1)  # within the degree cap, not the bound
+    bound = r" coefficient bits, above the limit of 1048576 \(a resource limit"
+    for text, e, bits in [
+        ("3^99999999*x1", 99999999, 299999997),
+        ("(-3)^99999999*x1", 99999999, 299999997),
+        ("(3^1000)^1000", 1000, 1586000),  # nested powers are bounded one at a time
+        ("(3^100000*x1)^12", 12, 1901976),  # within the degree cap, not the bound
+    ]:
+        message = rf"^mpoly: power {e} of a 1-term polynomial needs about {bits}{bound}"
+        with pytest.raises(CoefficientGrowthExceeded, match=message):
+            p(text, QQ, 1)
     assert p("3^10000*x1", QQ, 1).tuple_terms() == {(1,): Fraction(3**10000)}
+    # Powers of 1 and -1 stay 1 and -1, however large the exponent.
+    assert p("1^99999999*x1", QQ, 1) == p("x1", QQ, 1)
+    assert p("(-1)^99999999", QQ, 1) == p("-1", QQ, 1)
+    assert p("(-1)^99999998*x1", QQ, 1) == p("x1", QQ, 1)
     # Over a finite field coefficients do not grow.
     assert p("3^99999999*x1", GF2, 1) == p("x1", GF2, 1)
     assert p("(t+1)^99999999*x1", GF4, 1) == p("x1", GF4, 1)  # (t+1)^3 = 1

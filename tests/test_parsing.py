@@ -1,5 +1,6 @@
 """Parser and canonical printer: round trips, error positions, file loaders."""
 
+from fractions import Fraction
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from endorank.errors import (
     UnknownVariable,
 )
 from endorank.fields import GF2, GF3, GF4, GF9, QQ, FieldSpec
+from endorank.mpoly import MultiPoly
 from endorank.parsing import (
     _tokenize,
     dump_endomorphism,
@@ -24,6 +26,7 @@ from endorank.parsing import (
     parse_polynomial,
 )
 from endorank.sampling import random_polynomial
+from test_mpoly import ref_mul
 
 
 def test_basic_expressions():
@@ -85,6 +88,66 @@ def test_print_parse_round_trip_seeded():
         for _ in range(60):
             f = random_polynomial(rng, spec, 3, max_degree=4, max_terms=5)
             assert parse_polynomial(str(f), spec, 3) == f
+
+
+def _coefficient(rng, spec):
+    """A parenthesised coefficient as the corpora write it, and its raw."""
+    if spec.kind == "Q":
+        num, den = rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 27))
+        return f"({num}/{den})" if den > 1 else f"({num})", Fraction(num, den)
+    if spec.kind == "Fpk" and rng.random() < 0.3:
+        a, b = rng.randrange(spec.p), rng.randrange(1, spec.p)
+        return f"({b}*t + {a})", spec.element((a, b)).raw
+    c = rng.randint(-9, 9)
+    return f"({c})", spec.from_int_raw(c)
+
+
+def _expanded(rng, spec, n, depth=1):
+    """Seeded text shaped like the benchmark's expanded polynomials, and the
+    same polynomial built from terms and ref_mul, without the parser.
+    Terms are (c)*x1^a*x2^b, bare monomials, (c)*(sum)^e and repeats of
+    an earlier term with the other sign, each term with a sign."""
+    one = MultiPoly.constant(spec, n, 1)
+    pieces, items, done = [], [], []
+    for k in range(rng.randint(1, 7)):
+        roll = rng.random()
+        if done and roll < 0.2:  # cancels an earlier term
+            sign, text, value = rng.choice(done)
+            sign = "+" if sign == "-" else "-"
+        else:
+            ctext, c = _coefficient(rng, spec)
+            value = MultiPoly.from_terms(spec, n, [((0,) * n, c)])
+            factors = [ctext]
+            if depth and roll < 0.4:
+                inner_text, inner = _expanded(rng, spec, n, depth - 1)
+                e = rng.randint(0, 3)
+                factors.append(f"({inner_text})^{e}")
+                for _ in range(e):
+                    value = ref_mul(value, inner)
+            else:
+                exps = tuple(rng.randint(0, 3 - depth) for _ in range(n))
+                for i, a in enumerate(exps):
+                    if a:
+                        factors.append(f"x{i + 1}" if a == 1 else f"x{i + 1}^{a}")
+                value = ref_mul(value, MultiPoly.from_terms(spec, n, [(exps, 1)]))
+                if len(factors) > 1 and c == 1 and rng.random() < 0.5:
+                    factors.pop(0)  # a bare monomial
+            text = "*".join(factors)
+            sign = rng.choice("+-") if k else rng.choice(("", "-"))
+            done.append((sign, text, value))
+        pieces.append(f" {sign} {text}" if k else f"{sign}{text}")
+        for m, c in value.tuple_terms().items():
+            items.append((m, spec.neg_raw(c) if sign == "-" else c))
+    return "".join(pieces), MultiPoly.from_terms(spec, n, items)
+
+
+@pytest.mark.parametrize("spec", [QQ, GF2, GF3, GF4, GF9], ids=lambda s: s.header())
+def test_expanded_polynomials_match_a_reference(spec):
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        text, want = _expanded(rng, spec, n)
+        assert parse_polynomial(text, spec, n) == want, text
 
 
 def test_field_headers():
