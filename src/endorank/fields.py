@@ -284,15 +284,17 @@ class FieldSpec:
         return self.pow_raw(a, self.p**self.k - 2)
 
     def pow_raw(self, a: Raw, e: int) -> Raw:
+        """a^e by left-to-right binary powering: one squaring per bit of e
+        after the top one and one product per further set bit."""
         if e < 0:
             return self.pow_raw(self.inv_raw(a), -e)
-        result = self.one_raw()
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul_raw(result, base)
-            base = self.mul_raw(base, base)
-            e >>= 1
+        if e == 0:
+            return self.one_raw()
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mul_raw(result, result)
+            if bit == "1":
+                result = self.mul_raw(result, a)
         return result
 
     def mul_int_raw(self, a: Raw, n: int) -> Raw:

@@ -9,7 +9,11 @@ import time
 import pytest
 
 from endorank.cli import main
+from endorank.endo import Endomorphism, compose
+from endorank.fields import QQ
 from endorank.groebner import clear_caches, get_budget
+from endorank.kronecker import KroneckerSystem
+from endorank.parsing import format_poly, parse_polynomial
 
 GF2_COUNTEREXAMPLE = """\
 field F 2
@@ -315,6 +319,35 @@ def test_kron_normalize_refuses_non_base(files, capsys):
     path = files("two.kron", TWO_GENERATOR)
     code, _ = run_cli(capsys, "kron-normalize", path)
     assert code == 1
+
+
+def test_kron_audit_skips_products_past_the_degree_cap(files, capsys):
+    # The standard n = 3 family conjugated by a cubic triangular map.  Some
+    # of its n^4 products pass degree 64 (composing all of them stopped
+    # with "product degree 96 exceeds cap 64", exit 2); the generating set
+    # of 21 products stays below it and proves the same relations.
+    def endo(*images):
+        return Endomorphism(QQ, 3, tuple(parse_polynomial(f, QQ, 3) for f in images))
+
+    s = endo("x1 + 2*x2^3 - x3^2", "x2 + 3*x3^2", "x3")
+    s_inv = endo("x1 - 2*(x2 - 3*x3^2)^3 + x3^2", "x2 - 3*x3^2", "x3")
+    family = KroneckerSystem.standard(QQ, 3).transformed(
+        lambda e: compose(compose(s, e), s_inv)
+    )
+    lines = ["field Q", "vars 3", "kron 3"]
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            lines.append(f"e {i} {j}")
+            images = family.entry(i, j).images
+            lines += [f"x{k} -> {format_poly(f)}" for k, f in enumerate(images, 1)]
+    lines.append("zero")
+    lines += [f"x{k} -> 0" for k in (1, 2, 3)]
+    path = files("cubic.kron", "\n".join(lines) + "\n")
+    code, out = run_cli(capsys, "kron-verify", path)
+    assert code == 0
+    assert out.splitlines()[:2] == ["subbase: ok", "relations checked: 99"]
+    code, out = run_cli(capsys, "kron-classify", path)
+    assert (code, out) == (0, "classification: nonsingular\n")
 
 
 # -- automorphisms ----------------------------------------------------------------

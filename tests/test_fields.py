@@ -309,3 +309,30 @@ def test_digits_round_trip_and_enumeration_order(spec):
         for _ in range(50):
             cs = tuple(rng.randrange(spec.p) for _ in range(2 * spec.k))
             assert spec.digits(spec.element(cs).raw) == _ref_mod(cs, spec.modulus, spec.p)
+
+
+def _square_and_multiply_cost(e):
+    """Products in left-to-right binary powering: a squaring per bit after
+    the top one, and a product per further set bit."""
+    return e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0  # 1 at e = 2, 3 at e = 8
+
+
+@pytest.mark.parametrize("spec", [QQ, GF3, GF9], ids=str)
+def test_pow_raw_matches_repeated_products_with_fewest_calls(spec, monkeypatch):
+    a = {QQ: Fraction(-2, 3), GF3: 2, GF9: GF9.generator().raw + 1}[spec]
+    wants = {}
+    for e in range(-3, 41):
+        base = a if e >= 0 else spec.inv_raw(a)
+        wants[e] = spec.one_raw()
+        for _ in range(abs(e)):
+            wants[e] = spec.mul_raw(wants[e], base)
+    inv_cost = _square_and_multiply_cost(spec.order - 2) if spec.k > 1 else 0
+    calls = []
+    mul_raw = FieldSpec.mul_raw
+    monkeypatch.setattr(
+        FieldSpec, "mul_raw", lambda self, x, y: calls.append(1) or mul_raw(self, x, y)
+    )
+    for e, want in wants.items():
+        calls.clear()
+        assert spec.pow_raw(a, e) == want, e
+        assert len(calls) == _square_and_multiply_cost(abs(e)) + (inv_cost if e < 0 else 0), e

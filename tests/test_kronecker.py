@@ -1,16 +1,19 @@
 """Matrix-unit families: subbase audit, classification, bases, and
 normalization."""
 
+import random
+
 import pytest
 
 from endorank import kronecker
 from endorank.endo import Endomorphism, compose, kronecker_endo, rank
 from endorank.errors import (
+    DegreeCapExceeded,
     NonAffineImage,
     RelationViolation,
     ZeroScale,
 )
-from endorank.fields import GF2, GF3, GF4, QQ
+from endorank.fields import GF2, GF3, GF4, QQ, enumerate_elements
 from endorank.kronecker import (
     KroneckerSystem,
     RepresentationKind,
@@ -21,6 +24,7 @@ from endorank.kronecker import (
     verify_base_external,
     verify_subbase,
 )
+from endorank.mpoly import MultiPoly
 from endorank.parsing import parse_polynomial
 
 
@@ -202,6 +206,157 @@ def test_subbase_audit_finds_the_moved_common_zero(spec):
     assert report.ok
     assert report.zero == Endomorphism.constant(spec, 2, [-1, -2])
     assert verify_base_external(moved).certificate.zero == report.zero
+
+
+# -- the generating relations against the full loop -------------------------------
+
+
+def reference_audit(system, monkeypatch):
+    """verify_subbase composed pair by pair: the full n^4 loop (the
+    generating set switched off) and one elimination per entry."""
+    with monkeypatch.context() as m:
+        m.setattr(kronecker, "_generating_zero", lambda system: None)
+        problems, zero, checked = kronecker._relation_violations(system)
+    if zero is not None and (r := rank(zero).value) != 0:
+        problems.append(f"common zero has rank {r}, expected 0")
+    for i in range(1, system.n + 1):
+        for j in range(1, system.n + 1):
+            e = system.entry(i, j)
+            if zero is not None and e == zero:
+                problems.append(f"entry ({i},{j}) equals the zero map")
+            elif (r := rank(e).value) != 1:
+                problems.append(f"entry ({i},{j}) has rank {r}, expected 1")
+    return kronecker.SubbaseReport(not problems, zero, checked, tuple(problems))
+
+
+def triangular(spec, n, rng):
+    """A seeded triangular automorphism and its inverse: the composite of
+    two elementary maps x_i -> x_i + c*x_j^d (j > i) and a translation."""
+    xs = [MultiPoly.variable(spec, n, k) for k in range(n)]
+    if spec.is_finite:
+        units = [c for c in enumerate_elements(spec) if not c.is_zero]
+    else:
+        units = [QQ.element(c) for c in (-3, -2, -1, 1, 2, 3)]
+    steps = []
+    for _ in range(2 if n > 1 else 0):
+        i = rng.randrange(n - 1)
+        j = rng.randrange(i + 1, n)
+        shift = (xs[j] ** rng.randint(1, 2)).scale(rng.choice(units))
+        steps.append({i: shift})
+    steps.append({k: MultiPoly.constant(spec, n, rng.choice(units)) for k in range(n)})
+
+    def shift_map(step):
+        return Endomorphism(
+            spec, n, tuple(xs[k] + step[k] if k in step else xs[k] for k in range(n))
+        )
+
+    s = s_inv = Endomorphism.identity(spec, n)
+    for step in steps:
+        s = compose(s, shift_map(step))
+        s_inv = compose(shift_map({k: -f for k, f in step.items()}), s_inv)
+    assert compose(s, s_inv) == Endomorphism.identity(spec, n)
+    return s, s_inv
+
+
+def mutations(system, rng):
+    """The family with two entries swapped, one set to its zero, one scaled
+    (not over F2, which has no scalar but 1), one set to another constant
+    map (rank 0 but not the zero), and a wrong declared zero."""
+    n, spec = system.n, system.spec
+    grid = [list(row) for row in system.entries]
+    cells = [(i, j) for i in range(n) for j in range(n)]
+
+    def with_grid(g, zero=system.zero):
+        return KroneckerSystem(spec, n, tuple(tuple(row) for row in g), zero)
+
+    if n > 1:
+        (a, b), (c, d) = rng.sample(cells, 2)
+        g = [row[:] for row in grid]
+        g[a][b], g[c][d] = g[c][d], g[a][b]
+        yield with_grid(g)
+    zero = verify_subbase(system).zero or Endomorphism.zero(spec, n)
+    a, b = rng.choice(cells)
+    g = [row[:] for row in grid]
+    g[a][b] = zero
+    yield with_grid(g)
+    if spec != GF2:
+        scalar = GF4.generator() if spec == GF4 else spec.element(2)
+        g = [row[:] for row in grid]
+        g[a][b] = Endomorphism(spec, n, tuple(f.scale(scalar) for f in grid[a][b].images))
+        yield with_grid(g)
+    wrong = Endomorphism(
+        spec, n, tuple(f + MultiPoly.constant(spec, n, 1) for f in zero.images)
+    )
+    g = [row[:] for row in grid]
+    g[a][b] = wrong
+    yield with_grid(g)
+    yield with_grid(grid, wrong)
+
+
+@pytest.mark.parametrize("spec", [QQ, GF2, GF3, GF4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generating_relations_agree_with_the_full_loop(spec, n, monkeypatch):
+    rng = random.Random(f"{spec}-{n}")
+    standard = KroneckerSystem.standard(spec, n)
+    s, s_inv = triangular(spec, n, rng)
+    for base in (standard, conjugated(standard, s, s_inv)):
+        for family in (base, KroneckerSystem(spec, n, base.entries, None)):
+            products = []
+            ranks = []
+            with monkeypatch.context() as m:
+                m.setattr(
+                    kronecker, "compose",
+                    lambda a, b: products.append((a, b)) or compose(a, b),
+                )
+                m.setattr(kronecker, "rank", lambda e: ranks.append(e) or rank(e))
+                report = verify_subbase(family)
+            assert report == reference_audit(family, monkeypatch)
+            assert report.ok
+            if n > 1:
+                # the generating set, each product one of the n^4
+                entries = [e for row in family.entries for e in row]
+                assert len(products) == {2: 9, 3: 21}[n]  # 2n^2 + 2n - 3
+                assert all(a in entries and b in entries for a, b in products)
+                assert ranks == [report.zero, family.entry(1, 1)]
+            for broken in mutations(family, rng):
+                report = verify_subbase(broken)
+                # for n = 1 any constant map is a zero of the identity entry
+                assert not report.ok or (n == 1 and broken.zero != family.zero)
+                assert report == reference_audit(broken, monkeypatch)
+
+
+def test_generating_relations_catch_a_nonzero_cross_product(monkeypatch):
+    # (1,2) = e11 + e12 and (2,2) = e21 + e22 as matrices: every generating
+    # product but (1,2).(1,1) = e11 holds, and that one should be the zero
+    e12 = endo(QQ, "x1", "x1")
+    e22 = endo(QQ, "x2", "x2")
+    system = KroneckerSystem(
+        QQ, 2,
+        ((kronecker_endo(QQ, 2, 1, 1), e12), (kronecker_endo(QQ, 2, 2, 1), e22)),
+        Endomorphism.zero(QQ, 2),
+    )
+    report = verify_subbase(system)
+    assert "(1,2).(1,1) disagrees with the common zero" in report.problems
+    assert report == reference_audit(system, monkeypatch)
+
+
+def test_generating_relations_report_a_resource_limit_as_the_full_loop(monkeypatch):
+    # A limit met among the generating products is reported from the full
+    # loop, which stops at its own first such product, as it always has.
+    S = KroneckerSystem.standard(QQ, 2)
+    limits = {
+        (S.entry(2, 1), S.entry(1, 2)): "generating",
+        (S.entry(1, 2), S.entry(2, 2)): "loop",
+    }
+
+    def capped(a, b):
+        if (a, b) in limits:
+            raise DegreeCapExceeded(limits[a, b])
+        return compose(a, b)
+
+    monkeypatch.setattr(kronecker, "compose", capped)
+    with pytest.raises(DegreeCapExceeded, match="loop"):
+        verify_subbase(S)
 
 
 # -- image generators ---------------------------------------------------------------
