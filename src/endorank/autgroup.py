@@ -14,7 +14,13 @@ import random
 from dataclasses import dataclass
 
 from .endo import Endomorphism, compose, rank
-from .errors import ArityMismatch, NotABase, SpecMismatch
+from .errors import (
+    ArityMismatch,
+    GeneratorNotFound,
+    NotABase,
+    RelationViolation,
+    SpecMismatch,
+)
 from .fields import FieldAutomorphism, FieldSpec
 from .groebner import invert_poly_map
 from .kronecker import KroneckerSystem, verify_base_external
@@ -145,7 +151,8 @@ def verify_automorphism_properties(
     automorphism: multiplicative on composition, rank-preserving, identity
     and constants fixed (as classes), inverse conjugation undoes it, and the
     conjugated standard matrix-unit family is still a verified base with
-    generators s_1..s_n."""
+    generators s_1..s_n.  A resource limit (degree cap, budget, coefficient
+    growth) is no verdict: it propagates."""
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
     spec = aut.spec
@@ -200,7 +207,8 @@ def verify_automorphism_properties(
             problems.append(
                 "conjugated standard family failed the base check"
             )
-    except Exception as exc:  # noqa: BLE001 - verdict, not control flow
+    except (RelationViolation, NotABase, GeneratorNotFound) as exc:
+        # Negative answers only: a resource limit propagates (exit 2).
         problems.append(f"conjugated standard family: {exc}")
 
     return ConjugationReport(

@@ -705,6 +705,8 @@ def _cmd_selftest(args) -> tuple[dict, list[str]]:
     for name, fn in _selftest_checks():
         try:
             detail = fn()
+        except (BudgetExceeded, CoefficientGrowthExceeded, DegreeCapExceeded):
+            raise  # a resource limit is no verdict on the check: exit 2
         except Exception as exc:  # noqa: BLE001 - recorded, not hidden
             detail = f"{type(exc).__name__}: {exc}"
         ok = detail is None

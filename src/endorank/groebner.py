@@ -4,14 +4,18 @@ Everything downstream (ranks, order comparisons, subalgebra membership, map
 inversion) reduces to Groebner bases, so this module is built for
 reproducibility: generators are canonically sorted, pair selection and
 reduction are fully deterministic, and answers are memoized.  Every memo
-table (bases by (ideal, order), subalgebra memberships, map inverses, and
-relation ideals in endo) is made by `memoized`: a least-recently-used table
-of at most CACHE_SIZE entries, which clear_caches() empties.
+table (bases by (ideal, order), subalgebra memberships, map inverses,
+relation ideals in endo, and the parser's variable powers) is made by
+`memoized`: a least-recently-used table of at most CACHE_SIZE entries,
+which clear_caches() empties.
 
 Inside a computation a monomial is the packed int a MultiPoly keys its terms
 by, plus an order key (see _Packing), so a monomial product is two additions
-and a divisibility test is one mask.  S-pairs wait in a heap under the total
-key (lcm degree, i, j).  Only finished bases are turned back into MultiPoly.
+and a divisibility test is one mask.  Each generator is packed once: its
+largest term is the lead, and its tail is scaled by the lead coefficient's
+inverse on raws.  S-pairs wait in a heap under the total key (lcm degree, i,
+j).  Only finished bases are turned back into MultiPoly; the re-indexing in
+elimination and membership shifts packed ints.
 
 Reduction is one integer loop for every field.  It takes terms largest first
 from a heap (Monagan & Pearce, "Sparse polynomial division using a heap",
@@ -47,11 +51,12 @@ with counters in STATS.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
@@ -65,7 +70,6 @@ from .mpoly import (
     MultiPoly,
     _exponents,
     _layout,
-    _pack,
     degree_cap,
     mono_lcm,
 )
@@ -239,21 +243,8 @@ class _Packing:
         out.sort(key=itemgetter(0), reverse=True)
         return out
 
-    def element(self, f: MultiPoly) -> tuple:
-        """A monic f as a basis element (see _element)."""
-        (k, p, _), *tail = self.terms(f)
-        return _element(k, p, tuple(tail), f.spec)
-
 
 # -- core reduction ------------------------------------------------------------
-
-
-def _make_monic(f: MultiPoly, order: MonomialOrder) -> MultiPoly:
-    lc = f.leading_coefficient(order)
-    one = f.spec.one_raw()
-    if lc.raw == one:
-        return f
-    return f.scale(lc.inverse())
 
 
 def _element(k: int, p: int, tail: tuple, spec: FieldSpec) -> tuple:
@@ -287,13 +278,22 @@ def _poly(el: tuple, nvars: int, spec: FieldSpec) -> MultiPoly:
 def _monic_element(out: list, spec: FieldSpec) -> tuple:
     """The triples of a nonzero remainder of _reduce scaled to a monic basis
     element.  Over Q the numerators' common denominator cancels."""
+    if spec.is_finite:
+        return _monic_raws(out, spec)
     (k, p, lc), *tail = out
-    if not spec.is_finite:
-        tail = [(tk, tp, Fraction(c, lc)) for tk, tp, c in tail]
-    elif lc != 1:
-        m, mul_raw = spec.neg_raw(spec.inv_raw(lc)), spec.mul_raw
-        tail = tuple((tk, tp, mul_raw(c, m)) for tk, tp, c in tail)
-        return _negated_element(k, p, tail)
+    return _element(k, p, tuple((tk, tp, Fraction(c, lc)) for tk, tp, c in tail), spec)
+
+
+def _monic_raws(terms: list, spec: FieldSpec) -> tuple:
+    """A monic basis element from raw (K, P, c) triples, largest first: the
+    tail times the inverse of the lead coefficient."""
+    (k, p, lc), *tail = terms
+    if lc != 1:
+        m, mul_raw = spec.inv_raw(lc), spec.mul_raw
+        if spec.is_finite:  # negated at once, for _negated_element
+            m = spec.neg_raw(m)
+            return _negated_element(k, p, tuple((tk, tp, mul_raw(c, m)) for tk, tp, c in tail))
+        tail = [(tk, tp, mul_raw(c, m)) for tk, tp, c in tail]
     return _element(k, p, tuple(tail), spec)
 
 
@@ -433,17 +433,25 @@ def _groebner_basis(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
     return gb
 
 
+def _seed(ideal: Ideal, pk: _Packing) -> list[tuple]:
+    """The generators as monic basis elements, each packed once, ascending
+    by lead; equal leads are ordered by their monic polynomials'
+    _poly_sort_key, the only place that key is needed."""
+    spec, n = ideal.spec, ideal.nvars
+    G = [_monic_raws(pk.terms(f), spec) for f in ideal.generators]
+    tied = {k for k, count in Counter(g[0] for g in G).items() if count > 1}
+    G.sort(key=lambda g: (g[0], _poly_sort_key(_poly(g, n, spec)) if g[0] in tied else ()))
+    return G
+
+
 def _buchberger(ideal: Ideal, order: MonomialOrder, work: _Work) -> tuple:
     """The reduced basis as (polys, packing, packed elements)."""
     spec = ideal.spec
     n = ideal.nvars
-    monic = [_make_monic(f, order) for f in ideal.generators]
     pk = _Packing(n, order)
     guard = pk.guard
-    seed = [(pk.element(f), _poly_sort_key(f)) for f in monic]
-    seed.sort(key=lambda t: (t[0][0], t[1]))
     # Each element gets its order keys once, here or when it enters.
-    G: list[tuple] = [el for el, _ in seed]
+    G = _seed(ideal, pk)
     # Pairs wait in a heap under the total key (lcm degree, i, j); `pending`
     # holds the same pairs for the chain criterion.
     pairs: list[tuple] = []
@@ -582,21 +590,38 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
     for g in gb.polys:
         if g.variables_used() & dropped:
             continue
-        out.append(_reindex(g, len(keep), lambda m: [m[i] for i in keep]))
+        out.append(_compact(g, keep))
     return Ideal.of(ideal.spec, len(keep), out)
 
 
-def _reindex(f: MultiPoly, nvars: int, place) -> MultiPoly:
-    """f in nvars variables, each exponent tuple m moved to place(m); place
-    must be one-to-one on f's monomials."""
+def _compact(f: MultiPoly, keep: Sequence[int]) -> MultiPoly:
+    """f, which uses no variable outside `keep` (ascending indices), in the
+    ring of the kept variables, in their order.  Each run of consecutive
+    kept exponent bytes moves down past the dropped bytes below it, and the
+    degree field moves down to sit above the kept ones."""
+    moves = []  # (source shift, mask, target shift) per run
+    for _, run in groupby(enumerate(keep), key=lambda t: t[1] - t[0]):
+        run = list(run)
+        moves.append((8 * run[0][1], (1 << 8 * len(run)) - 1, 8 * run[0][0]))
+    shift, top = 8 * f.nvars, 8 * len(keep)
     return MultiPoly(
-        f.spec, nvars, {_pack(place(m)): c for m, c in f.tuple_terms().items()}
+        f.spec,
+        len(keep),
+        {
+            sum(((p >> s) & mask) << t for s, mask, t in moves) + (p >> shift << top): c
+            for p, c in f.terms.items()
+        },
     )
 
 
 def _pad(h: MultiPoly, extra: int) -> MultiPoly:
-    """h read in a ring with `extra` more variables after its own."""
-    return _reindex(h, h.nvars + extra, lambda m: m + (0,) * extra)
+    """h read in a ring with `extra` more variables after its own: the
+    degree field moves up past their zero exponent bytes."""
+    shift = 8 * h.nvars
+    low, top = (1 << shift) - 1, shift + 8 * extra
+    return MultiPoly(
+        h.spec, h.nvars + extra, {(p & low) + (p >> shift << top): c for p, c in h.terms.items()}
+    )
 
 
 def graph_ideal(images: Sequence[MultiPoly]) -> Ideal:
@@ -640,7 +665,7 @@ def _subalgebra_member_cached(
     nf = normal_form(_pad(f, m), gb)
     if nf.variables_used() & set(range(n)):
         return None
-    witness = _reindex(nf, m, lambda mo: mo[n:])
+    witness = _compact(nf, range(n, n + m))
     if witness.substitute(gens) != f:
         raise RuntimeError("membership witness failed its substitution check")
     return witness

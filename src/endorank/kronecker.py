@@ -250,23 +250,25 @@ def classify_representation(system: KroneckerSystem) -> RepresentationKind:
 
 
 def image_generator(
-    phi: Endomorphism, hints: Sequence[MultiPoly] = ()
+    phi: Endomorphism, hints: Sequence[MultiPoly] = (), proven: bool = False
 ) -> Optional[MultiPoly]:
     """A single polynomial z with K[phi-images] = K[z], for an idempotent of
-    rank 1.  Candidates: supplied hints, then the nonconstant images from
-    low degree up, then constant-free shifts of those, then their degree-1
-    parts.  Each candidate must contain every image (membership witnessed)
-    and itself lie in the image algebra.  Heuristic-complete: None means no
-    candidate verified, not that no generator exists."""
-    if compose(phi, phi) != phi:
-        raise RelationViolation(
-            "generator extraction requires an idempotent map"
-        )
-    r = rank(phi).value
-    if r != 1:
-        raise RelationViolation(
-            f"generator extraction requires rank 1, got rank {r}"
-        )
+    rank 1 (checked here unless `proven` says the caller has proved it).
+    Candidates: supplied hints, then the nonconstant images from low degree
+    up, then constant-free shifts of those, then their degree-1 parts.  Each
+    candidate must contain every image (membership witnessed) and itself lie
+    in the image algebra.  Heuristic-complete: None means no candidate
+    verified, not that no generator exists."""
+    if not proven:
+        if compose(phi, phi) != phi:
+            raise RelationViolation(
+                "generator extraction requires an idempotent map"
+            )
+        r = rank(phi).value
+        if r != 1:
+            raise RelationViolation(
+                f"generator extraction requires rank 1, got rank {r}"
+            )
 
     candidates: list[MultiPoly] = list(hints)
     images = sorted(
@@ -333,6 +335,8 @@ class BaseCheck:
 def _diagonal_generators(
     system: KroneckerSystem, Z: Optional[Sequence[MultiPoly]]
 ) -> tuple[MultiPoly, ...]:
+    """Z, or a generator of each diagonal entry of a system that passed the
+    subbase audit, which proved every entry idempotent of rank 1."""
     if Z is not None:
         gens = tuple(Z)
         if len(gens) != system.n:
@@ -342,7 +346,7 @@ def _diagonal_generators(
         return gens
     out = []
     for i in range(1, system.n + 1):
-        z = image_generator(system.entry(i, i))
+        z = image_generator(system.entry(i, i), proven=True)
         if z is None:
             raise GeneratorNotFound(
                 f"no image generator found for diagonal entry ({i},{i}); "

@@ -7,6 +7,18 @@ descending order, coefficients in lowest terms, so equal polynomials always
 print to identical bytes.
 
 Field headers:  field Q   |   field F 5   |   field F 2^2 mod t^2+t+1
+
+Expanded text such as (-144)*x2^18*x3^9 is read a monomial at a time: the
+tokenizer takes a run x_i^e*x_j^f*.. (no blanks inside, no '^' after it) as
+one token, and a literal (c), (-c) or (a/b) as another.  The parser turns a
+monomial token straight into a one-term polynomial with its packed key, with
+no product or power per variable; the coefficient times the monomial stays
+one product.  Where the one-variable-at-a-time reading would raise, it reads
+the token's characters instead, so errors keep their class, message, line
+and column: an index outside x1..xn, an exponent or total degree above the
+degree cap, a number longer than int() reads, a fraction over a finite
+field or over zero, and a monomial whose product with the factors before it
+passes the cap.
 """
 
 from __future__ import annotations
@@ -17,11 +29,13 @@ from typing import Sequence
 
 from .errors import (
     CoefficientParseError,
+    DegreeCapExceeded,
     PolySyntaxError,
     UnknownVariable,
 )
 from .fields import FieldSpec, Raw
-from .mpoly import GREVLEX, MultiPoly, _add_terms
+from .groebner import memoized
+from .mpoly import GREVLEX, MultiPoly, _add_terms, degree_cap
 
 
 # -- canonical printing -------------------------------------------------------
@@ -132,15 +146,33 @@ def format_poly(f: MultiPoly, var: str = "x") -> str:
 # -- tokenizer ----------------------------------------------------------------
 
 # One match per token: the blanks before it (\s is exactly str.isspace; a
-# newline is a token of its own), then ASCII digits, a run of \w (exactly
-# str.isalnum or '_'), any other single character, or nothing at the end.
-# Numbers are ASCII 0-9 only: str.isdigit also accepts digits such as '²',
-# which int() rejects, and '٣', which int() reads as 3.  A name must start
-# with a letter (str.isalpha), which no class expresses, so the tokenizer
-# refuses a \w run that starts otherwise.
-_TOKEN = re.compile(r"([^\S\n]*)([0-9]+|\w+|.|\Z)", re.DOTALL)
+# newline is a token of its own), then a folded token or a character token.
+#
+# A folded token is a run of character tokens that the parser reads whole:
+# a monomial x_i^e*x_j^f*.. (no blanks, each name and exponent a whole
+# character token, no '^' after it) or a literal (c), (-c) or (a/b).
+# Character tokens are ASCII digits, a run of \w (exactly str.isalnum or
+# '_'), any other single character, or nothing at the end.  Numbers are ASCII
+# 0-9 only: str.isdigit also accepts digits such as '²', which int() rejects,
+# and '٣', which int() reads as 3.  A name must start with a letter
+# (str.isalpha), which no class expresses, so the tokenizer refuses a \w
+# run that starts otherwise.
+_ATOM = r"x[0-9]+(?!\w)(?:\^[0-9]+(?![0-9]))?"
+_MONOMIAL = rf"{_ATOM}(?:\*{_ATOM})*(?!\s*\^)"
+_LITERAL = r"\(-?[0-9]+(?:/[0-9]+)?\)"
+
+
+def _token_pattern(monomial: str, literal: str) -> re.Pattern:
+    return re.compile(
+        rf"([^\S\n]*)(?:({monomial})|({literal})|([0-9]+|\w+|.|\Z))", re.DOTALL
+    )
+
+
+_TOKEN = _token_pattern(_MONOMIAL, _LITERAL)
+_CHAR_TOKEN = _token_pattern("(?!)", "(?!)")  # folds nothing
 _OPS = frozenset("+-*^()/")
 _DIGITS = frozenset("0123456789")
+_FOLDED = ("mono", "literal")
 
 
 def _is_digits(text: str) -> bool:
@@ -157,21 +189,26 @@ def _int(text: str, line: int | None, col: int | None = None) -> int:
         ) from None
 
 
-def _tokenize(text: str, line0: int, col0: int) -> list[tuple[str, str, int, int]]:
+def _tokenize(
+    text: str, line0: int, col0: int, fold: bool = True
+) -> list[tuple[str, str, int, int]]:
     """Tokens as (kind, text, line, column); kind is "int", "name", the
-    operator itself (one of + - * ^ ( ) /) or "end"."""
+    operator itself (one of + - * ^ ( ) /), "end", or, unless fold is
+    false, "mono" or "literal" for a folded token."""
     toks = []
     line, col = line0, col0
-    for m in _TOKEN.finditer(text):
-        blanks, s = m.groups()
+    for blanks, mono, literal, s in (_TOKEN if fold else _CHAR_TOKEN).findall(text):
         col += len(blanks)
-        if not s:
+        if mono or literal:
+            s = mono or literal
+            kind = "mono" if mono else "literal"
+        elif not s:
             continue  # the end of the text
-        if s == "\n":
+        elif s == "\n":
             line += 1
             col = 1
             continue
-        if s in _OPS:
+        elif s in _OPS:
             kind = s
         elif s[0] in _DIGITS:
             kind = "int"
@@ -185,10 +222,34 @@ def _tokenize(text: str, line0: int, col0: int) -> list[tuple[str, str, int, int
     return toks
 
 
+def _unfolded(tok: tuple[str, str, int, int]) -> list[tuple[str, str, int, int]]:
+    """The character tokens of a token."""
+    kind, text, line, col = tok
+    if kind not in _FOLDED:
+        return [tok]
+    return _tokenize(text, line, col, fold=False)[:-1]
+
+
+@memoized
+def _atom(text: str) -> tuple[int, int]:
+    """(0-based index, exponent) of x<i> or x<i>^<e>."""
+    name, _, e = text.partition("^")
+    return int(name[1:]) - 1, int(e) if e else 1
+
+
+def _shown(tok: tuple[str, str, int, int]) -> str:
+    """A token as an error quotes it: the text of its first character token."""
+    return _unfolded(tok)[0][1] or "end of input"
+
+
 # -- recursive-descent parser ---------------------------------------------------
 
 
 class _Parser:
+    """Recursive descent over the tokens.  Where reading a folded token
+    whole could change an error (see the module docstring), the parser puts
+    its character tokens in its place and reads those."""
+
     def __init__(self, toks, spec: FieldSpec, nvars: int, t_is_variable: bool):
         self.toks = toks
         self.pos = 0
@@ -205,20 +266,23 @@ class _Parser:
         self.pos += 1
         return t
 
+    def unfold(self, at: int) -> None:
+        """Put the character tokens of the folded token at `at` in its place."""
+        self.toks[at : at + 1] = _unfolded(self.toks[at])
+
     def expect(self, kind: str) -> tuple[str, str, int, int]:
         t = self.take()
         if t[0] != kind:
-            _, text, line, col = t
             raise PolySyntaxError(
-                f"expected {kind!r}, found {text or 'end of input'!r}", line, col
+                f"expected {kind!r}, found {_shown(t)!r}", t[2], t[3]
             )
         return t
 
     def parse(self) -> MultiPoly:
         f = self.expr()
-        kind, text, line, col = self.take()
-        if kind != "end":
-            raise PolySyntaxError(f"trailing input {text!r}", line, col)
+        t = self.take()
+        if t[0] != "end":
+            raise PolySyntaxError(f"trailing input {_shown(t)!r}", t[2], t[3])
         return f
 
     def expr(self) -> MultiPoly:
@@ -235,7 +299,18 @@ class _Parser:
         f = self.factor()
         while self.peek() == "*":
             self.take()
-            f = f * self.factor()
+            at = self.pos
+            g = self.factor()
+            try:
+                f = f * g
+            except DegreeCapExceeded:
+                # The character tokens multiply one variable at a time, and
+                # an earlier product may be the one past the cap.
+                if self.toks[self.pos - 1][0] != "mono":
+                    raise
+                self.unfold(self.pos - 1)
+                self.pos = at
+                f = f * self.factor()
         return f
 
     def factor(self) -> MultiPoly:
@@ -251,6 +326,13 @@ class _Parser:
 
     def primary(self) -> MultiPoly:
         kind, text, line, col = self.take()
+        if kind in _FOLDED:
+            f = self.folded(kind, text)
+            if f is not None:
+                return f
+            self.pos -= 1
+            self.unfold(self.pos)
+            kind, text, line, col = self.take()
         if kind == "int":
             value = _int(text, line, col)
             if self.peek() == "/":
@@ -274,6 +356,33 @@ class _Parser:
         raise PolySyntaxError(
             f"expected a term, found {text or 'end of input'!r}", line, col
         )
+
+    def folded(self, kind: str, text: str) -> MultiPoly | None:
+        """The polynomial of a folded token, or None where its character
+        tokens raise."""
+        spec, n = self.spec, self.nvars
+        try:
+            if kind == "literal":
+                num, _, den = text[1:-1].partition("/")
+                if not den:
+                    c = spec.from_int_raw(int(num))
+                elif spec.kind == "Q" and int(den):
+                    c = Fraction(int(num), int(den))
+                else:
+                    return None
+                return MultiPoly(spec, n, {0: c} if c else {})
+            # x_i^e*x_j^f*..: the exponents add up in their bytes.
+            mono = degree = 0
+            for i, e in map(_atom, text.split("*")):
+                if not 0 <= i < n:
+                    return None
+                mono += e << (8 * i)
+                degree += e
+        except ValueError:  # a number longer than int() reads
+            return None
+        if degree > degree_cap():
+            return None
+        return MultiPoly(spec, n, {mono + (degree << (8 * n)): spec.one_raw()})
 
     def name_atom(self, name: str, line: int, col: int) -> MultiPoly:
         if name == "t":

@@ -12,9 +12,10 @@ from endorank.autgroup import (
     verify_automorphism_properties,
 )
 from endorank.endo import Endomorphism, compose, rank
-from endorank.errors import NotABase, SpecMismatch
+from endorank.errors import BudgetExceeded, DegreeCapExceeded, NotABase, SpecMismatch
 from endorank.fields import GF2, GF4, GF9, QQ, FieldAutomorphism
-from endorank.mpoly import MultiPoly
+from endorank.groebner import clear_caches, get_budget, set_budget
+from endorank.mpoly import MultiPoly, degree_cap, set_degree_cap
 from endorank.parsing import parse_polynomial
 from endorank.sampling import random_endomorphism, random_polynomial
 
@@ -245,3 +246,30 @@ def test_property_verifier_passes_for_mixed_twist():
     assert report.ok
     assert not report.inner
     assert report.kronecker_base_check
+
+
+@pytest.mark.parametrize("limit", ["budget", "degree cap"])
+def test_a_resource_limit_in_the_base_check_is_no_verdict(limit):
+    # The base check of the conjugated standard family recomputes the
+    # graph-ideal bases that loading s cached; under a small budget or a
+    # low degree cap it runs out, which used to read as a failed property.
+    s = SemiLinearAut.create(
+        FieldAutomorphism.identity(QQ),
+        (P("x1 + x2^2", n=3), P("x2 + x3^2", n=3), P("x3", n=3)),
+    )
+    assert verify_automorphism_properties(s, trials=0).ok
+    budget, cap = get_budget(), degree_cap()
+    clear_caches()
+    try:
+        if limit == "budget":
+            set_budget(2)
+            with pytest.raises(BudgetExceeded):
+                verify_automorphism_properties(s, trials=0)
+        else:
+            set_degree_cap(4)
+            with pytest.raises(DegreeCapExceeded):
+                verify_automorphism_properties(s, trials=0)
+    finally:
+        set_budget(budget)
+        set_degree_cap(cap)
+        clear_caches()

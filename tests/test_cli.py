@@ -682,6 +682,45 @@ def test_long_coefficients_print_every_digit(files, capsys, fmt):
     assert len(digits) == 4772 and int(digits[-40:]) == 3**10000 % 10**40
 
 
+# -- a resource limit is no verdict -------------------------------------------------
+
+P5_AUT = """\
+field Q
+vars 3
+delta identity
+x1 -> x1 + x2^5
+x2 -> x2 + x3^5
+x3 -> x3
+"""
+
+IDENTITY_3 = "field Q\nvars 3\nx1 -> x1\nx2 -> x2\nx3 -> x3\n"
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget", "1000000"]])
+def test_properties_past_the_degree_cap_exit_two(files, capsys, budget):
+    # Conjugating the standard family by p5 passes the degree cap; the
+    # check used to print "properties: FAILED" and exit 0.
+    aut, ident = files("p5.aut", P5_AUT), files("id.endo", IDENTITY_3)
+    code = main(["conj", aut, ident, "--properties", "--trials", "0", *budget])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("endorank: exhausted: product degree ")
+    assert captured.err.rstrip().endswith("exceeds cap 64")
+
+
+def test_selftest_past_its_budget_exits_two(capsys):
+    clear_caches()  # a cached basis would answer without spending budget
+    try:
+        code = main(["selftest", "--budget", "5"])
+    finally:
+        clear_caches()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "FAIL" not in captured.out
+    assert captured.err.startswith("endorank: exhausted: reduction budget of 5 steps")
+
+
 # -- selftest and determinism --------------------------------------------------------
 
 

@@ -212,6 +212,7 @@ def test_every_memo_table_has_the_same_finite_bound():
         "_groebner_basis",
         "_subalgebra_member_cached",
         "_invert_cached",
+        "_atom",
     }
     assert {t.cache_info().maxsize for t in tables} == {groebner.CACHE_SIZE}
     assert isinstance(groebner.CACHE_SIZE, int) and groebner.CACHE_SIZE > 0

@@ -357,8 +357,21 @@ def _reference_spoly(f, flm, g, glm):
     return a - b
 
 
+def make_monic(f, order):
+    """f scaled by the inverse of its leading coefficient."""
+    lc = f.leading_coefficient(order)
+    if lc.raw == f.spec.one_raw():
+        return f
+    return f.scale(lc.inverse())
+
+
+def packed_element(pk, f):
+    """A monic f as a basis element, packed from its terms."""
+    (k, P, _), *tail = pk.terms(f)
+    return groebner._element(k, P, tuple(tail), f.spec)
+
+
 def _reference_buchberger(ideal, order, work):
-    make_monic = groebner._make_monic
     seed = sorted(
         (make_monic(f, order) for f in ideal.generators),
         key=lambda f: (order.key(f.leading_monomial(order)), groebner._poly_sort_key(f)),
@@ -415,7 +428,7 @@ def _reference_buchberger(ideal, order, work):
 
 def _packed_normal_form(f, basis, order, work):
     pk = groebner._Packing(f.nvars, order)
-    out = groebner._reduce(pk.terms(f), [pk.element(g) for g in basis], pk, f.spec, work)
+    out = groebner._reduce(pk.terms(f), [packed_element(pk, g) for g in basis], pk, f.spec, work)
     return MultiPoly(f.spec, f.nvars, {p: c for _, p, c in groebner._readout(out, f.spec)})
 
 
@@ -487,7 +500,7 @@ def test_reduce_matches_reference_remainders_and_steps():
                     basis = []
                     for _ in range(rng.randint(1, 4)):
                         g = random_polynomial(rng, spec, n, max_degree=3, max_terms=4, nonzero=True)
-                        basis.append(groebner._make_monic(g, order))
+                        basis.append(make_monic(g, order))
                     lms = [g.leading_monomial(order) for g in basis]
                     f = random_polynomial(rng, spec, n, max_degree=6, max_terms=8, nonzero=True)
                     want = _outcome(lambda w: _reference_reduce(f, basis, lms, order, w))
@@ -500,13 +513,13 @@ def test_reduce_matches_reference_remainders_and_steps():
 def _reduce_both(f, basis, order):
     """_outcome of the reference and of the packed reduction of f, and the
     packed remainder's running denominator."""
-    basis = [groebner._make_monic(g, order) for g in basis]
+    basis = [make_monic(g, order) for g in basis]
     lms = [g.leading_monomial(order) for g in basis]
     want = _outcome(lambda w: _reference_reduce(f, basis, lms, order, w))
     got = _outcome(lambda w: _packed_normal_form(f, basis, order, w))
     pk = groebner._Packing(f.nvars, order)
     _, den = groebner._reduce(
-        pk.terms(f), [pk.element(g) for g in basis], pk, f.spec, groebner._Work(10**5)
+        pk.terms(f), [packed_element(pk, g) for g in basis], pk, f.spec, groebner._Work(10**5)
     )
     return want, got, den
 
@@ -645,3 +658,96 @@ def test_inputs_above_the_degree_cap_are_never_packed_into_a_guard_bit():
     finally:
         set_degree_cap(old)
         clear_caches()
+
+
+# -- seeding, padding and re-indexing against the forms they replaced -----------------
+
+
+def reference_seed(ideal, pk, order):
+    """The seed as make_monic, packed_element and a sort by (lead key,
+    _poly_sort_key) make it."""
+    monic = [make_monic(f, order) for f in ideal.generators]
+    seed = [(packed_element(pk, f), groebner._poly_sort_key(f)) for f in monic]
+    seed.sort(key=lambda t: (t[0][0], t[1]))
+    return [el for el, _ in seed]
+
+
+def _tied_graph_ideal(rng, spec, n):
+    """A graph ideal whose images share leads: scalar multiples of one
+    polynomial plus different lower terms, and repeats of earlier images."""
+    base = _no_constant_term(rng, spec, n)
+    images = []
+    for _ in range(rng.randint(2, 4)):
+        roll = rng.random()
+        if images and roll < 0.2:
+            images.append(rng.choice(images))
+            continue
+        scale = spec.element(rng.choice((1, 2, 3, -1))).raw or spec.one_raw()
+        low = random_polynomial(rng, spec, n, max_degree=1, max_terms=2)
+        images.append(base.scale(scale) + low if roll < 0.7 else _no_constant_term(rng, spec, n))
+    return groebner.graph_ideal(images)
+
+
+def _same_support_ideal(rng, spec, n):
+    """Generators a*f + b*g for one f and one g of lower degree: equal leads
+    and supports, so the coefficients decide their order, which scaling to
+    monic can change."""
+    f = _no_constant_term(rng, spec, n)
+    while True:
+        g = random_polynomial(rng, spec, n, max_degree=max(f.total_degree() - 1, 0), max_terms=3)
+        if not g.is_zero:
+            break
+    units = [spec.element(c).raw for c in range(1, 7) if spec.element(c).raw]
+    if spec.kind == "Fpk":
+        units.append(spec.generator().raw)
+    return Ideal.of(spec, n, [f.scale(rng.choice(units)) + g.scale(rng.choice(units)) for _ in range(3)])
+
+
+def test_seed_packs_each_generator_once_like_make_monic_and_element(monkeypatch):
+    rng = random.Random(41)
+    ties = steps = 0
+    for spec in (QQ, GF2, GF3, GF4, GF9):
+        for n in (2, 3):
+            for k in range(6):
+                if k % 3 == 0:
+                    I = Ideal.of(spec, n, [_no_constant_term(rng, spec, n) for _ in range(3)])
+                elif k % 3 == 1:
+                    I = _same_support_ideal(rng, spec, n)
+                else:
+                    I = _tied_graph_ideal(rng, spec, n)
+                for order in _orders(rng, I.nvars)[:4] + [Block(range(n))]:
+                    pk = groebner._Packing(I.nvars, order)
+                    seed = groebner._seed(I, pk)
+                    assert seed == reference_seed(I, pk, order), (spec, order, I.generators)
+                    leads = [el[0] for el in seed]
+                    ties += len(leads) - len(set(leads))
+                    got = _outcome(lambda w: groebner._buchberger(I, order, w)[0], 3000)
+                    with monkeypatch.context() as m:
+                        m.setattr(groebner, "_seed", lambda I, pk: reference_seed(I, pk, order))
+                        want = _outcome(lambda w: groebner._buchberger(I, order, w)[0], 3000)
+                    assert got == want, (spec, order, I.generators)
+                    steps += got[1]
+    assert ties > 20 and steps > 1000
+
+
+def _tuple_reindex(f, nvars, place):
+    """f moved monomial by monomial through exponent tuples."""
+    return MultiPoly(f.spec, nvars, {mpoly._pack(place(m)): c for m, c in f.tuple_terms().items()})
+
+
+def test_packed_pad_and_compact_match_the_tuple_versions():
+    rng = random.Random(43)
+    for spec in (QQ, GF3, GF4):
+        for n in range(1, 6):
+            for _ in range(10):
+                f = random_polynomial(rng, spec, n, max_degree=9, max_terms=8)
+                extra = rng.randint(1, 4)
+                got = groebner._pad(f, extra)
+                want = _tuple_reindex(f, n + extra, lambda m: m + (0,) * extra)
+                assert list(got.terms.items()) == list(want.terms.items())
+                # f written in the kept variables of a larger ring
+                keep = sorted(rng.sample(range(n + extra), n))
+                wide = _tuple_reindex(f, n + extra, lambda m: tuple(
+                    m[keep.index(i)] if i in keep else 0 for i in range(n + extra)))
+                got = groebner._compact(wide, keep)
+                assert list(got.terms.items()) == list(f.terms.items()), keep

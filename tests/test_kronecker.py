@@ -374,6 +374,41 @@ def test_image_generator_accepts_hints_first():
     assert str(z) == "2*x1"
 
 
+def _counting(monkeypatch):
+    """Counts of the compositions and rank calls the kronecker module makes."""
+    calls = {"compose": 0, "rank": 0}
+    for name in calls:
+        real = getattr(kronecker, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(kronecker, name, counted)
+    return calls
+
+
+def test_base_check_reuses_the_audit_for_the_diagonal_generators(monkeypatch):
+    # The audit's 2n^2+2n-3 = 21 products and its two ranks (the zero's and
+    # the (1,1) entry's) prove every diagonal entry idempotent of rank 1.
+    calls = _counting(monkeypatch)
+    check = verify_base_external(KroneckerSystem.standard(QQ, 3))
+    assert check.is_base
+    assert [str(g) for g in check.generators] == ["x1", "x2", "x3"]
+    assert calls == {"compose": 21, "rank": 2}
+
+
+def test_image_generator_checks_its_input_unless_proven(monkeypatch):
+    e11 = KroneckerSystem.standard(QQ, 2).entry(1, 1)
+    calls = _counting(monkeypatch)
+    assert str(image_generator(e11)) == "x1"
+    assert calls == {"compose": 1, "rank": 1}
+    assert str(image_generator(e11, proven=True)) == "x1"
+    assert calls == {"compose": 1, "rank": 1}
+    with pytest.raises(RelationViolation):
+        image_generator(endo(QQ, "x1", "x2"))  # rank 2
+
+
 def test_image_generator_for_nonlinear_idempotent():
     phi = endo(QQ, "x1 + x1*x2", "0")
     assert str(image_generator(phi)) == "x1*x2 + x1"

@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 
 from endorank.errors import (
     CoefficientParseError,
+    EndoRankError,
     FieldConstructionError,
     PolySyntaxError,
     UnknownVariable,
 )
 from endorank.fields import GF2, GF3, GF4, GF9, QQ, FieldSpec
-from endorank.mpoly import MultiPoly
+from endorank.mpoly import MultiPoly, set_degree_cap, degree_cap
 from endorank.parsing import (
     _tokenize,
+    _unfolded,
     dump_endomorphism,
+    format_poly,
     format_field_header,
     load_automorphism,
     load_endomorphism,
@@ -299,11 +302,14 @@ def _reference_tokenize(text, line0, col0):
     return toks
 
 
-def _tokens(text, line0, col0):
+def _tokens(text, line0, col0, fold=True):
+    """The tokens of _tokenize, each folded token expanded into its
+    character tokens, or the error's (message, line, col)."""
     try:
-        return _tokenize(text, line0, col0)
+        toks = _tokenize(text, line0, col0, fold)
     except PolySyntaxError as exc:
         return ("error", str(exc).split(" at line")[0], exc.line, exc.col)
+    return [c for tok in toks for c in _unfolded(tok)]
 
 
 # Digits that are not ASCII ('²' is a digit but no letter, '٣' a decimal,
@@ -320,9 +326,212 @@ _TOKEN_TEXT = st.text(
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(_TOKEN_TEXT, st.integers(1, 3), st.integers(1, 9))
 def test_tokenizer_matches_the_character_loop(text, line0, col0):
-    assert _tokens(text, line0, col0) == _reference_tokenize(text, line0, col0)
+    want = _reference_tokenize(text, line0, col0)
+    assert _tokens(text, line0, col0) == want
+    assert _tokens(text, line0, col0, fold=False) == want
 
 
 @pytest.mark.parametrize("text", ["x1²", "x²", "²", "x1 + ٣", "x_1", "_x1", "x1\t*\n\tx2", "3½"])
 def test_tokenizer_matches_the_character_loop_on_non_ascii(text):
     assert _tokens(text, 2, 5) == _reference_tokenize(text, 2, 5)
+
+
+# -- the parser against the recursive descent over character tokens ------------------
+
+
+def _ref_int(text, line, col):
+    try:
+        return int(text)
+    except ValueError:
+        raise PolySyntaxError(f"number with {len(text)} digits is too long", line, col) from None
+
+
+class _ReferenceParser:
+    """The parser as it was before monomials and literals were folded into
+    one token each: every variable, power and product is its own call."""
+
+    def __init__(self, toks, spec, nvars):
+        if toks[0] == "error":
+            raise PolySyntaxError(*toks[1:])
+        self.toks, self.pos, self.spec, self.nvars = toks, 0, spec, nvars
+
+    def peek(self):
+        return self.toks[self.pos][0]
+
+    def take(self):
+        self.pos += 1
+        return self.toks[self.pos - 1]
+
+    def expect(self, kind):
+        t = self.take()
+        if t[0] != kind:
+            raise PolySyntaxError(f"expected {kind!r}, found {t[1] or 'end of input'!r}", t[2], t[3])
+        return t
+
+    def parse(self):
+        f = self.expr()
+        kind, text, line, col = self.take()
+        if kind != "end":
+            raise PolySyntaxError(f"trailing input {text!r}", line, col)
+        return f
+
+    def expr(self):
+        f = self.term()
+        while self.peek() in ("+", "-"):
+            f = f - self.term() if self.take()[0] == "-" else f + self.term()
+        return f
+
+    def term(self):
+        f = self.factor()
+        while self.peek() == "*":
+            self.take()
+            f = f * self.factor()
+        return f
+
+    def factor(self):
+        if self.peek() == "-":
+            self.take()
+            return -self.factor()
+        f = self.primary()
+        if self.peek() != "^":
+            return f
+        self.take()
+        _, text, line, col = self.expect("int")
+        return f ** _ref_int(text, line, col)
+
+    def primary(self):
+        kind, text, line, col = self.take()
+        spec, n = self.spec, self.nvars
+        if kind == "int":
+            value = _ref_int(text, line, col)
+            if self.peek() == "/":
+                _, _, line, col = self.take()
+                if spec.kind != "Q":
+                    raise CoefficientParseError(
+                        "fractional coefficients are only valid over Q", line, col
+                    )
+                _, den, line, col = self.expect("int")
+                d = _ref_int(den, line, col)
+                if d == 0:
+                    raise CoefficientParseError("zero denominator", line, col)
+                return MultiPoly.constant(spec, n, Fraction(value, d))
+            return MultiPoly.constant(spec, n, value)
+        if kind == "name":
+            if text == "t":
+                if spec.kind != "Fpk":
+                    raise UnknownVariable("t is only defined over an extension field", line, col)
+                return MultiPoly.constant(spec, n, spec.generator())
+            if text.startswith("x") and text[1:].isascii() and text[1:].isdigit():
+                idx = _ref_int(text[1:], line, col)
+                if not 1 <= idx <= n:
+                    raise UnknownVariable(
+                        f"{text} is outside the declared variables x1..x{n}", line, col
+                    )
+                return MultiPoly.variable(spec, n, idx - 1)
+            raise UnknownVariable(f"unknown name {text!r}", line, col)
+        if kind == "(":
+            f = self.expr()
+            self.expect(")")
+            return f
+        raise PolySyntaxError(f"expected a term, found {text or 'end of input'!r}", line, col)
+
+
+def _parsed(parse):
+    """A polynomial with the type of each coefficient, or the error's class,
+    message, line and column."""
+    try:
+        f = parse()
+    except EndoRankError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+    return f, sorted((P, type(c), c) for P, c in f.terms.items())
+
+
+def _both(text, spec=QQ, n=3, line0=1, col0=1):
+    got = _parsed(lambda: parse_polynomial(text, spec, n, line0, col0))
+    toks = _reference_tokenize(text, line0, col0)
+    want = _parsed(lambda: _ReferenceParser(toks, spec, n).parse())
+    return got, want
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_TOKEN_TEXT, st.integers(1, 3), st.integers(1, 9))
+def test_parser_matches_the_character_parser(text, line0, col0):
+    got, want = _both(text, QQ, 3, line0, col0)
+    assert got == want
+
+
+_MONOMIAL_PIECES = st.sampled_from(
+    ["x1", "x2", "x3", "x4", "x0", "x01", "x12", "x1a", "^", "^", "0", "2", "3", "20",
+     "40", "64", "65", "127", "128", "*", "*", " * ", "+", " - ", "-", "(", ")", "(3)",
+     "(-2)", "(1/2)", "(-4/6)", "(3/0)", "(0)", "(-0)", "t", "/", " ", "\n", "\t",
+     "x1^20*x2^30", "x1^2*x3", "x2^40*x3^30"]
+)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(
+    st.lists(_MONOMIAL_PIECES, max_size=14).map("".join),
+    st.sampled_from([QQ, GF2, FieldSpec.prime_field(5), GF4]),
+    st.integers(1, 3),
+)
+def test_parser_matches_the_character_parser_on_monomials(text, spec, n):
+    got, want = _both(text, spec, n, 2, 4)
+    assert got == want
+
+
+_LONG = "1" * 5000  # longer than int() reads on Python 3.11 and later
+
+
+@pytest.mark.parametrize(
+    "text, spec, n",
+    [
+        ("x1^0", QQ, 3), ("x1^0*x2^0", GF4, 3), ("x1^127*x2", QQ, 3), ("x1^128", QQ, 3),
+        ("x1^65", QQ, 3), ("x1^64", QQ, 3), ("x1^40*x2^25", QQ, 3), ("x01", QQ, 3),
+        ("x4", QQ, 3), ("x1*x4", QQ, 3), ("x1^2^3", QQ, 3), ("x1*x2^2^3", QQ, 3),
+        ("x1*x2 ^ 3", QQ, 3), ("x1*x2\n^3", QQ, 3), ("x1\t*\n\tx2", QQ, 3),
+        ("(3/0)*x1", QQ, 3), ("(1/2)*x1", FieldSpec.prime_field(5), 3), ("(-3)*x1", GF9, 2),
+        ("(-3)^2", QQ, 1), ("x1^(3)", QQ, 1), ("2/(3)", QQ, 1), ("x1 (3)", QQ, 1),
+        ("(x1 x2*x3)", QQ, 3), ("2^x1*x2", QQ, 3), ("x1^2a", QQ, 3), ("x12", QQ, 12),
+        # a monomial that passes the cap alone but not times the product before it
+        ("(x1+1)*x1^30*x2^30*x3^4", QQ, 3), ("x1^50*(x1+1)*x2^20*x3^10", QQ, 3),
+        ("x1^40 * -x2^20*x3^10", QQ, 3), ("x1^60*x2^3*x3^5", QQ, 3),
+        (f"x1^{_LONG}", QQ, 1), (f"x{_LONG}", QQ, 1), (f"({_LONG})", QQ, 1),
+        (f"(1/{_LONG})*x1", QQ, 1), (f"x1^0{_LONG[:3]}", QQ, 1),
+    ],
+)
+def test_parser_matches_the_character_parser_on_edge_cases(text, spec, n):
+    got, want = _both(text, spec, n, 3, 7)
+    assert got == want
+
+
+def test_parser_follows_a_lowered_degree_cap():
+    old = degree_cap()
+    set_degree_cap(5)
+    try:
+        for text in ("x1^3*x2^2", "x1^3*x2^3", "x1^2*(x1+1)*x2^2*x3", "x1^6"):
+            got, want = _both(text)
+            assert got == want, text
+    finally:
+        set_degree_cap(old)
+
+
+def _corpus_text(f):
+    """f written as the benchmark writes expanded maps: (c)*x1^a*x2^b."""
+    pieces = []
+    for P, c in f.terms.items():
+        mono = format_poly(MultiPoly(f.spec, f.nvars, {P: f.spec.one_raw()}))
+        coeff = format_poly(MultiPoly(f.spec, f.nvars, {0: c}))
+        pieces.append(f"({coeff})" if mono == "1" else f"({coeff})*{mono}")
+    return " + ".join(pieces) or "0"
+
+
+@pytest.mark.parametrize(
+    "spec", [QQ, GF2, GF3, FieldSpec.prime_field(5), GF4, GF9], ids=lambda s: s.header()
+)
+def test_printed_and_corpus_text_parse_back(spec):
+    rng = random.Random(303)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        f = random_polynomial(rng, spec, n, max_degree=12, max_terms=12)
+        assert parse_polynomial(format_poly(f), spec, n) == f
+        assert parse_polynomial(_corpus_text(f), spec, n) == f
