@@ -36,11 +36,9 @@ from .endo import (
     rank,
 )
 from .errors import (
-    BudgetExceeded,
-    CoefficientGrowthExceeded,
-    DegreeCapExceeded,
     EndoRankError,
     MalformedCertificate,
+    ResourceLimit,
     SearchExhausted,
 )
 from .fields import GF4, QQ, FieldAutomorphism, FieldSpec, builtin_extension
@@ -705,8 +703,8 @@ def _cmd_selftest(args) -> tuple[dict, list[str]]:
     for name, fn in _selftest_checks():
         try:
             detail = fn()
-        except (BudgetExceeded, CoefficientGrowthExceeded, DegreeCapExceeded):
-            raise  # a resource limit is no verdict on the check: exit 2
+        except ResourceLimit as exc:  # no verdict on the check: exit 2
+            raise type(exc)(f"{exc} (selftest check {name})") from exc
         except Exception as exc:  # noqa: BLE001 - recorded, not hidden
             detail = f"{type(exc).__name__}: {exc}"
         ok = detail is None
@@ -769,12 +767,7 @@ def main(argv=None) -> int:
             print(f"endorank: error: bad budget: {exc}", file=sys.stderr)
             return 1
         payload, lines = args.handler(args)
-    except (
-        BudgetExceeded,
-        CoefficientGrowthExceeded,
-        DegreeCapExceeded,
-        SearchExhausted,
-    ) as exc:
+    except (ResourceLimit, SearchExhausted) as exc:
         print(f"endorank: exhausted: {exc}", file=sys.stderr)
         return 2
     except (EndoRankError, OSError, json.JSONDecodeError, KeyError) as exc:

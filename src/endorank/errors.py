@@ -1,9 +1,10 @@
 """Shared exception types.
 
 Every error raised by this package derives from EndoRankError, so callers can
-catch one type at the boundary.  Resource-limit errors (DegreeCapExceeded,
-CoefficientGrowthExceeded, BudgetExceeded, SearchExhausted) are deliberately
-distinct from negative mathematical answers: hitting a cap never means "no".
+catch one type at the boundary.  ResourceLimit errors (DegreeCapExceeded,
+CoefficientGrowthExceeded, BudgetExceeded) and SearchExhausted are
+deliberately distinct from negative mathematical answers: hitting a cap never
+means "no".
 """
 
 from __future__ import annotations
@@ -33,15 +34,20 @@ class InfiniteField(EndoRankError):
     """Element enumeration requested over the rationals."""
 
 
-class DegreeCapExceeded(EndoRankError):
-    """A product or substitution produced a monomial above the degree cap."""
+class ResourceLimit(EndoRankError):
+    """A computation stopped at a configured limit.  A failed search
+    (SearchExhausted) is not one: it is also a selftest verdict."""
 
 
-class CoefficientGrowthExceeded(EndoRankError):
+class DegreeCapExceeded(ResourceLimit):
+    """A product, power or reduction step would pass the degree cap."""
+
+
+class CoefficientGrowthExceeded(ResourceLimit):
     """A power over Q whose coefficients would outgrow the kernel's bound."""
 
 
-class BudgetExceeded(EndoRankError):
+class BudgetExceeded(ResourceLimit):
     """A basis computation ran out of reduction steps before finishing."""
 
 

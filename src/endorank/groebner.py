@@ -40,9 +40,11 @@ readout: a normal form, a new monic element (whose tail c_i / c_0 needs no
 den), or the tail of a reduced basis.
 
 S-polynomials use the field's own raw arithmetic, one operation per term
-and pair (over a finite field on the negated tails).  Work is metered in
-reduction steps against a module-wide budget; blowing the budget raises
-BudgetExceeded, which is a resource verdict, never a mathematical "no".
+and pair (over a finite field on the negated tails).  The degree cap is
+checked once per reduction step and per S-polynomial, on the shifted top
+of a tail: its largest packed monomial, so its highest degree.  Work is
+metered in reduction steps against a module-wide budget; blowing the budget
+raises BudgetExceeded, a resource verdict, never a mathematical "no".
 The step count of a computation does not depend on the representation: it
 is the number of divisions the algorithm makes.  Setting CHECK_SPOLYS makes
 every finished basis re-verify that all its S-polynomials reduce to zero,
@@ -155,6 +157,15 @@ def _poly_sort_key(f: MultiPoly):
     return (f.total_degree(), len(f.terms), sorted(f.tuple_terms().items()))
 
 
+def _tie_sorted(items: list, cheap, full) -> list:
+    """items sorted by cheap(item), ties broken by full(item), which is
+    computed only for the items whose cheap keys tie."""
+    keyed = [(cheap(x), x) for x in items]
+    tied = {k for k, count in Counter(k for k, _ in keyed).items() if count > 1}
+    keyed.sort(key=lambda kx: (kx[0], full(kx[1]) if kx[0] in tied else ()))
+    return [x for _, x in keyed]
+
+
 @dataclass(frozen=True)
 class Ideal:
     """An ideal of K[x1..xn] given by generators, canonicalized so that equal
@@ -179,7 +190,7 @@ class Ideal:
                 continue
             seen.add(f)
             clean.append(f)
-        clean.sort(key=_poly_sort_key)
+        clean = _tie_sorted(clean, lambda f: (f.total_degree(), len(f.terms)), _poly_sort_key)
         return Ideal(spec, nvars, tuple(clean))
 
     @property
@@ -249,21 +260,28 @@ class _Packing:
 
 def _element(k: int, p: int, tail: tuple, spec: FieldSpec) -> tuple:
     """A monic basis element from its raw tail triples: (lead K, lead P,
-    tail, D, int tail), where the int tail is the raw tail negated and times
-    D.  Over Q, D is the least common denominator and `tail` stays raw;
-    over a finite field see _negated_element."""
+    tail, D, int tail, top), where the int tail is the raw tail negated and
+    times D, and top is the tail's largest P (see _top).  Over Q, D is the
+    least common denominator and `tail` stays raw; over a finite field see
+    _negated_element."""
     if spec.is_finite:
         neg = spec.neg_raw
         return _negated_element(k, p, tuple((tk, tp, neg(c)) for tk, tp, c in tail))
     D = lcm(*(c.denominator for _, _, c in tail))
     ints = tuple((tk, tp, -c.numerator * (D // c.denominator)) for tk, tp, c in tail)
-    return k, p, tail, D, ints
+    return k, p, tail, D, ints, _top(tail)
 
 
 def _negated_element(k: int, p: int, neg_tail: tuple) -> tuple:
     """A finite-field basis element from its negated raw tail, which is both
     its tail and its int tail (D = 1)."""
-    return k, p, neg_tail, 1, neg_tail
+    return k, p, neg_tail, 1, neg_tail, _top(neg_tail)
+
+
+def _top(tail: tuple):
+    """A tail's largest P, of its highest degree (under lex or block orders
+    not always its first); an empty tail's is below every shifted P."""
+    return max((tp for _, tp, _ in tail), default=float("-inf"))
 
 
 def _poly(el: tuple, nvars: int, spec: FieldSpec) -> MultiPoly:
@@ -342,13 +360,18 @@ def _reduce(
         if not c:
             continue
         p = packed[k]
-        for lk, lp, _, D, tail in basis:
+        for lk, lp, _, D, tail, top in basis:
             if not (p - lp) & guard:
                 break
         else:
             out.append((k, p, c))
             continue
         work.step()
+        sk, sp = k - lk, p - lp
+        if top + sp >= above_cap:
+            raise DegreeCapExceeded(
+                f"reduction reached degree {(top + sp) >> deg_shift} above cap {cap}"
+            )
         if D != 1:
             h = gcd(c, D)
             if h != D:
@@ -358,18 +381,12 @@ def _reduce(
                     coef[m] *= s
                 out = [(ok, op, oc * s) for ok, op, oc in out]
             c //= h
-        sk, sp = k - lk, p - lp
         for tk, tp, t in tail:
-            mp = tp + sp
-            if mp >= above_cap:
-                raise DegreeCapExceeded(
-                    f"reduction reached degree {mp >> deg_shift} above cap {cap}"
-                )
             mk = tk + sk
             prev = coef.get(mk)
             if prev is None:
                 coef[mk] = c * t
-                packed[mk] = mp
+                packed[mk] = tp + sp
                 heappush(heap, -mk)
             else:
                 coef[mk] = prev + c * t
@@ -382,23 +399,16 @@ def _spoly(a: tuple, b: tuple, lcm: tuple, pk: _Packing, spec: FieldSpec) -> lis
     whose elements keep negated tails, it comes out negated, which its uses
     do not see: a remainder is tested for zero or made monic."""
     cap = degree_cap()
-    deg_shift = pk.deg_shift
     lk, lp = lcm
+    # The highest degree reached: the cancelling leads' or a shifted tail's.
+    degree = max(lp, a[5] + lp - a[1], b[5] + lp - b[1]) >> pk.deg_shift
+    if degree > cap:
+        raise DegreeCapExceeded(f"S-polynomial reached degree {degree} above cap {cap}")
 
     def shifted(el: tuple):
         sk, sp = lk - el[0], lp - el[1]
-        for tk, tp, c in el[2]:
-            mp = tp + sp
-            if mp >> deg_shift > cap:
-                raise DegreeCapExceeded(
-                    f"S-polynomial reached degree {mp >> deg_shift} above cap {cap}"
-                )
-            yield tk + sk, mp, c
+        return ((tk + sk, tp + sp, c) for tk, tp, c in el[2])
 
-    if lp >> deg_shift > cap:
-        raise DegreeCapExceeded(
-            f"S-polynomial reached degree {lp >> deg_shift} above cap {cap}"
-        )
     acc = {k: (p, c) for k, p, c in shifted(a)}
     for k, p, c in shifted(b):
         prev = acc.get(k)
@@ -436,12 +446,10 @@ def _groebner_basis(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
 def _seed(ideal: Ideal, pk: _Packing) -> list[tuple]:
     """The generators as monic basis elements, each packed once, ascending
     by lead; equal leads are ordered by their monic polynomials'
-    _poly_sort_key, the only place that key is needed."""
+    _poly_sort_key."""
     spec, n = ideal.spec, ideal.nvars
     G = [_monic_raws(pk.terms(f), spec) for f in ideal.generators]
-    tied = {k for k, count in Counter(g[0] for g in G).items() if count > 1}
-    G.sort(key=lambda g: (g[0], _poly_sort_key(_poly(g, n, spec)) if g[0] in tied else ()))
-    return G
+    return _tie_sorted(G, itemgetter(0), lambda g: _poly_sort_key(_poly(g, n, spec)))
 
 
 def _buchberger(ideal: Ideal, order: MonomialOrder, work: _Work) -> tuple:

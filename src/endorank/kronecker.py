@@ -26,11 +26,10 @@ from typing import Callable, Optional, Sequence
 
 from .endo import Endomorphism, compose, kronecker_endo, rank
 from .errors import (
-    CoefficientGrowthExceeded,
-    DegreeCapExceeded,
     GeneratorNotFound,
     NonAffineImage,
     RelationViolation,
+    ResourceLimit,
     ZeroScale,
 )
 from .fields import FieldElement, FieldSpec
@@ -136,7 +135,7 @@ def _relation_violations(
     if n >= 2:
         try:
             zero = _generating_zero(system)
-        except (DegreeCapExceeded, CoefficientGrowthExceeded):
+        except ResourceLimit:
             zero = None  # the loop below stops at its first such product
         if zero is not None:
             return [], zero, n**4 + (0 if system.zero is None else 2 * n * n)

@@ -29,9 +29,11 @@ coefficients by c, and (c*x^q)^e is c^e*x^(q*e).
 
 A global degree cap (default 64 total degree, at most MAX_DEGREE) turns
 runaway products and substitutions into a hard DegreeCapExceeded error
-instead of an effectively hung process; it is checked against every term
-pair of every product.  Over Q a power whose coefficients would outgrow
-MAX_POWER_BITS raises CoefficientGrowthExceeded before any work is done.
+instead of an effectively hung process.  K[x] is a domain, so each product
+or power is checked once, from its operands' degrees (deg f + deg g, e *
+deg f), and the error states that degree.  Over Q a power whose
+coefficients would outgrow MAX_POWER_BITS raises CoefficientGrowthExceeded
+before any work is done.
 """
 
 from __future__ import annotations
@@ -234,15 +236,13 @@ class _Kernel:
     finite field, a numerator over Q, where the caller carries the common
     denominator."""
 
-    __slots__ = ("spec", "nvars", "reduce", "deg_shift", "limit")
+    __slots__ = ("spec", "nvars", "reduce", "deg_shift")
 
     def __init__(self, spec: FieldSpec, nvars: int):
         self.spec = spec
         self.nvars = nvars
         self.reduce = spec.reduce
         self.deg_shift = 8 * nvars
-        # The least packed monomial above the degree cap.
-        self.limit = (_degree_cap + 1) << self.deg_shift
 
     def encode(self, f: MultiPoly) -> tuple[int, dict]:
         """(denominator, terms) of f, in f's term order."""
@@ -269,47 +269,42 @@ class _Kernel:
         return {p: v for p, v in zip(acc, map(reduce, acc.values())) if v}
 
     def product(self, a: dict, b: dict) -> dict:
-        """a * b; every term pair is checked against the cap in the order
-        of the tuple loop this replaces, so the same pair is reported."""
-        limit = self.limit
+        """a * b, refused past the cap unless an operand is zero."""
+        if a and b:
+            _check_degree((max(a) + max(b)) >> self.deg_shift)
+        return self._product(a, b)
+
+    def _product(self, a: dict, b: dict) -> dict:
         acc: dict = {}
         get = acc.get
         bs = b.items()
         for pa, ca in a.items():
             for pb, cb in bs:
                 p = pa + pb
-                if p >= limit:
-                    raise _over_cap(p >> self.deg_shift)
                 acc[p] = get(p, 0) + ca * cb
         return self.settle(acc)
 
     def power(self, a: dict, e: int, den: int = 1) -> dict:
-        """a^e by repeated squaring, the products in the tuple loop's order,
-        so a power past the cap reports the same product.  Over Q (den is
-        a's denominator), a power of two or more that the degree cap lets
-        through is first checked against MAX_POWER_BITS."""
-        if e > 1 and a and self.reduce is None:
-            degree = max(a) >> self.deg_shift
-            if degree == 0 or e * degree <= _degree_cap:
+        """a^e by repeated squaring, refused when e * deg(a) passes the cap.
+        Over Q (den is a's denominator) a power of two or more is then
+        checked against MAX_POWER_BITS."""
+        if a:
+            _check_degree(e * (max(a) >> self.deg_shift))
+            if e > 1 and self.reduce is None:
                 _check_growth(a, e, den)
         result = None
         while e:
             if e & 1:
-                if result is None:  # 1 * a: only the cap check
-                    for p in a:
-                        if p >= self.limit:
-                            raise _over_cap(p >> self.deg_shift)
-                    result = a
-                else:
-                    result = self.product(result, a)
+                result = a if result is None else self._product(result, a)
             if e > 1:
-                a = self.product(a, a)
+                a = self._product(a, a)
             e >>= 1
         return {0: 1} if result is None else result
 
 
-def _over_cap(degree: int) -> DegreeCapExceeded:
-    return DegreeCapExceeded(f"product degree {degree} exceeds cap {_degree_cap}")
+def _check_degree(degree: int) -> None:
+    if degree > _degree_cap:
+        raise DegreeCapExceeded(f"product degree {degree} exceeds cap {_degree_cap}")
 
 
 def _check_growth(a: dict, e: int, den: int) -> None:
@@ -486,12 +481,9 @@ class MultiPoly:
 
     def _times_term(self, terms: dict, q: int, d: Raw) -> "MultiPoly":
         """terms times d*x^q.  A field has no zero divisors, so no term
-        vanishes; past the cap, the first term in order is reported, the
-        term pair the kernel would report."""
-        limit = (_degree_cap + 1) << (8 * self.nvars)
-        if terms and max(terms) + q >= limit:
-            p = next(p for p in terms if p + q >= limit)
-            raise _over_cap((p + q) >> (8 * self.nvars))
+        vanishes."""
+        if terms:
+            _check_degree((max(terms) + q) >> (8 * self.nvars))
         if d == 1:
             out = {p + q: c for p, c in terms.items()}
         else:
@@ -505,13 +497,12 @@ class MultiPoly:
         spec, terms = self.spec, self.terms
         if len(terms) == 1 and e:
             ((q, d),) = terms.items()
-            # Past the cap the kernel's squaring chain reports the product.
-            if (q >> (8 * self.nvars)) * e <= _degree_cap:
-                if e > 1 and d != 1:
-                    if spec.kind == "Q" and d != -1:
-                        _check_growth({q: d.numerator}, e, d.denominator)
-                    d = spec.pow_raw(d, e)
-                return MultiPoly(spec, self.nvars, {q * e: d})
+            _check_degree((q >> (8 * self.nvars)) * e)
+            if e > 1 and d != 1:
+                if spec.kind == "Q" and d != -1:
+                    _check_growth({q: d.numerator}, e, d.denominator)
+                d = spec.pow_raw(d, e)
+            return MultiPoly(spec, self.nvars, {q * e: d})
         kernel = _Kernel(spec, self.nvars)
         den, a = kernel.encode(self)
         return kernel.decode(kernel.power(a, e, den), den**e)

@@ -323,9 +323,9 @@ def test_kron_normalize_refuses_non_base(files, capsys):
 
 def test_kron_audit_skips_products_past_the_degree_cap(files, capsys):
     # The standard n = 3 family conjugated by a cubic triangular map.  Some
-    # of its n^4 products pass degree 64 (composing all of them stopped
-    # with "product degree 96 exceeds cap 64", exit 2); the generating set
-    # of 21 products stays below it and proves the same relations.
+    # of its n^4 products pass degree 64 (composing all of them stops with
+    # "product degree 108 exceeds cap 64", exit 2); the generating set of
+    # 21 products stays below it and proves the same relations.
     def endo(*images):
         return Endomorphism(QQ, 3, tuple(parse_polynomial(f, QQ, 3) for f in images))
 
@@ -719,6 +719,8 @@ def test_selftest_past_its_budget_exits_two(capsys):
     assert code == 2
     assert "FAIL" not in captured.out
     assert captured.err.startswith("endorank: exhausted: reduction budget of 5 steps")
+    # The first check spends more than 5 steps; the message names it.
+    assert captured.err.rstrip().endswith("(selftest check gf2-counterexample-rank)")
 
 
 # -- selftest and determinism --------------------------------------------------------

@@ -641,23 +641,58 @@ def test_inputs_above_the_degree_cap_are_never_packed_into_a_guard_bit():
     old = degree_cap()
     set_degree_cap(4)
     try:
-        f = MultiPoly.from_terms(QQ, 2, [((10, 0), QQ.one_raw())])  # past the cap
-        for text in ("x1", "x2", "x1^2", "x1*x2", "x1^3 - x2", "x1 - 1"):
-            g = p(text)
-            want = _outcome(lambda w: _reference_reduce(f, [g], [g.leading_monomial(GREVLEX)], GREVLEX, w))
-            got = _outcome(lambda w: _packed_normal_form(f, [g], GREVLEX, w))
-            assert got == want, text
-        assert _packed_normal_form(f, [p("x1")], GREVLEX, groebner._Work(10)).is_zero
-        assert _packed_normal_form(f, [p("x2")], GREVLEX, groebner._Work(10)) == f
-        with pytest.raises(DegreeCapExceeded):
-            _packed_normal_form(f, [p("x1 - 1")], GREVLEX, groebner._Work(10))
+        past = MultiPoly.from_terms(QQ, 2, [((10, 0), QQ.one_raw())])  # past the cap
+        # Under lex and block orders a tail may rise above its lead's degree,
+        # and its first term need not be its highest-degree one.
+        texts = ("x1", "x2", "x1^2", "x1*x2", "x1^3 - x2", "x1 - 1", "x1 - x2^3",
+                 "x1^2 - x1 - x2^4", "x2^2 - x1*x2 + x1^3")
+        for order in (GREVLEX, LEX, Block({0}), Block({1})):
+            for text in texts:
+                g = make_monic(p(text), order)
+                lms = [g.leading_monomial(order)]
+                for f in (past, p("x1^2"), p("x1^3*x2"), p("x1^2*x2^2 + x2")):
+                    want = _outcome(lambda w: _reference_reduce(f, [g], lms, order, w))
+                    got = _outcome(lambda w: _packed_normal_form(f, [g], order, w))
+                    assert got == want, (order, text, f)
+        assert _packed_normal_form(past, [p("x1")], GREVLEX, groebner._Work(10)).is_zero
+        assert _packed_normal_form(past, [p("x2")], GREVLEX, groebner._Work(10)) == past
+        with pytest.raises(DegreeCapExceeded, match="^reduction reached degree 9 above cap 4$"):
+            _packed_normal_form(past, [p("x1 - 1")], GREVLEX, groebner._Work(10))
+        # x1^2 -> x1*x2^3 (degree 4) -> x2^6: the second step passes the cap.
+        with pytest.raises(DegreeCapExceeded, match="^reduction reached degree 6 above cap 4$"):
+            _packed_normal_form(p("x1^2"), [p("x1 - x2^3")], Block({0}), groebner._Work(10))
         # normal_form reduces in the packing the basis was computed in
         clear_caches()
-        assert normal_form(f, groebner_basis(ideal("x1"))).is_zero
-        assert normal_form(f, groebner_basis(ideal("x2"))) == f
+        assert normal_form(past, groebner_basis(ideal("x1"))).is_zero
+        assert normal_form(past, groebner_basis(ideal("x2"))) == past
     finally:
         set_degree_cap(old)
         clear_caches()
+
+
+def test_s_polynomials_past_the_cap_state_their_highest_degree():
+    # Under lex, x1^2 - x1 - x2^4 and x1*x2 - 1 have lcm x1^2*x2.  The first
+    # tail times x2 has terms x1*x2 and x2^5: the first of degree 2, the top 5.
+    pk = groebner._Packing(2, LEX)
+    b = p("x1*x2 - 1")
+    cases = [
+        (p("x1^2 - x1 - x2^4"), "^S-polynomial reached degree 5 above cap 4$"),
+        (p("x1^5 - x2"), "^S-polynomial reached degree 6 above cap 4$"),  # the lcm
+    ]
+    old = degree_cap()
+    set_degree_cap(4)
+    try:
+        for a, message in cases:
+            lms = [g.leading_monomial(LEX) for g in (a, b)]
+            lp = mpoly._pack(tuple(map(max, *lms)))
+            with pytest.raises(DegreeCapExceeded):
+                _reference_spoly(a, lms[0], b, lms[1])
+            with pytest.raises(DegreeCapExceeded, match=message):
+                groebner._spoly(
+                    packed_element(pk, a), packed_element(pk, b), (pk.key(lp), lp), pk, QQ
+                )
+    finally:
+        set_degree_cap(old)
 
 
 # -- seeding, padding and re-indexing against the forms they replaced -----------------
@@ -728,6 +763,25 @@ def test_seed_packs_each_generator_once_like_make_monic_and_element(monkeypatch)
                     assert got == want, (spec, order, I.generators)
                     steps += got[1]
     assert ties > 20 and steps > 1000
+
+
+def test_ideal_generators_sort_by_the_full_key_where_degree_and_length_tie():
+    rng = random.Random(37)
+    ties = 0
+    for spec in (QQ, GF2, GF3, GF4, GF9):
+        for n in (1, 2, 3):
+            for k in range(8):
+                if k % 2:
+                    I = _tied_graph_ideal(rng, spec, n)
+                    gens = I.generators[::-1]
+                else:
+                    gens = [random_polynomial(rng, spec, n, 2, 2) for _ in range(8)]
+                    I = Ideal.of(spec, n, gens)
+                want = sorted({f for f in gens if not f.is_zero}, key=groebner._poly_sort_key)
+                assert I.generators == tuple(want) == Ideal.of(spec, I.nvars, gens).generators
+                cheap = [(f.total_degree(), len(f.terms)) for f in want]
+                ties += len(cheap) - len(set(cheap))
+    assert ties > 100
 
 
 def _tuple_reindex(f, nvars, place):

@@ -25,7 +25,7 @@ from endorank.kronecker import (
     verify_subbase,
 )
 from endorank.mpoly import MultiPoly
-from endorank.parsing import parse_polynomial
+from endorank.parsing import format_poly, load_kronecker_system, parse_polynomial
 
 
 def P(s, spec=QQ, n=2):
@@ -357,6 +357,27 @@ def test_generating_relations_report_a_resource_limit_as_the_full_loop(monkeypat
     monkeypatch.setattr(kronecker, "compose", capped)
     with pytest.raises(DegreeCapExceeded, match="loop"):
         verify_subbase(S)
+
+
+def test_the_degree_cap_reports_one_degree_however_a_family_was_built(monkeypatch):
+    # The standard n = 3 family conjugated by a cubic triangular map, built
+    # by composition and read back from its file text: equal systems whose
+    # polynomials order their terms differently.  The full loop passes the
+    # cap at the same product, and the message states that product's degree.
+    s = endo(QQ, "x1 + 2*x2^3 - x3^2", "x2 + 3*x3^2", "x3")
+    s_inv = endo(QQ, "x1 - 2*(x2 - 3*x3^2)^3 + x3^2", "x2 - 3*x3^2", "x3")
+    built = KroneckerSystem.standard(QQ, 3).transformed(lambda e: compose(compose(s, e), s_inv))
+    lines = ["field Q", "vars 3", "kron 3"]
+    for label, e in [*((f"e {i} {j}", built.entry(i, j)) for i in (1, 2, 3) for j in (1, 2, 3)),
+                     ("zero", built.zero)]:
+        lines.append(label)
+        lines += [f"x{k} -> {format_poly(f)}" for k, f in enumerate(e.images, 1)]
+    loaded = load_kronecker_system("\n".join(lines) + "\n")
+    assert loaded == built
+    monkeypatch.setattr(kronecker, "_generating_zero", lambda system: None)
+    for system in (built, loaded):
+        with pytest.raises(DegreeCapExceeded, match="^product degree 108 exceeds cap 64$"):
+            verify_subbase(system)
 
 
 # -- image generators ---------------------------------------------------------------

@@ -302,11 +302,14 @@ def ref_substitute(f, images):
 
 
 def outcome(fn, *args):
-    """fn's result, or the degree-cap error it raised as (type, message)."""
+    """fn's result, or DegreeCapExceeded if it raised that.  The references
+    name the first term pair past the cap and the kernel the product's own
+    degree, so only the refusal is compared here; the degree is checked by
+    test_refusals_state_the_true_degree."""
     try:
         return fn(*args)
-    except DegreeCapExceeded as exc:
-        return ("cap", str(exc))
+    except DegreeCapExceeded:
+        return DegreeCapExceeded
 
 
 KERNEL_FIELDS = (QQ, GF2, GF3, GF4, GF8, GF9)
@@ -393,7 +396,7 @@ def test_kernel_raises_the_same_degree_cap_errors():
                     (outcome(f.substitute, images), outcome(ref_substitute, f, images)),
                 ]:
                     assert got == want
-                    raised += isinstance(want, tuple)
+                    raised += want is DegreeCapExceeded
     finally:
         set_degree_cap(64)
     assert raised > 50
@@ -463,7 +466,7 @@ def test_one_term_products_and_powers_past_the_cap():
         for spec in KERNEL_FIELDS:
             x1, x2 = (MultiPoly.variable(spec, 2, i) for i in range(2))
             two_x1 = MultiPoly.constant(spec, 2, 2) * x1
-            f = x1 + x1**5 + x2**6  # x1^5 * x1^2 is its first term past the cap
+            f = x1 + x1**5 + x2**6
             cases = [
                 (outcome((x1**4).__mul__, x1**3), outcome(ref_mul, x1**4, x1**3)),
                 (outcome(f.__mul__, x1**2), outcome(ref_mul, f, x1**2)),
@@ -475,8 +478,64 @@ def test_one_term_products_and_powers_past_the_cap():
             for got, want in cases:
                 assert got == want
             # Over F2, 2*x1 is zero and its power is too.
-            assert all(isinstance(want, tuple) for _, want in cases[:-1])
-            assert isinstance(cases[-1][1], tuple) == (spec.char != 2)
+            assert all(want is DegreeCapExceeded for _, want in cases[:-1])
+            assert (cases[-1][1] is DegreeCapExceeded) == (spec.char != 2)
+    finally:
+        set_degree_cap(64)
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=lambda s: s.header())
+def test_refusals_state_the_true_degree(spec):
+    # K[x] is a domain: deg(f*g) = deg f + deg g and deg(f^e) = e*deg f.
+    # A refusal states that degree, whichever term pair comes first.
+    rng = random.Random(47)
+    x1, x2 = (MultiPoly.variable(spec, 2, i) for i in range(2))
+    f = x1 + x1**5 + x2**6
+    products = [(x1**4, x1**3), (f, x1**2), (x1**2, f), (f, f)]
+    powers = [(x1, 7), (x1 * x2, 4), (f, 2)]
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        g, h = _poly(rng, spec, n, 5, 4), _poly(rng, spec, n, 5, 4)
+        products.append((g, h))
+        powers.append((g, rng.randint(1, 4)))
+    cases = [(g.__mul__, ref_mul, g, h, g.total_degree() + h.total_degree()) for g, h in products]
+    cases += [(g.__pow__, ref_pow, g, e, e * g.total_degree()) for g, e in powers]
+    refused = 0
+    set_degree_cap(6)
+    try:
+        for fn, ref, g, arg, degree in cases:
+            if outcome(ref, g, arg) is DegreeCapExceeded:
+                message = f"^product degree {degree} exceeds cap 6$"
+                with pytest.raises(DegreeCapExceeded, match=message):
+                    fn(arg)
+                refused += 1
+            else:
+                assert fn(arg) == ref(g, arg)
+    finally:
+        set_degree_cap(64)
+    assert refused >= 40
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=lambda s: s.header())
+def test_zero_operands_are_never_refused(spec):
+    one = spec.one_raw()
+    zero = MultiPoly.zero(spec, 2)
+    x1 = MultiPoly.variable(spec, 2, 0)
+    big = MultiPoly.from_terms(spec, 2, [((100, 0), one), ((3, 1), one)])
+    big_term = MultiPoly.from_terms(spec, 2, [((100, 27), one)])
+    set_degree_cap(4)
+    try:
+        for f in (big, big_term):
+            assert f * zero == zero == zero * f
+        assert zero**9 == zero and zero**0 == MultiPoly.constant(spec, 2, 1)
+        # A zero image met before the large factor ends the term: x2^60
+        # would become x1^120.  Met after it, the factor is refused.
+        f = MultiPoly.from_terms(spec, 2, [((1, 60), one)])
+        assert f.substitute((zero, x1**2)) == zero == ref_substitute(f, (zero, x1**2))
+        g = MultiPoly.from_terms(spec, 2, [((60, 1), one)])
+        assert outcome(ref_substitute, g, (x1**2, zero)) is DegreeCapExceeded
+        with pytest.raises(DegreeCapExceeded, match="^product degree 120 exceeds cap 4$"):
+            g.substitute((x1**2, zero))
     finally:
         set_degree_cap(64)
 
