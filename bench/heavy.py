@@ -13,8 +13,11 @@ two checkouts (or a checkout and a pinned list) compare with diff.
 
 --against DIR times the checkout at DIR ("parent") and this one ("change")
 in alternation, case by case for ROUNDS rounds, because CPU speed on a
-shared machine drifts over minutes; it prints the runs and their medians as
-JSON.
+shared machine drifts over minutes; it prints the runs, their medians and
+the min-max range of each side's exit-0 runs as JSON.  A case is
+`separated` only when the two ranges do not overlap; a case without
+separation reads flat, whatever its medians say, because ROUNDS runs a
+side cannot tell a smaller difference from this machine's drift.
 
 The inputs are written to a temporary directory from the text below:
 
@@ -158,6 +161,11 @@ def main(argv=None):
             for side, rs in sides.items():
                 ok = [r["wall_s"] for r in rs if r["exit"] == 0]
                 entry[f"{side}_median_s"] = _median(ok)
+                entry[f"{side}_range_s"] = [min(ok), max(ok)] if ok else None
+            parent, change = entry["parent_range_s"], entry["change_range_s"]
+            entry["separated"] = bool(parent and change) and (
+                parent[1] < change[0] or change[1] < parent[0]
+            )
             entry["same_answers"] = len(
                 {(r["exit"], r["sha256"]) for rs in sides.values() for r in rs}
             ) == 1

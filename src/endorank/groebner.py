@@ -5,9 +5,12 @@ inversion) reduces to Groebner bases, so this module is built for
 reproducibility: generators are canonically sorted, pair selection and
 reduction are fully deterministic, and answers are memoized.  Every memo
 table (bases by (ideal, order), subalgebra memberships, map inverses,
-relation ideals in endo, and the parser's variable powers) is made by
-`memoized`: a least-recently-used table of at most CACHE_SIZE entries,
-which clear_caches() empties.
+relation ideals in endo, subbase audits in kronecker, and in the parser
+Kronecker-system texts and variable powers) is made by `memoized`: a
+least-recently-used table of at most CACHE_SIZE entries, which
+clear_caches() empties.  No table keys on the budget or the degree cap, so
+a hit answers without spending either; an exception is never stored, so a
+limit is raised again on the next call.
 
 Inside a computation a monomial is the packed int a MultiPoly keys its terms
 by, plus an order key (see _Packing), so a monomial product is two additions

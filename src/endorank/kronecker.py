@@ -33,7 +33,7 @@ from .errors import (
     ZeroScale,
 )
 from .fields import FieldElement, FieldSpec
-from .groebner import invert_poly_map, subalgebra_member
+from .groebner import invert_poly_map, memoized, subalgebra_member
 from .mpoly import GREVLEX, MultiPoly
 
 
@@ -187,6 +187,7 @@ class SubbaseReport:
     problems: tuple[str, ...]
 
 
+@memoized
 def verify_subbase(system: KroneckerSystem) -> SubbaseReport:
     """Subbase audit: the matrix-unit relations (relations_checked counts
     those established, n^4 plus 2n^2 with a declared zero, whether from the
@@ -196,7 +197,10 @@ def verify_subbase(system: KroneckerSystem) -> SubbaseReport:
     Once the relations hold, every entry has the rank of (1,1), since
     rank(a.b) <= min(rank a, rank b), (i,m) = (i,1).(1,1).(1,m) and
     (1,1) = (1,i).(i,m).(m,1); so one elimination serves all entries.  By
-    the same products either every entry equals the zero or none does."""
+    the same products either every entry equals the zero or none does.
+
+    Memoized by the whole system, so each family is audited once per
+    process; a resource limit is raised again on every call."""
     problems, zero_hat, checked = _relation_violations(system)
     relations_hold = not problems
 

@@ -271,7 +271,7 @@ class _Kernel:
     def product(self, a: dict, b: dict) -> dict:
         """a * b, refused past the cap unless an operand is zero."""
         if a and b:
-            _check_degree((max(a) + max(b)) >> self.deg_shift)
+            _check_degree(max(a) >> self.deg_shift, max(b) >> self.deg_shift)
         return self._product(a, b)
 
     def _product(self, a: dict, b: dict) -> dict:
@@ -289,7 +289,7 @@ class _Kernel:
         Over Q (den is a's denominator) a power of two or more is then
         checked against MAX_POWER_BITS."""
         if a:
-            _check_degree(e * (max(a) >> self.deg_shift))
+            _check_degree(max(a) >> self.deg_shift, e, power=True)
             if e > 1 and self.reduce is None:
                 _check_growth(a, e, den)
         result = None
@@ -302,9 +302,14 @@ class _Kernel:
         return {0: 1} if result is None else result
 
 
-def _check_degree(degree: int) -> None:
+def _check_degree(d: int, e: int, power: bool = False) -> None:
+    """Refuse a product of operands of degrees d and e (with power, the e-th
+    power of an operand of degree d) whose degree passes the cap; the
+    message names the operands' degrees."""
+    degree = d * e if power else d + e
     if degree > _degree_cap:
-        raise DegreeCapExceeded(f"product degree {degree} exceeds cap {_degree_cap}")
+        how = f"degree {d}, power {e}" if power else f"degrees {d} + {e}"
+        raise DegreeCapExceeded(f"product degree {degree} exceeds cap {_degree_cap} ({how})")
 
 
 def _check_growth(a: dict, e: int, den: int) -> None:
@@ -483,7 +488,8 @@ class MultiPoly:
         """terms times d*x^q.  A field has no zero divisors, so no term
         vanishes."""
         if terms:
-            _check_degree((max(terms) + q) >> (8 * self.nvars))
+            shift = 8 * self.nvars
+            _check_degree(max(terms) >> shift, q >> shift)
         if d == 1:
             out = {p + q: c for p, c in terms.items()}
         else:
@@ -497,7 +503,7 @@ class MultiPoly:
         spec, terms = self.spec, self.terms
         if len(terms) == 1 and e:
             ((q, d),) = terms.items()
-            _check_degree((q >> (8 * self.nvars)) * e)
+            _check_degree(q >> (8 * self.nvars), e, power=True)
             if e > 1 and d != 1:
                 if spec.kind == "Q" and d != -1:
                     _check_growth({q: d.numerator}, e, d.denominator)

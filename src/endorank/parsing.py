@@ -530,8 +530,10 @@ def load_endomorphism(text: str):
     return Endomorphism(spec, nvars, images)
 
 
+@memoized
 def load_kronecker_system(text: str):
-    """Parse a Kronecker-system file into a KroneckerSystem."""
+    """Parse a Kronecker-system file into a KroneckerSystem.  Memoized by the
+    whole text; a malformed text raises again on every call."""
     from .endo import Endomorphism
     from .kronecker import KroneckerSystem
 

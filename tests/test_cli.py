@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from endorank import kronecker
 from endorank.cli import main
 from endorank.endo import Endomorphism, compose
 from endorank.fields import QQ
@@ -348,6 +349,28 @@ def test_kron_audit_skips_products_past_the_degree_cap(files, capsys):
     assert out.splitlines()[:2] == ["subbase: ok", "relations checked: 99"]
     code, out = run_cli(capsys, "kron-classify", path)
     assert (code, out) == (0, "classification: nonsingular\n")
+
+
+def test_kron_commands_audit_a_family_once(files, capsys, monkeypatch):
+    # kron-verify then kron-base on one file: the loader and the audit are
+    # memoized, so the relations are composed once, and the answers are the
+    # bytes a cold run prints.
+    path = files("two.kron", TWO_GENERATOR)
+    argvs = [["kron-verify", path], ["kron-base", path, "--format", "json"]]
+    audits = []
+    real = kronecker._relation_violations
+    monkeypatch.setattr(
+        kronecker, "_relation_violations", lambda system: audits.append(system) or real(system)
+    )
+    clear_caches()
+    warm = [run_cli(capsys, *argv) for argv in argvs]
+    assert len(audits) == 1
+    cold = []
+    for argv in argvs:
+        clear_caches()
+        cold.append(run_cli(capsys, *argv))
+    assert warm == cold
+    assert [code for code, _ in warm] == [0, 0]
 
 
 # -- automorphisms ----------------------------------------------------------------
@@ -706,7 +729,7 @@ def test_properties_past_the_degree_cap_exit_two(files, capsys, budget):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("endorank: exhausted: product degree ")
-    assert captured.err.rstrip().endswith("exceeds cap 64")
+    assert captured.err.rstrip().endswith("exceeds cap 64 (degree 5, power 25)")
 
 
 def test_selftest_past_its_budget_exits_two(capsys):

@@ -213,6 +213,8 @@ def test_every_memo_table_has_the_same_finite_bound():
         "_subalgebra_member_cached",
         "_invert_cached",
         "_atom",
+        "verify_subbase",
+        "load_kronecker_system",
     }
     assert {t.cache_info().maxsize for t in tables} == {groebner.CACHE_SIZE}
     assert isinstance(groebner.CACHE_SIZE, int) and groebner.CACHE_SIZE > 0

@@ -14,6 +14,7 @@ from endorank.errors import (
     ZeroScale,
 )
 from endorank.fields import GF2, GF3, GF4, QQ, enumerate_elements
+from endorank.groebner import clear_caches
 from endorank.kronecker import (
     KroneckerSystem,
     RepresentationKind,
@@ -24,7 +25,7 @@ from endorank.kronecker import (
     verify_base_external,
     verify_subbase,
 )
-from endorank.mpoly import MultiPoly
+from endorank.mpoly import MultiPoly, set_degree_cap
 from endorank.parsing import format_poly, load_kronecker_system, parse_polynomial
 
 
@@ -213,10 +214,14 @@ def test_subbase_audit_finds_the_moved_common_zero(spec):
 
 def reference_audit(system, monkeypatch):
     """verify_subbase composed pair by pair: the full n^4 loop (the
-    generating set switched off) and one elimination per entry."""
+    generating set switched off) and one elimination per entry.  The memo
+    tables are emptied before and after, so no result of the patched run
+    outlives it."""
+    clear_caches()
     with monkeypatch.context() as m:
         m.setattr(kronecker, "_generating_zero", lambda system: None)
         problems, zero, checked = kronecker._relation_violations(system)
+    clear_caches()
     if zero is not None and (r := rank(zero).value) != 0:
         problems.append(f"common zero has rank {r}, expected 0")
     for i in range(1, system.n + 1):
@@ -296,6 +301,7 @@ def mutations(system, rng):
 @pytest.mark.parametrize("spec", [QQ, GF2, GF3, GF4])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_generating_relations_agree_with_the_full_loop(spec, n, monkeypatch):
+    clear_caches()  # an audit answered from the table composes nothing
     rng = random.Random(f"{spec}-{n}")
     standard = KroneckerSystem.standard(spec, n)
     s, s_inv = triangular(spec, n, rng)
@@ -326,6 +332,7 @@ def test_generating_relations_agree_with_the_full_loop(spec, n, monkeypatch):
 
 
 def test_generating_relations_catch_a_nonzero_cross_product(monkeypatch):
+    clear_caches()
     # (1,2) = e11 + e12 and (2,2) = e21 + e22 as matrices: every generating
     # product but (1,2).(1,1) = e11 holds, and that one should be the zero
     e12 = endo(QQ, "x1", "x1")
@@ -341,6 +348,7 @@ def test_generating_relations_catch_a_nonzero_cross_product(monkeypatch):
 
 
 def test_generating_relations_report_a_resource_limit_as_the_full_loop(monkeypatch):
+    clear_caches()
     # A limit met among the generating products is reported from the full
     # loop, which stops at its own first such product, as it always has.
     S = KroneckerSystem.standard(QQ, 2)
@@ -360,10 +368,12 @@ def test_generating_relations_report_a_resource_limit_as_the_full_loop(monkeypat
 
 
 def test_the_degree_cap_reports_one_degree_however_a_family_was_built(monkeypatch):
+    clear_caches()
     # The standard n = 3 family conjugated by a cubic triangular map, built
     # by composition and read back from its file text: equal systems whose
     # polynomials order their terms differently.  The full loop passes the
     # cap at the same product, and the message states that product's degree.
+    # The operands named are the first power refused, in term order.
     s = endo(QQ, "x1 + 2*x2^3 - x3^2", "x2 + 3*x3^2", "x3")
     s_inv = endo(QQ, "x1 - 2*(x2 - 3*x3^2)^3 + x3^2", "x2 - 3*x3^2", "x3")
     built = KroneckerSystem.standard(QQ, 3).transformed(lambda e: compose(compose(s, e), s_inv))
@@ -375,9 +385,38 @@ def test_the_degree_cap_reports_one_degree_however_a_family_was_built(monkeypatc
     loaded = load_kronecker_system("\n".join(lines) + "\n")
     assert loaded == built
     monkeypatch.setattr(kronecker, "_generating_zero", lambda system: None)
-    for system in (built, loaded):
-        with pytest.raises(DegreeCapExceeded, match="^product degree 108 exceeds cap 64$"):
+    for system, operands in ((built, "degree 18, power 6"), (loaded, "degree 6, power 18")):
+        with pytest.raises(DegreeCapExceeded, match=rf"^product degree 108 exceeds cap 64 \({operands}\)$"):
             verify_subbase(system)
+
+
+# -- the memo tables -------------------------------------------------------------------
+
+
+def test_clear_caches_empties_the_audit_and_loader_tables():
+    text = "field Q\nvars 1\nkron 1\ne 1 1\nx1 -> x1\nzero\nx1 -> 0\n"
+    assert verify_subbase(load_kronecker_system(text)).ok
+    tables = (verify_subbase, load_kronecker_system)
+    assert all(t.cache_info().currsize > 0 for t in tables)
+    clear_caches()
+    assert [t.cache_info().currsize for t in tables] == [0, 0]
+
+
+def test_an_audit_past_a_lowered_cap_raises_on_every_call():
+    # The cap is not part of the key and a limit is never stored: the audit
+    # runs, and is refused, each time, and answers once the cap is back.
+    s = endo(QQ, "x1 + x2^2", "x2")
+    s_inv = endo(QQ, "x1 - x2^2", "x2")
+    family = conjugated(KroneckerSystem.standard(QQ, 2), s, s_inv)
+    clear_caches()
+    set_degree_cap(3)
+    try:
+        for _ in range(2):
+            with pytest.raises(DegreeCapExceeded, match=r"^product degree 4 exceeds cap 3 \(degree 2, power 2\)$"):
+                verify_subbase(family)
+    finally:
+        set_degree_cap(64)
+    assert verify_subbase(family).ok
 
 
 # -- image generators ---------------------------------------------------------------
@@ -410,6 +449,7 @@ def _counting(monkeypatch):
 
 
 def test_base_check_reuses_the_audit_for_the_diagonal_generators(monkeypatch):
+    clear_caches()
     # The audit's 2n^2+2n-3 = 21 products and its two ranks (the zero's and
     # the (1,1) entry's) prove every diagonal entry idempotent of rank 1.
     calls = _counting(monkeypatch)
@@ -420,6 +460,7 @@ def test_base_check_reuses_the_audit_for_the_diagonal_generators(monkeypatch):
 
 
 def test_image_generator_checks_its_input_unless_proven(monkeypatch):
+    clear_caches()
     e11 = KroneckerSystem.standard(QQ, 2).entry(1, 1)
     calls = _counting(monkeypatch)
     assert str(image_generator(e11)) == "x1"
@@ -569,6 +610,7 @@ def test_normalize_rejects_swapped_generators():
 
 
 def test_base_check_and_normalization_audit_the_relations_once(monkeypatch):
+    clear_caches()
     audits = []
     real = kronecker._relation_violations
 

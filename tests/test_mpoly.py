@@ -487,7 +487,8 @@ def test_one_term_products_and_powers_past_the_cap():
 @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=lambda s: s.header())
 def test_refusals_state_the_true_degree(spec):
     # K[x] is a domain: deg(f*g) = deg f + deg g and deg(f^e) = e*deg f.
-    # A refusal states that degree, whichever term pair comes first.
+    # A refusal states that degree, whichever term pair comes first, and
+    # the operands' degrees (a one-term factor goes second).
     rng = random.Random(47)
     x1, x2 = (MultiPoly.variable(spec, 2, i) for i in range(2))
     f = x1 + x1**5 + x2**6
@@ -498,14 +499,25 @@ def test_refusals_state_the_true_degree(spec):
         g, h = _poly(rng, spec, n, 5, 4), _poly(rng, spec, n, 5, 4)
         products.append((g, h))
         powers.append((g, rng.randint(1, 4)))
-    cases = [(g.__mul__, ref_mul, g, h, g.total_degree() + h.total_degree()) for g, h in products]
-    cases += [(g.__pow__, ref_pow, g, e, e * g.total_degree()) for g, e in powers]
+
+    def degrees(g, h):
+        a, b = g.total_degree(), h.total_degree()
+        return rf"\(degrees ({a} \+ {b}|{b} \+ {a})\)"
+
+    cases = [
+        (g.__mul__, ref_mul, g, h, g.total_degree() + h.total_degree(), degrees(g, h))
+        for g, h in products
+    ]
+    cases += [
+        (g.__pow__, ref_pow, g, e, e * g.total_degree(), rf"\(degree {g.total_degree()}, power {e}\)")
+        for g, e in powers
+    ]
     refused = 0
     set_degree_cap(6)
     try:
-        for fn, ref, g, arg, degree in cases:
+        for fn, ref, g, arg, degree, operands in cases:
             if outcome(ref, g, arg) is DegreeCapExceeded:
-                message = f"^product degree {degree} exceeds cap 6$"
+                message = f"^product degree {degree} exceeds cap 6 {operands}$"
                 with pytest.raises(DegreeCapExceeded, match=message):
                     fn(arg)
                 refused += 1
@@ -534,7 +546,7 @@ def test_zero_operands_are_never_refused(spec):
         assert f.substitute((zero, x1**2)) == zero == ref_substitute(f, (zero, x1**2))
         g = MultiPoly.from_terms(spec, 2, [((60, 1), one)])
         assert outcome(ref_substitute, g, (x1**2, zero)) is DegreeCapExceeded
-        with pytest.raises(DegreeCapExceeded, match="^product degree 120 exceeds cap 4$"):
+        with pytest.raises(DegreeCapExceeded, match=r"^product degree 120 exceeds cap 4 \(degree 2, power 60\)$"):
             g.substitute((x1**2, zero))
     finally:
         set_degree_cap(64)

@@ -237,6 +237,14 @@ def test_load_kronecker_errors():
         load_kronecker_system(head + "e 0 1\nx1 -> x1\nx2 -> 0\n")
 
 
+def test_load_kronecker_raises_on_every_call():
+    # The loader is memoized by the text; an error is never stored.
+    bad = "field Q\nvars 2\nkron 2\ne 1 1\nx1 -> x1 +\nx2 -> 0\n"
+    for _ in range(2):
+        with pytest.raises(PolySyntaxError):
+            load_kronecker_system(bad)
+
+
 def test_load_automorphism():
     aut = load_automorphism(
         "field Q\nvars 2\ndelta identity\nx1 -> x1 + x2^2\nx2 -> x2\n"
