@@ -88,29 +88,24 @@ class SubstitutionRecord:
 
     def sigma(self, spec: FieldSpec, nvars: int) -> Endomorphism:
         """The substitution as an endomorphism over the working field."""
-        if self.kind == "specialize":
-            if self.value is None or self.value.spec != spec:
-                raise SpecMismatch("specialization value over the wrong field")
-            images = [
-                MultiPoly.variable(spec, nvars, k) for k in range(nvars)
-            ]
-            images[self.variable - 1] = MultiPoly.constant(
-                spec, nvars, self.value
-            )
-            return Endomorphism(spec, nvars, tuple(images))
-        if self.kind == "power":
-            images = [
-                MultiPoly.variable(spec, nvars, k) for k in range(nvars)
-            ]
-            images[self.variable - 1] = (
-                MultiPoly.variable(spec, nvars, self.source - 1) ** self.exponent
-            )
-            return Endomorphism(spec, nvars, tuple(images))
         if self.kind == "collapse":
             if self.point is None or len(self.point) != nvars:
                 raise SpecMismatch("collapse point has the wrong arity")
             return Endomorphism.constant(spec, nvars, self.point)
-        raise ValueError(f"unknown substitution kind {self.kind!r}")
+        images = [MultiPoly.variable(spec, nvars, k) for k in range(nvars)]
+        if self.kind == "specialize":
+            if self.value is None or self.value.spec != spec:
+                raise SpecMismatch("specialization value over the wrong field")
+            images[self.variable - 1] = MultiPoly.constant(
+                spec, nvars, self.value
+            )
+        elif self.kind == "power":
+            images[self.variable - 1] = (
+                MultiPoly.variable(spec, nvars, self.source - 1) ** self.exponent
+            )
+        else:
+            raise ValueError(f"unknown substitution kind {self.kind!r}")
+        return Endomorphism(spec, nvars, tuple(images))
 
     def describe(self) -> str:
         if self.kind == "specialize":

@@ -297,10 +297,6 @@ class FieldSpec:
                 result = self.mul_raw(result, a)
         return result
 
-    def mul_int_raw(self, a: Raw, n: int) -> Raw:
-        """a times the image of the integer n (repeated addition, exactly)."""
-        return self.mul_raw(a, self.from_int_raw(n))
-
     # -- typed wrappers ------------------------------------------------------
 
     def zero(self) -> "FieldElement":
@@ -345,9 +341,9 @@ class FieldSpec:
             return "Q"
         if self.kind == "Fp":
             return f"F {self.p}"
-        from .parsing import format_modulus
+        from .parsing import _t_polynomial
 
-        return f"F {self.p}^{self.k} mod {format_modulus(self.modulus)}"
+        return f"F {self.p}^{self.k} mod {_t_polynomial(self.modulus)}"
 
 
 @dataclass(frozen=True)

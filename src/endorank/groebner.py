@@ -220,9 +220,6 @@ class GroebnerBasis:
     def leading_monomials(self) -> tuple:
         return tuple(g.leading_monomial(self.order) for g in self.polys)
 
-    def normal_form(self, f: MultiPoly) -> MultiPoly:
-        return normal_form(f, self)
-
     def contains(self, f: MultiPoly) -> bool:
         return normal_form(f, self).is_zero
 

@@ -19,9 +19,10 @@ and an exponent sum of two monomials fits its byte.  Hence:
 * the total degree is P >> 8n, so a larger degree is a larger int, and the
   constant monomial is 0.
 
-Products, powers and substitution run in one integer kernel: term pairs
-multiply and add as ints, and each output coefficient is reduced once, by
-the field's `reduce`.  Over a finite field the raws already are those ints
+Products, powers and substitution run in one integer kernel, and so does
+evaluation, which substitutes the point's coordinates as constants: term
+pairs multiply and add as ints, and each output coefficient is reduced once,
+by the field's `reduce`.  Over a finite field the raws already are those ints
 (see fields.py); over Q the kernel works on numerators over one common
 denominator.  A product or power with a one-term operand bypasses the
 kernel: c*x^q shifts the other operand's keys by q and scales its
@@ -325,11 +326,12 @@ def _check_growth(a: dict, e: int, den: int) -> None:
         )
 
 
-def _add_terms(spec: FieldSpec, out: dict, terms: dict, negate: bool = False) -> dict:
-    """out + terms (out - terms when negate), in place and returned: a new
-    monomial goes last, a sum that cancels is dropped."""
+def _add_terms(spec: FieldSpec, out: dict, terms: Iterable, negate: bool = False) -> dict:
+    """out + terms (out - terms when negate), terms given as (monomial, raw)
+    pairs, in place and returned: a new monomial goes last, a sum that
+    cancels is dropped."""
     add = spec.sub_raw if negate else spec.add_raw
-    for m, c in terms.items():
+    for m, c in terms:
         prev = out.get(m)
         if prev is None:
             s = spec.neg_raw(c) if negate else c
@@ -366,16 +368,8 @@ class MultiPoly:
         """Build from (exponent tuple, raw) pairs, merging duplicates and
         dropping zeros so the stored form is canonical.  A monomial of
         total degree above MAX_DEGREE raises DegreeCapExceeded."""
-        acc: dict = {}
-        for m, c in items:
-            p = _checked_pack(m, nvars)
-            prev = acc.get(p)
-            c = c if prev is None else spec.add_raw(prev, c)
-            if spec.is_zero_raw(c):
-                acc.pop(p, None)
-            else:
-                acc[p] = c
-        return MultiPoly(spec, nvars, acc)
+        packed = ((_checked_pack(m, nvars), c) for m, c in items)
+        return MultiPoly(spec, nvars, _add_terms(spec, {}, packed))
 
     @staticmethod
     def zero(spec: FieldSpec, nvars: int) -> "MultiPoly":
@@ -456,12 +450,12 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out = _add_terms(self.spec, dict(self.terms), other.terms)
+        out = _add_terms(self.spec, dict(self.terms), other.terms.items())
         return MultiPoly(self.spec, self.nvars, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out = _add_terms(self.spec, dict(self.terms), other.terms, negate=True)
+        out = _add_terms(self.spec, dict(self.terms), other.terms.items(), negate=True)
         return MultiPoly(self.spec, self.nvars, out)
 
     def __neg__(self) -> "MultiPoly":
@@ -527,33 +521,13 @@ class MultiPoly:
 
     # -- evaluation and substitution ----------------------------------------
 
-    def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
-        """Value at a point of the field (exact)."""
+    def evaluate(self, point: Sequence) -> FieldElement:
+        """Value at a point of the field (exact): the coordinates substituted
+        as constants."""
         if len(point) != self.nvars:
             raise ArityMismatch(f"point arity {len(point)} != {self.nvars}")
-        spec = self.spec
-        raws = []
-        for v in point:
-            if isinstance(v, FieldElement):
-                if v.spec != spec:
-                    raise SpecMismatch("point over a different field")
-                raws.append(v.raw)
-            else:
-                raws.append(spec.element(v).raw)
-        pow_cache: dict[tuple[int, int], Raw] = {}
-        total = spec.zero_raw()
-        for m, c in self.tuple_terms().items():
-            acc = c
-            for i, e in enumerate(m):
-                if e:
-                    key = (i, e)
-                    pw = pow_cache.get(key)
-                    if pw is None:
-                        pw = spec.pow_raw(raws[i], e)
-                        pow_cache[key] = pw
-                    acc = spec.mul_raw(acc, pw)
-            total = spec.add_raw(total, acc)
-        return FieldElement(spec, total)
+        consts = [MultiPoly.constant(self.spec, 1, v) for v in point]
+        return self.substitute(consts).constant_term()
 
     def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
         """Apply the algebra map x_i -> images[i].  The images may live in a
@@ -574,7 +548,10 @@ class MultiPoly:
         kernel = _Kernel(spec, target_n)
         encoded = [kernel.encode(g) for g in images]
         den, coeffs = kernel.encode(self)
-        exponents = [_exponents(p, self.nvars) for p in self.terms]
+        # Largest monomial first, so equal polynomials meet the cap at the
+        # same product however their terms were ordered.
+        coeffs = sorted(coeffs.items(), reverse=True)
+        exponents = [_exponents(p, self.nvars) for p, _ in coeffs]
         # Over Q, x_i^e becomes an int polynomial over D_i^e, D_i the
         # denominator of image i.  Every term is brought over the common
         # denominator den * prod(D_i^top_i), top_i the largest exponent of x_i.
@@ -587,7 +564,7 @@ class MultiPoly:
         powers: dict[tuple[int, int], dict] = {}
         total: dict = {}
         get = total.get
-        for m, c in zip(exponents, coeffs.values()):
+        for m, (_, c) in zip(exponents, coeffs):
             for i, d, top in lifts:
                 c *= d ** (top - m[i])
             acc = None  # the constant c until the first factor
@@ -620,7 +597,7 @@ class MultiPoly:
         for p, c in self.terms.items():
             e = (p >> shift) & 0xFF
             if e:
-                d = spec.mul_int_raw(c, e)
+                d = spec.mul_raw(c, spec.from_int_raw(e))
                 if not spec.is_zero_raw(d):
                     out[p - step] = d
         return MultiPoly(spec, self.nvars, out)

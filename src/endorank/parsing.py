@@ -42,7 +42,8 @@ from .mpoly import GREVLEX, MultiPoly, _add_terms, degree_cap
 
 
 def _t_polynomial(cs: Sequence[int]) -> str:
-    """Coefficients of 1, t, t^2, ... as compact text in descending powers."""
+    """Coefficients of 1, t, t^2, ... as compact text in descending powers:
+    an extension element, or the monic modulus of a field header."""
     parts = []
     for d in range(len(cs) - 1, -1, -1):
         c = cs[d]
@@ -54,11 +55,6 @@ def _t_polynomial(cs: Sequence[int]) -> str:
             tpow = "t" if d == 1 else f"t^{d}"
             parts.append(tpow if c == 1 else f"{c}*{tpow}")
     return "+".join(parts) if parts else "0"
-
-
-def format_modulus(modulus: Sequence[int]) -> str:
-    """Monic modulus as a compact t-polynomial, descending powers."""
-    return _t_polynomial(modulus)
 
 
 # Ints of at most this many bits have fewer than 640 digits, the least
@@ -103,44 +99,29 @@ def _format_monomial(m, var: str) -> str:
 
 
 def format_poly(f: MultiPoly, var: str = "x") -> str:
-    """Canonical text: grevlex-descending terms, explicit * between factors."""
+    """Canonical text: grevlex-descending terms, explicit * between factors.
+    A negative rational is subtracted; a coefficient with a + in it is
+    parenthesized unless it is the whole text."""
     if f.is_zero:
         return "0"
     spec = f.spec
     terms = f.tuple_terms()
     monos = sorted(terms, key=GREVLEX.key, reverse=True)
-    multi = len(monos) > 1
-
-    if spec.kind == "Q":
-        out = []
-        for m in monos:
-            c: Fraction = terms[m]
-            neg = c < 0
-            mag = -c if neg else c
-            ms = _format_monomial(m, var)
-            if not ms:
-                body = _rational(mag)
-            elif mag == 1:
-                body = ms
-            else:
-                body = f"{_rational(mag)}*{ms}"
-            if not out:
-                out.append(("-" if neg else "") + body)
-            else:
-                out.append((" - " if neg else " + ") + body)
-        return "".join(out)
-
-    pieces = []
+    out = []
     for m in monos:
-        cs = format_coefficient(spec, terms[m])
+        c = terms[m]
+        neg = spec.kind == "Q" and c < 0
+        cs = format_coefficient(spec, -c if neg else c)
         ms = _format_monomial(m, var)
-        if not ms:
-            pieces.append(f"({cs})" if ("+" in cs and multi) else cs)
-        elif cs == "1":
-            pieces.append(ms)
-        else:
-            pieces.append((f"({cs})" if "+" in cs else cs) + "*" + ms)
-    return " + ".join(pieces)
+        if "+" in cs and (ms or len(monos) > 1):
+            cs = f"({cs})"
+        body = cs if not ms else ms if cs == "1" else f"{cs}*{ms}"
+        if out:
+            out.append(" - " if neg else " + ")
+        elif neg:
+            out.append("-")
+        out.append(body)
+    return "".join(out)
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -292,7 +273,7 @@ class _Parser:
         out = dict(f.terms)  # the running sum, one dict for every term
         while self.peek() in ("+", "-"):
             negate = self.take()[0] == "-"
-            _add_terms(self.spec, out, self.term().terms, negate)
+            _add_terms(self.spec, out, self.term().terms.items(), negate)
         return MultiPoly(self.spec, self.nvars, out)
 
     def term(self) -> MultiPoly:

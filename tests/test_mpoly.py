@@ -301,6 +301,23 @@ def ref_substitute(f, images):
     return total
 
 
+def ref_evaluate(f, point):
+    """The power-cache loop over exponent tuples that evaluation replaced."""
+    spec = f.spec
+    raws = [v.raw if isinstance(v, FieldElement) else spec.element(v).raw for v in point]
+    powers = {}
+    total = spec.zero_raw()
+    for m, c in f.tuple_terms().items():
+        acc = c
+        for i, e in enumerate(m):
+            if e:
+                if (i, e) not in powers:
+                    powers[i, e] = spec.pow_raw(raws[i], e)
+                acc = spec.mul_raw(acc, powers[i, e])
+        total = spec.add_raw(total, acc)
+    return FieldElement(spec, total)
+
+
 def outcome(fn, *args):
     """fn's result, or DegreeCapExceeded if it raised that.  The references
     name the first term pair past the cap and the kernel the product's own
@@ -348,6 +365,32 @@ def test_kernel_matches_the_tuple_loop_seeded(spec):
             m = rng.randint(1, 6)  # into another arity, or the same
             images = tuple(_poly(rng, spec, m, 2, 3) for _ in range(n))
             assert f.substitute(images) == ref_substitute(f, images)
+
+
+@pytest.mark.parametrize("spec", (QQ, GF2, GF3, GF4, GF9), ids=lambda s: s.header())
+def test_evaluation_matches_the_power_cache_loop_seeded(spec):
+    # Zero and fractional coordinates included; over Q a coordinate is also
+    # given as a bare Fraction.
+    rng = random.Random(83)
+    for n in range(1, 5):
+        for _ in range(25):
+            f = _poly(rng, spec, n, max_degree=5, max_terms=6)
+            coords = [_coefficient(rng, spec) for _ in range(n)]
+            point = [FieldElement(spec, c) for c in coords]
+            assert f.evaluate(point) == ref_evaluate(f, point)
+            if spec is QQ:
+                assert f.evaluate(coords) == ref_evaluate(f, coords)
+
+
+def test_evaluation_refuses_foreign_points_and_runaway_powers():
+    f = p("x1^60 + x2")
+    with pytest.raises(ArityMismatch, match="point arity 1 != 2"):
+        f.evaluate((QQ.element(1),))
+    with pytest.raises(SpecMismatch, match="element belongs to a different field"):
+        f.evaluate((QQ.element(1), GF3.element(1)))
+    # A power of a coordinate meets the kernel's bound on coefficient growth.
+    with pytest.raises(CoefficientGrowthExceeded):
+        f.evaluate((Fraction(3**20000, 7), QQ.element(1)))
 
 
 @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=lambda s: s.header())

@@ -14,12 +14,15 @@ from endorank.errors import (
     PolySyntaxError,
     UnknownVariable,
 )
-from endorank.fields import GF2, GF3, GF4, GF9, QQ, FieldSpec
-from endorank.mpoly import MultiPoly, set_degree_cap, degree_cap
+from endorank.fields import GF2, GF3, GF4, GF8, GF9, QQ, FieldSpec
+from endorank.mpoly import GREVLEX, MultiPoly, set_degree_cap, degree_cap
 from endorank.parsing import (
+    _format_monomial,
+    _rational,
     _tokenize,
     _unfolded,
     dump_endomorphism,
+    format_coefficient,
     format_poly,
     format_field_header,
     load_automorphism,
@@ -29,7 +32,7 @@ from endorank.parsing import (
     parse_polynomial,
 )
 from endorank.sampling import random_polynomial
-from test_mpoly import ref_mul
+from test_mpoly import _poly, ref_mul
 
 
 def test_basic_expressions():
@@ -151,6 +154,59 @@ def test_expanded_polynomials_match_a_reference(spec):
         n = rng.randint(1, 3)
         text, want = _expanded(rng, spec, n)
         assert parse_polynomial(text, spec, n) == want, text
+
+
+def ref_format_poly(f, var="x"):
+    """The printer with one branch for Q and one for finite fields, which
+    the single loop replaced."""
+    if f.is_zero:
+        return "0"
+    spec = f.spec
+    terms = f.tuple_terms()
+    monos = sorted(terms, key=GREVLEX.key, reverse=True)
+    multi = len(monos) > 1
+    if spec.kind == "Q":
+        out = []
+        for m in monos:
+            c = terms[m]
+            neg = c < 0
+            mag = -c if neg else c
+            ms = _format_monomial(m, var)
+            if not ms:
+                body = _rational(mag)
+            elif mag == 1:
+                body = ms
+            else:
+                body = f"{_rational(mag)}*{ms}"
+            if not out:
+                out.append(("-" if neg else "") + body)
+            else:
+                out.append((" - " if neg else " + ") + body)
+        return "".join(out)
+    pieces = []
+    for m in monos:
+        cs = format_coefficient(spec, terms[m])
+        ms = _format_monomial(m, var)
+        if not ms:
+            pieces.append(f"({cs})" if ("+" in cs and multi) else cs)
+        elif cs == "1":
+            pieces.append(ms)
+        else:
+            pieces.append((f"({cs})" if "+" in cs else cs) + "*" + ms)
+    return " + ".join(pieces)
+
+
+@pytest.mark.parametrize("spec", [QQ, GF2, GF3, GF4, GF8, GF9], ids=lambda s: s.header())
+def test_printer_matches_the_two_branch_printer_seeded(spec):
+    # Mixed denominators over Q, coefficients with several t digits over
+    # GF(4), GF(8) and GF(9); zero, constant and one-term polynomials too.
+    rng = random.Random(29)
+    for n in range(1, 5):
+        for _ in range(40):
+            f = _poly(rng, spec, n, max_degree=4, max_terms=6)
+            assert format_poly(f) == ref_format_poly(f)
+            assert format_poly(f, "y") == ref_format_poly(f, "y")
+            assert format_poly(-f) == ref_format_poly(-f)
 
 
 def test_field_headers():
