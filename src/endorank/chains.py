@@ -47,7 +47,6 @@ class ChainPolicy:
     """Knobs for the substitution search."""
 
     r_max: int = 8  # largest exponent tried for x_j -> x_i^r; 1 tries none
-    allow_extension: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -192,7 +191,7 @@ def _candidates(
                     "power", variable=j + 1, source=i + 1, exponent=r
                 ), psi
 
-    if policy.allow_extension and spec.is_finite:
+    if spec.is_finite:
         ext = builtin_extension(spec)
         if ext is not None:
             lifted = lift_endo(psi, ext)

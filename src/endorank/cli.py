@@ -277,6 +277,23 @@ def _endo(obj: dict, key: str, where: str, spec: FieldSpec, n: int) -> Endomorph
     return Endomorphism(spec, n, tuple(parse_polynomial(s, spec, n) for s in texts))
 
 
+def _constant(text: str, key: str, where: str, spec: FieldSpec, n: int):
+    """The field element a certificate writes as polynomial text; text that
+    parses to a non-constant polynomial is refused, not read as its
+    constant term."""
+    f = parse_polynomial(text, spec, n)
+    if not f.is_constant():
+        raise MalformedCertificate(f"{where}: {key} {text!r} is not a constant")
+    return f.constant_term()
+
+
+def _rank(obj: dict, key: str, where: str) -> int:
+    v = _get(obj, key, where)
+    if type(v) is not int or v < 0:
+        raise MalformedCertificate(f"{where}: {key} {v!r} is not a non-negative integer")
+    return v
+
+
 def _check_record(where: str, sj: dict, n: int) -> None:
     """Refuse a step record that would replay as a different one: an unknown
     kind, or an index outside 1..n, which Python's negative indexing would
@@ -344,12 +361,11 @@ def _rebuild_chain(payload) -> Chain:
         step_spec = lift if lift is not None else cur
         value = None
         if sj.get("value") is not None:
-            text = _string(sj, "value", where)
-            value = parse_polynomial(text, step_spec, n).constant_term()
+            value = _constant(_string(sj, "value", where), "value", where, step_spec, n)
         point = None
         if sj.get("point") is not None:
             point = tuple(
-                parse_polynomial(s, step_spec, n).constant_term()
+                _constant(s, "point", where, step_spec, n)
                 for s in _strings(sj, "point", where)
             )
         rec = SubstitutionRecord(
@@ -362,7 +378,7 @@ def _rebuild_chain(payload) -> Chain:
             lifted_to=lift,
         )
         after = _endo(sj, "after", where, step_spec, n)
-        ranks = (_get(sj, "rank_before", where), _get(sj, "rank_after", where))
+        ranks = (_rank(sj, "rank_before", where), _rank(sj, "rank_after", where))
         steps.append(ChainStep(rec, *ranks, after))
         cur = step_spec
     return Chain(start, tuple(steps))

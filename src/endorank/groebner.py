@@ -15,21 +15,21 @@ limit is raised again on the next call.
 Inside a computation a monomial is the packed int a MultiPoly keys its terms
 by, plus an order key (see _Packing), so a monomial product is two additions
 and a divisibility test is one mask.  Each generator is packed once: its
-largest term is the lead, and its tail is scaled by the lead coefficient's
-inverse on raws.  S-pairs wait in a heap under the total key (lcm degree, i,
-j).  Only finished bases are turned back into MultiPoly; the re-indexing in
-elimination and membership shifts packed ints.
+largest term is the lead, and its tail is scaled by -1 over the lead
+coefficient on raws.  S-pairs wait in a heap under the total key (lcm
+degree, i, j).  Only finished bases are turned back into MultiPoly; the
+re-indexing in elimination and membership shifts packed ints.
 
 Reduction is one integer loop for every field.  It takes terms largest first
 from a heap (Monagan & Pearce, "Sparse polynomial division using a heap",
-JSC 2011), and a step is `coef[m] += c * t` over ints, with no field call:
-each basis element keeps its tail negated as ints over a denominator D.
-Over a finite field the ints are the negated raws themselves (D = 1), the
-only tail the element keeps, and products pile up unreduced; each
-coefficient is reduced once, by `FieldSpec.reduce`, when its term is
-popped, and a term that reduced to zero is skipped.  One coefficient absorbs
-at most one product per step, so the budget is capped at 2^32 steps, the
-room `fields` leaves in a digit.
+JSC 2011), and a step is `coef[m] += c * t` over ints, with no field call.
+Every basis element, over every field, keeps its raw tail negated, and
+beside it that tail as ints over a denominator D.  Over a finite field the
+ints are the negated raws themselves (D = 1), and products pile up
+unreduced; each coefficient is reduced once, by `FieldSpec.reduce`, when
+its term is popped, and a term that reduced to zero is skipped.  One
+coefficient absorbs at most one product per step, so the budget is capped
+at 2^32 steps, the room `fields` leaves in a digit.
 
 Over Q the remainder is integer numerators over one running denominator
 `den` (fraction-free reduction, Becker & Weispfenning, "Groebner Bases",
@@ -37,21 +37,20 @@ GTM 141).  A popped numerator c reduced by an element with D != 1 needs
 c * t / D; with h = gcd(c, D), only D / h is new, so when h != D every
 numerator left, and the remainder so far, is scaled by D / h and den
 with them.  den thus grows only by the part of each D that the popped
-coefficient does not already carry.  Over Q an element also keeps its raw
-tail, for S-polynomials and readout.  The remainder turns into raws only at
-readout: a normal form, a new monic element (whose tail c_i / c_0 needs no
-den), or the tail of a reduced basis.
+coefficient does not already carry.  The remainder turns into raws only
+at readout: a normal form, a new monic element (whose tail -c_i / c_0
+needs no den), or the tail of a reduced basis.
 
 S-polynomials use the field's own raw arithmetic, one operation per term
-and pair (over a finite field on the negated tails).  The degree cap is
-checked once per reduction step and per S-polynomial, on the shifted top
-of a tail: its largest packed monomial, so its highest degree.  Work is
-metered in reduction steps against a module-wide budget; blowing the budget
-raises BudgetExceeded, a resource verdict, never a mathematical "no".
-The step count of a computation does not depend on the representation: it
-is the number of divisions the algorithm makes.  Setting CHECK_SPOLYS makes
-every finished basis re-verify that all its S-polynomials reduce to zero,
-with counters in STATS.
+and pair, on the negated tails, so every field's comes out negated.  The
+degree cap is checked once per reduction step and per S-polynomial, on the
+shifted top of a tail: its largest packed monomial, so its highest degree.
+Work is metered in reduction steps against a module-wide budget; blowing
+the budget raises BudgetExceeded, a resource verdict, never a mathematical
+"no".  The step count of a computation does not depend on the
+representation: it is the number of divisions the algorithm makes.
+Setting CHECK_SPOLYS makes every finished basis re-verify that all its
+S-polynomials reduce to zero, with counters in STATS.
 """
 
 from __future__ import annotations
@@ -258,24 +257,17 @@ class _Packing:
 # -- core reduction ------------------------------------------------------------
 
 
-def _element(k: int, p: int, tail: tuple, spec: FieldSpec) -> tuple:
-    """A monic basis element from its raw tail triples: (lead K, lead P,
-    tail, D, int tail, top), where the int tail is the raw tail negated and
-    times D, and top is the tail's largest P (see _top).  Over Q, D is the
-    least common denominator and `tail` stays raw; over a finite field see
-    _negated_element."""
+def _element(k: int, p: int, neg_tail: tuple, spec: FieldSpec) -> tuple:
+    """A monic basis element from its negated raw tail triples: (lead K,
+    lead P, tail, D, int tail, top), where the int tail is the negated tail
+    times D, and top is the tail's largest P (see _top).  Over a finite
+    field the int tail is the negated tail itself (D = 1); over Q it is the
+    numerators over D, their least common denominator."""
     if spec.is_finite:
-        neg = spec.neg_raw
-        return _negated_element(k, p, tuple((tk, tp, neg(c)) for tk, tp, c in tail))
-    D = lcm(*(c.denominator for _, _, c in tail))
-    ints = tuple((tk, tp, -c.numerator * (D // c.denominator)) for tk, tp, c in tail)
-    return k, p, tail, D, ints, _top(tail)
-
-
-def _negated_element(k: int, p: int, neg_tail: tuple) -> tuple:
-    """A finite-field basis element from its negated raw tail, which is both
-    its tail and its int tail (D = 1)."""
-    return k, p, neg_tail, 1, neg_tail, _top(neg_tail)
+        return k, p, neg_tail, 1, neg_tail, _top(neg_tail)
+    D = lcm(*(c.denominator for _, _, c in neg_tail))
+    ints = tuple((tk, tp, c.numerator * (D // c.denominator)) for tk, tp, c in neg_tail)
+    return k, p, neg_tail, D, ints, _top(neg_tail)
 
 
 def _top(tail: tuple):
@@ -286,11 +278,8 @@ def _top(tail: tuple):
 
 def _poly(el: tuple, nvars: int, spec: FieldSpec) -> MultiPoly:
     """A basis element as a MultiPoly."""
-    tail = el[2]
-    if spec.is_finite:
-        tail = [(k, p, spec.neg_raw(c)) for k, p, c in tail]
-    lead = (el[0], el[1], spec.one_raw())
-    return MultiPoly(spec, nvars, {q: c for _, q, c in (lead, *tail)})
+    tail = {q: spec.neg_raw(c) for _, q, c in el[2]}
+    return MultiPoly(spec, nvars, {el[1]: spec.one_raw(), **tail})
 
 
 def _monic_element(out: list, spec: FieldSpec) -> tuple:
@@ -299,20 +288,18 @@ def _monic_element(out: list, spec: FieldSpec) -> tuple:
     if spec.is_finite:
         return _monic_raws(out, spec)
     (k, p, lc), *tail = out
-    return _element(k, p, tuple((tk, tp, Fraction(c, lc)) for tk, tp, c in tail), spec)
+    return _element(k, p, tuple((tk, tp, Fraction(-c, lc)) for tk, tp, c in tail), spec)
 
 
 def _monic_raws(terms: list, spec: FieldSpec) -> tuple:
     """A monic basis element from raw (K, P, c) triples, largest first: the
-    tail times the inverse of the lead coefficient."""
+    tail times -1 over the lead coefficient."""
     (k, p, lc), *tail = terms
-    if lc != 1:
-        m, mul_raw = spec.inv_raw(lc), spec.mul_raw
-        if spec.is_finite:  # negated at once, for _negated_element
-            m = spec.neg_raw(m)
-            return _negated_element(k, p, tuple((tk, tp, mul_raw(c, m)) for tk, tp, c in tail))
-        tail = [(tk, tp, mul_raw(c, m)) for tk, tp, c in tail]
-    return _element(k, p, tuple(tail), spec)
+    if lc == 1:
+        neg = spec.neg_raw
+        return _element(k, p, tuple((tk, tp, neg(c)) for tk, tp, c in tail), spec)
+    m, mul_raw = spec.neg_raw(spec.inv_raw(lc)), spec.mul_raw
+    return _element(k, p, tuple((tk, tp, mul_raw(c, m)) for tk, tp, c in tail), spec)
 
 
 def _readout(remainder: tuple, spec: FieldSpec) -> list:
@@ -394,10 +381,10 @@ def _reduce(
 
 
 def _spoly(a: tuple, b: tuple, lcm: tuple, pk: _Packing, spec: FieldSpec) -> list:
-    """S-polynomial of two monic basis elements as (K, P, c) triples; `lcm`
-    is the packed lcm of their leads, which cancel.  Over a finite field,
-    whose elements keep negated tails, it comes out negated, which its uses
-    do not see: a remainder is tested for zero or made monic."""
+    """The S-polynomial of two monic basis elements, negated, as (K, P, c)
+    triples; `lcm` is the packed lcm of their leads, which cancel.  It comes
+    out negated because the elements keep negated tails, which its uses do
+    not see: a remainder is tested for zero or made monic."""
     cap = degree_cap()
     lk, lp = lcm
     # The highest degree reached: the cancelling leads' or a shifted tail's.
@@ -516,10 +503,7 @@ def _buchberger(ideal: Ideal, order: MonomialOrder, work: _Work) -> tuple:
             steps = work.steps
             remainder = _reduce(g[2], others, pk, spec, work)
             if work.steps != steps:  # else the tail is already reduced
-                if spec.is_finite:  # a negated tail leaves a negated remainder
-                    g = _negated_element(g[0], g[1], tuple(remainder[0]))
-                else:
-                    g = _element(g[0], g[1], tuple(_readout(remainder, spec)), spec)
+                g = _element(g[0], g[1], tuple(_readout(remainder, spec)), spec)
         reduced.append(g)
     polys = tuple(_poly(g, n, spec) for g in reduced)
     return polys, pk, reduced

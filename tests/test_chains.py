@@ -35,6 +35,10 @@ def gf2_vanishing_pair():
     )
 
 
+# The GF(4) analogue of the pair's factor: it vanishes at every GF(4) point.
+GF4_VANISHING = "(x1^4 + x1) * (x2^4 + x2)"
+
+
 # -- single steps ---------------------------------------------------------------
 
 
@@ -130,10 +134,11 @@ def test_complete_chain_length_is_the_rank():
 
 def test_exhausted_search_keeps_the_partial_chain():
     # x3 := 0 drops the rank from 3 to 2; what is left is the vanishing pair,
-    # which no GF(2) specialization drops by exactly one.
-    u = "(x1^2 + x1) * (x2^2 + x2)"
-    phi = endo(GF2, "x3", f"{u} * x1", f"{u} * x2")
-    policy = ChainPolicy(r_max=1, allow_extension=False)
+    # which no GF(4) specialization drops by exactly one, and GF(4) ships no
+    # stock extension to lift to.
+    u = GF4_VANISHING
+    phi = endo(GF4, "x3", f"{u} * x1", f"{u} * x2")
+    policy = ChainPolicy(r_max=1)
     with pytest.raises(SearchExhausted) as exc_info:
         build_full_chain(phi, policy)
     partial = exc_info.value.chain
@@ -182,13 +187,14 @@ def test_extension_lift_rescues_a_blocked_search():
 
 
 def test_search_exhausted_carries_the_attempt_log():
-    phi = gf2_vanishing_pair()
-    policy = ChainPolicy(r_max=1, allow_extension=False)
+    u = GF4_VANISHING
+    phi = endo(GF4, f"{u} * x1", f"{u} * x2")
+    policy = ChainPolicy(r_max=1)
     with pytest.raises(SearchExhausted) as exc_info:
         reduce_rank_once(phi, policy)
     attempts = exc_info.value.attempts
-    # two occurring variables x two field elements, all rejected
-    assert len(attempts) == 4
+    # two occurring variables x four field elements, all rejected
+    assert len(attempts) == 8
     assert attempts[0][0].describe() == "x1 := 0"
     assert attempts[0][1] == "rank 2 -> 0"
     assert {outcome for _, outcome in attempts} == {"rank 2 -> 0"}

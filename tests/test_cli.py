@@ -217,6 +217,13 @@ def _without(record, key):
     return {k: v for k, v in record.items() if k != key}
 
 
+def _with_step(payload, idx, **fields):
+    """payload with the given fields of its step idx (from 1) replaced."""
+    steps = list(payload["steps"])
+    steps[idx - 1] = {**steps[idx - 1], **fields}
+    return {**payload, "steps": steps}
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -239,6 +246,27 @@ def _without(record, key):
         (
             lambda p: {**p, "steps": [p["steps"][0], {**p["steps"][1], "point": "0"}]},
             "step 2: point is not a list of strings",
+        ),
+        (
+            lambda p: _with_step(p, 2, point=["x1*x2", "0"]),
+            "step 2: point 'x1*x2' is not a constant",
+        ),
+        (lambda p: _with_step(p, 1, value="x1"), "step 1: value 'x1' is not a constant"),
+        (
+            lambda p: _with_step(p, 1, rank_before=True),
+            "step 1: rank_before True is not a non-negative integer",
+        ),
+        (
+            lambda p: _with_step(p, 1, rank_after=1.0),
+            "step 1: rank_after 1.0 is not a non-negative integer",
+        ),
+        (
+            lambda p: _with_step(p, 2, rank_before="1"),
+            "step 2: rank_before '1' is not a non-negative integer",
+        ),
+        (
+            lambda p: _with_step(p, 2, rank_after=-1),
+            "step 2: rank_after -1 is not a non-negative integer",
         ),
     ],
 )

@@ -367,8 +367,7 @@ def make_monic(f, order):
 
 def packed_element(pk, f):
     """A monic f as a basis element, packed from its terms."""
-    (k, P, _), *tail = pk.terms(f)
-    return groebner._element(k, P, tuple(tail), f.spec)
+    return groebner._monic_raws(pk.terms(f), f.spec)
 
 
 def _reference_buchberger(ideal, order, work):
@@ -693,6 +692,34 @@ def test_s_polynomials_past_the_cap_state_their_highest_degree():
                 )
     finally:
         set_degree_cap(old)
+
+
+def test_every_field_keeps_one_sign_convention():
+    """A basis element keeps its tail negated over every field, so _poly
+    reads a monic f back from _monic_raws, and _spoly returns the negated
+    S-polynomial."""
+    rng = random.Random(53)
+    pairs = 0
+    for spec in (QQ, GF2, GF3, GF4, GF9):
+        for n in (1, 2, 3):
+            for order in _orders(rng, n):
+                pk = groebner._Packing(n, order)
+                for _ in range(4):
+                    a, b = (
+                        make_monic(random_polynomial(rng, spec, n, 4, 5, nonzero=True), order)
+                        for _ in range(2)
+                    )
+                    for f in (a, b):
+                        assert groebner._poly(packed_element(pk, f), n, spec) == f, (spec, f)
+                    lms = [g.leading_monomial(order) for g in (a, b)]
+                    lp = mpoly._pack(tuple(map(max, *lms)))
+                    got = groebner._spoly(
+                        packed_element(pk, a), packed_element(pk, b), (pk.key(lp), lp), pk, spec
+                    )
+                    want = -_reference_spoly(a, lms[0], b, lms[1])
+                    assert MultiPoly(spec, n, {q: c for _, q, c in got}) == want, (spec, a, b)
+                    pairs += not want.is_zero
+    assert pairs > 200
 
 
 # -- seeding, padding and re-indexing against the forms they replaced -----------------
