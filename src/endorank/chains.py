@@ -7,7 +7,8 @@ collapse everything to a point) and keeps the candidate only if the exact
 elimination rank drops by exactly one.  Left composition automatically
 enlarges the relation ideal, so every accepted step is strictly below its
 predecessor in the preorder — that is re-proved, not assumed, by
-verify_chain.
+verify_chain, which builds each step through SubstitutionRecord.sigma, the
+one check of a step record.
 
 Over small prime fields all constants may fail; the schedule then tries
 powers, and finally lifts the whole computation into a stock quadratic
@@ -33,7 +34,6 @@ from .fields import (
     FieldElement,
     FieldSpec,
     builtin_extension,
-    embed_raw,
     enumerate_elements,
 )
 from .mpoly import MultiPoly
@@ -55,14 +55,23 @@ class ChainPolicy:
 
 
 def lift_endo(endo: Endomorphism, dst: FieldSpec) -> Endomorphism:
-    """Re-read a map over a prime field as a map over a stock extension.  A
-    residue already is the raw of its constant in the extension, so each
-    image keeps its terms."""
+    """Re-read a map over a prime field as a map over its stock extension,
+    the one lift a chain takes.  A residue already is the raw of its
+    constant in the extension, so each image keeps its terms."""
     if endo.spec == dst:
         return endo
-    embed_raw(0, endo.spec, dst)  # raises unless dst extends the map's field
+    if dst != builtin_extension(endo.spec):
+        raise SpecMismatch(f"no lift {endo.spec.header()} -> {dst.header()}")
     images = tuple(MultiPoly(dst, endo.nvars, img.terms) for img in endo.images)
     return Endomorphism(dst, endo.nvars, images)
+
+
+# The parameters each kind of step uses; every other one keeps its default.
+_PARAMS = {
+    "specialize": ("variable", "value"),
+    "power": ("variable", "source", "exponent"),
+    "collapse": ("point",),
+}
 
 
 @dataclass(frozen=True)
@@ -86,7 +95,23 @@ class SubstitutionRecord:
     lifted_to: Optional[FieldSpec] = None
 
     def sigma(self, spec: FieldSpec, nvars: int) -> Endomorphism:
-        """The substitution as an endomorphism over the working field."""
+        """The substitution as an endomorphism over the working field, and
+        the one check of a record.  ValueError: an unknown kind, a parameter
+        the kind does not use that is not its default, an index outside
+        1..nvars (negative indexing would read it as another variable), a
+        power step whose source is its variable or whose exponent is below 2.
+        SpecMismatch: a value or point unfit for the field."""
+        if type(self.kind) is not str or self.kind not in _PARAMS:
+            raise ValueError(f"unknown substitution kind {self.kind!r}")
+        used = _PARAMS[self.kind]
+        for name in ("variable", "source", "exponent", "value", "point"):
+            v, default = getattr(self, name), getattr(SubstitutionRecord, name)
+            if name not in used and (type(v) is not type(default) or v != default):
+                raise ValueError(f"a {self.kind} step takes no {name}")
+        for name in ("variable", "source"):
+            v = getattr(self, name)
+            if name in used and (type(v) is not int or not 1 <= v <= nvars):
+                raise ValueError(f"{name} {v!r} outside 1..{nvars}")
         if self.kind == "collapse":
             if self.point is None or len(self.point) != nvars:
                 raise SpecMismatch("collapse point has the wrong arity")
@@ -98,12 +123,14 @@ class SubstitutionRecord:
             images[self.variable - 1] = MultiPoly.constant(
                 spec, nvars, self.value
             )
-        elif self.kind == "power":
+        else:
+            if self.source == self.variable:
+                raise ValueError("source equals variable")
+            if type(self.exponent) is not int or self.exponent < 2:
+                raise ValueError(f"exponent {self.exponent!r} is not at least 2")
             images[self.variable - 1] = (
                 MultiPoly.variable(spec, nvars, self.source - 1) ** self.exponent
             )
-        else:
-            raise ValueError(f"unknown substitution kind {self.kind!r}")
         return Endomorphism(spec, nvars, tuple(images))
 
     def describe(self) -> str:
@@ -195,12 +222,8 @@ def _candidates(
         ext = builtin_extension(spec)
         if ext is not None:
             lifted = lift_endo(psi, ext)
-            base_raws = {
-                embed_raw(e.raw, spec, ext) for e in enumerate_elements(spec)
-            }
-            fresh = [
-                e for e in enumerate_elements(ext) if e.raw not in base_raws
-            ]
+            # enumerate_elements lists the base field's constants first
+            fresh = list(enumerate_elements(ext))[spec.order :]
             for j in occurring:
                 for elt in fresh:
                     yield SubstitutionRecord(

@@ -8,7 +8,8 @@ out before an answer existed.
 JSON output is deterministic byte-for-byte for a fixed input and seed:
 payloads carry "schema": 1 and the seed, keys are sorted, indentation is
 fixed, and every report embeds enough certificate data to be replayed
-(chain certificates can be re-verified with `chain --verify`).
+(chain certificates can be re-verified with `chain --verify`, which
+refuses, exit 1, a step that does not build the substitution it records).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .errors import (
     MalformedCertificate,
     ResourceLimit,
     SearchExhausted,
+    SpecMismatch,
 )
 from .fields import GF4, QQ, FieldAutomorphism, FieldSpec, builtin_extension
 from .groebner import get_budget, invert_poly_map, set_budget
@@ -245,9 +247,6 @@ def _chain_payload(chain: Chain, seed: int) -> dict:
     }
 
 
-_CHAIN_KINDS = ("specialize", "power", "collapse")
-
-
 def _get(obj: dict, key: str, where: str):
     if key not in obj:
         raise MalformedCertificate(f"{where}: missing field {key!r}")
@@ -294,28 +293,6 @@ def _rank(obj: dict, key: str, where: str) -> int:
     return v
 
 
-def _check_record(where: str, sj: dict, n: int) -> None:
-    """Refuse a step record that would replay as a different one: an unknown
-    kind, or an index outside 1..n, which Python's negative indexing would
-    otherwise read as another variable."""
-    kind = _get(sj, "kind", where)
-    if kind not in _CHAIN_KINDS:
-        raise MalformedCertificate(f"{where}: unknown substitution kind {kind!r}")
-    if kind == "collapse":
-        return
-    names = ("variable", "source") if kind == "power" else ("variable",)
-    for name in names:
-        v = _get(sj, name, where)
-        if type(v) is not int or not 1 <= v <= n:
-            raise MalformedCertificate(f"{where}: {name} {v!r} outside 1..{n}")
-    if kind == "power":
-        if sj["source"] == sj["variable"]:
-            raise MalformedCertificate(f"{where}: source equals variable")
-        e = _get(sj, "exponent", where)
-        if type(e) is not int or e < 2:
-            raise MalformedCertificate(f"{where}: exponent {e!r} is not at least 2")
-
-
 def _certificate_int(text: str) -> int:
     """A JSON integer of a certificate.  json.loads would report one longer
     than int() reads as a bare ValueError."""
@@ -329,7 +306,8 @@ def _certificate_int(text: str) -> int:
 
 def _rebuild_chain(payload) -> Chain:
     """Read a chain certificate, which is untrusted input: anything that is
-    not a well-formed record raises MalformedCertificate."""
+    not a well-formed record raises MalformedCertificate, and a step must
+    build its substitution and match its derived field and describe keys."""
     if type(payload) is not dict:
         raise MalformedCertificate("certificate is not a JSON object")
     where = "certificate"
@@ -347,17 +325,14 @@ def _rebuild_chain(payload) -> Chain:
         where = f"step {idx}"
         if type(sj) is not dict:
             raise MalformedCertificate(f"{where}: not a JSON object")
-        _check_record(where, sj, n)
-        lift = (
-            parse_field_header("field " + _string(sj, "lift_to", where))
-            if sj.get("lift_to")
-            else None
-        )
-        if lift is not None and lift != builtin_extension(cur):
-            raise MalformedCertificate(
-                f"{where}: lift_to {lift.header()} is not the stock extension "
-                f"of {cur.header()}"
-            )
+        lift = None
+        if _get(sj, "lift_to", where) is not None:
+            lift = parse_field_header("field " + _string(sj, "lift_to", where))
+            if lift != builtin_extension(cur):
+                raise MalformedCertificate(
+                    f"{where}: lift_to {lift.header()} is not the stock extension "
+                    f"of {cur.header()}"
+                )
         step_spec = lift if lift is not None else cur
         value = None
         if sj.get("value") is not None:
@@ -369,7 +344,7 @@ def _rebuild_chain(payload) -> Chain:
                 for s in _strings(sj, "point", where)
             )
         rec = SubstitutionRecord(
-            kind=sj["kind"],
+            kind=_get(sj, "kind", where),
             variable=_get(sj, "variable", where),
             source=_get(sj, "source", where),
             exponent=_get(sj, "exponent", where),
@@ -377,6 +352,13 @@ def _rebuild_chain(payload) -> Chain:
             point=point,
             lifted_to=lift,
         )
+        try:
+            rec.sigma(step_spec, n)
+        except (ValueError, SpecMismatch) as exc:
+            raise MalformedCertificate(f"{where}: {exc}") from None
+        for key, derived in (("field", step_spec.header()), ("describe", rec.describe())):
+            if _get(sj, key, where) != derived:
+                raise MalformedCertificate(f"{where}: {key} is not {derived!r}")
         after = _endo(sj, "after", where, step_spec, n)
         ranks = (_rank(sj, "rank_before", where), _rank(sj, "rank_after", where))
         steps.append(ChainStep(rec, *ranks, after))

@@ -494,12 +494,3 @@ def builtin_extension(spec: FieldSpec) -> FieldSpec | None:
     if spec == GF3:
         return GF9
     return None
-
-
-def embed_raw(value: Raw, src: FieldSpec, dst: FieldSpec) -> Raw:
-    """Embed GF(p) into a stock GF(p^k) (constants go to constants).  A
-    residue already is the raw of its constant, so only the fields are
-    checked."""
-    if src != dst and (src.kind != "Fp" or dst.kind != "Fpk" or dst.p != src.p):
-        raise SpecMismatch(f"no embedding {src.header()} -> {dst.header()}")
-    return value

@@ -374,7 +374,7 @@ class _Parser:
                     "t is only defined over an extension field", line, col
                 )
             return MultiPoly.constant(self.spec, self.nvars, self.spec.generator())
-        if name.startswith("x") and _is_digits(name[1:]):
+        if name.startswith("x") and _is_digits(name[1:]) and not self.t_is_variable:
             idx = _int(name[1:], line, col)
             if not 1 <= idx <= self.nvars:
                 raise UnknownVariable(
@@ -396,7 +396,7 @@ def parse_polynomial(
 def _parse_modulus_text(text: str, p: int, line0: int, col0: int) -> tuple[int, ...]:
     """Parse a univariate t-polynomial into ascending GF(p) coefficients."""
     base = FieldSpec.prime_field(p)
-    f = _Parser(_tokenize(text, line0, col0), base, 1, True).parse()
+    f = _Parser(_tokenize(text, line0, col0, fold=False), base, 1, True).parse()
     deg = f.total_degree()
     if deg < 1:
         raise PolySyntaxError("modulus must be non-constant", line0, None)

@@ -3,7 +3,9 @@
 Valid certificates of the GF(2) counterexample (a power step, and with
 --r-max 1 a lift to GF(4)) have one field deleted or replaced with junk at a
 time; the replay must report (exit 0 with FAILED, exit 1, or exit 2 on a
-resource limit) and never raise.
+resource limit) and never raise.  A step with one key changed must never
+replay as ok: every key of a step is either read or checked against what
+the reader rebuilt.
 """
 
 import contextlib
@@ -13,7 +15,7 @@ import os
 import pathlib
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from endorank.cli import main
@@ -109,3 +111,20 @@ def test_lift_to_must_be_the_stock_extension_of_the_current_field():
     code, _, err = _verify(payload)
     assert code == 1
     assert f"step {step}: lift_to F 2^3 mod t^3+t+1 is not the stock extension of F 2" in err
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    r_max=st.sampled_from([8, 1]),
+    step=st.integers(min_value=0),
+    key=st.integers(min_value=0),
+    junk=st.sampled_from(JUNK),
+)
+def test_a_changed_step_key_never_replays_ok(r_max, step, key, junk):
+    payload = _certificate(r_max)
+    record = payload["steps"][step % len(payload["steps"])]
+    name = sorted(record)[key % len(record)]
+    assume(json.dumps(junk) != json.dumps(record[name]))
+    record[name] = junk
+    code, out, _ = _verify(payload)
+    assert code in (1, 2) or (code == 0 and json.loads(out)["ok"] is False)

@@ -13,8 +13,8 @@ from endorank.chains import (
     verify_chain,
 )
 from endorank.endo import Endomorphism, compose, rank
-from endorank.errors import SearchExhausted
-from endorank.fields import GF2, GF3, GF4, QQ
+from endorank.errors import SearchExhausted, SpecMismatch
+from endorank.fields import GF2, GF3, GF4, GF8, GF9, QQ
 from endorank.parsing import parse_polynomial
 
 
@@ -168,6 +168,15 @@ def test_lift_endo_reads_map_over_extension():
     assert lifted.images[0].evaluate([t, t]) == GF4.element(1) * t
 
 
+def test_lift_endo_takes_only_the_stock_extension():
+    with pytest.raises(SpecMismatch) as exc_info:
+        lift_endo(gf2_vanishing_pair(), GF8)
+    assert str(exc_info.value) == "no lift F 2 -> F 2^3 mod t^3+t+1"
+    with pytest.raises(SpecMismatch):
+        lift_endo(gf2_vanishing_pair(), GF9)
+    assert lift_endo(endo(GF3, "x1^2", "x2"), GF9).spec == GF9
+
+
 def test_extension_lift_rescues_a_blocked_search():
     # With r_max = 1 (no powers), no GF(2) specialization gives an exact -1 drop
     # (they all give -2), so the search must lift to GF(4) and pin x1 at a
@@ -243,3 +252,29 @@ def test_verifier_flags_truncated_chains():
     report = verify_chain(truncated)
     assert not report.ok
     assert report.problems == ("chain stops at rank 1, not 0",)
+
+
+@pytest.mark.parametrize(
+    "idx, params, problem",
+    [
+        # images[-1 - 1] is x1 again on two variables, so this record would
+        # replay as the step it was copied from
+        (1, {"variable": -1}, "variable -1 outside 1..2"),
+        (1, {"source": 2, "exponent": 5}, "a specialize step takes no source"),
+        (2, {"variable": 7, "exponent": 9}, "a collapse step takes no variable"),
+        (2, {"exponent": False}, "a collapse step takes no exponent"),
+    ],
+)
+def test_verifier_replays_only_the_record_it_reads(idx, params, problem):
+    chain = build_full_chain(endo(QQ, "x1*x2", "x2"))
+    assert [st.record.describe() for st in chain.steps] == [
+        "x1 := 0",
+        "collapse at (0, 0)",
+    ]
+    assert verify_chain(chain).ok
+    steps = list(chain.steps)
+    record = dataclasses.replace(steps[idx - 1].record, **params)
+    steps[idx - 1] = dataclasses.replace(steps[idx - 1], record=record)
+    report = verify_chain(Chain(chain.start, tuple(steps)))
+    assert not report.ok
+    assert f"step {idx}: replay failed: {problem}" in report.problems

@@ -268,6 +268,37 @@ def _with_step(payload, idx, **fields):
             lambda p: _with_step(p, 2, rank_after=-1),
             "step 2: rank_after -1 is not a non-negative integer",
         ),
+        (lambda p: _with_step(p, 1, value="1"), "step 1: a power step takes no value"),
+        (
+            lambda p: _with_step(p, 1, point=["1", "1"]),
+            "step 1: a power step takes no point",
+        ),
+        (
+            lambda p: {**p, "steps": [_without(p["steps"][0], "lift_to")]},
+            "step 1: missing field 'lift_to'",
+        ),
+        (lambda p: _with_step(p, 2, value="1"), "step 2: a collapse step takes no value"),
+        (
+            lambda p: _with_step(p, 2, variable=False),
+            "step 2: a collapse step takes no variable",
+        ),
+        (
+            lambda p: _with_step(p, 2, exponent=0.0),
+            "step 2: a collapse step takes no exponent",
+        ),
+        (
+            lambda p: _with_step(p, 2, point=["0"]),
+            "step 2: collapse point has the wrong arity",
+        ),
+        (lambda p: _with_step(p, 1, field="Q"), "step 1: field is not 'F 2'"),
+        (
+            lambda p: _with_step(p, 2, describe=None),
+            "step 2: describe is not 'collapse at (0, 0)'",
+        ),
+        (lambda p: _with_step(p, 1, lift_to=""), "unknown field kind '' at line 1"),
+        (lambda p: _with_step(p, 1, lift_to=0), "step 1: lift_to is not a string"),
+        (lambda p: _with_step(p, 1, lift_to=False), "step 1: lift_to is not a string"),
+        (lambda p: _with_step(p, 1, lift_to=[]), "step 1: lift_to is not a string"),
     ],
 )
 def test_chain_verify_refuses_malformed_certificates(files, capsys, tmp_path, mutate, message):
@@ -277,6 +308,38 @@ def test_chain_verify_refuses_malformed_certificates(files, capsys, tmp_path, mu
     assert [st["kind"] for st in payload["steps"]] == ["power", "collapse"]
     chain_file = tmp_path / "bad.json"
     chain_file.write_text(json.dumps(mutate(payload)))
+    code = main(["chain", str(chain_file), "--verify"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"endorank: error: {message}\n"
+
+
+Q_PRODUCT = """\
+field Q
+vars 2
+x1 -> x1*x2
+x2 -> x2
+"""
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"source": 2, "exponent": 5}, "step 1: a specialize step takes no source"),
+        ({"field": "F 2"}, "step 1: field is not 'Q'"),
+        ({"describe": "x2 := 7"}, "step 1: describe is not 'x1 := 0'"),
+    ],
+)
+def test_chain_verify_refuses_a_mismatched_specialize_step(
+    files, capsys, tmp_path, fields, message
+):
+    path = files("q.endo", Q_PRODUCT)
+    _, out = run_cli(capsys, "chain", path, "--format", "json")
+    payload = json.loads(out)
+    assert payload["steps"][0]["describe"] == "x1 := 0"
+    chain_file = tmp_path / "bad.json"
+    chain_file.write_text(json.dumps(_with_step(payload, 1, **fields)))
     code = main(["chain", str(chain_file), "--verify"])
     captured = capsys.readouterr()
     assert code == 1

@@ -223,6 +223,20 @@ def test_field_headers():
         parse_field_header("field F 2^3 mod t^2+t+1")  # degree mismatch
 
 
+@pytest.mark.parametrize(
+    "header, name, column",
+    [
+        ("field F 2^2 mod x1^2+x1+1", "x1", 17),  # x1^2 would fold to one token
+        ("field F 2^2 mod t^2+x1+1", "x1", 21),
+        ("field F 3^2 mod t^2+x2", "x2", 21),
+    ],
+)
+def test_field_modulus_names_only_t(header, name, column):
+    with pytest.raises(UnknownVariable) as exc_info:
+        parse_field_header(header)
+    assert str(exc_info.value) == f"unknown name {name!r} at line 1, column {column}"
+
+
 def test_load_endomorphism_with_comments():
     text = """
     # comment lines and blanks are skipped
