@@ -99,7 +99,8 @@ class SubstitutionRecord:
         the one check of a record.  ValueError: an unknown kind, a parameter
         the kind does not use that is not its default, an index outside
         1..nvars (negative indexing would read it as another variable), a
-        power step whose source is its variable or whose exponent is below 2.
+        power step whose source is its variable or whose exponent is below 2,
+        a missing value or point.
         SpecMismatch: a value or point unfit for the field."""
         if type(self.kind) is not str or self.kind not in _PARAMS:
             raise ValueError(f"unknown substitution kind {self.kind!r}")
@@ -113,12 +114,16 @@ class SubstitutionRecord:
             if name in used and (type(v) is not int or not 1 <= v <= nvars):
                 raise ValueError(f"{name} {v!r} outside 1..{nvars}")
         if self.kind == "collapse":
-            if self.point is None or len(self.point) != nvars:
+            if self.point is None:
+                raise ValueError("collapse point is missing")
+            if len(self.point) != nvars:
                 raise SpecMismatch("collapse point has the wrong arity")
             return Endomorphism.constant(spec, nvars, self.point)
         images = [MultiPoly.variable(spec, nvars, k) for k in range(nvars)]
         if self.kind == "specialize":
-            if self.value is None or self.value.spec != spec:
+            if self.value is None:
+                raise ValueError("specialization value is missing")
+            if self.value.spec != spec:
                 raise SpecMismatch("specialization value over the wrong field")
             images[self.variable - 1] = MultiPoly.constant(
                 spec, nvars, self.value

@@ -38,7 +38,9 @@ from .endo import (
 )
 from .errors import (
     EndoRankError,
+    FieldConstructionError,
     MalformedCertificate,
+    PolySyntaxError,
     ResourceLimit,
     SearchExhausted,
     SpecMismatch,
@@ -267,6 +269,15 @@ def _strings(obj: dict, key: str, where: str) -> list:
     return v
 
 
+def _field(obj: dict, key: str, where: str) -> FieldSpec:
+    """The field whose header, without its `field` keyword, is the string
+    obj[key]; the parser's error is prefixed with the record and the key."""
+    try:
+        return parse_field_header("field " + _string(obj, key, where))
+    except (PolySyntaxError, FieldConstructionError) as exc:
+        raise MalformedCertificate(f"{where}: {key}: {exc}") from None
+
+
 def _endo(obj: dict, key: str, where: str, spec: FieldSpec, n: int) -> Endomorphism:
     """The map whose images are the strings obj[key]; their number is checked
     before any is parsed, so a huge declared n allocates nothing."""
@@ -311,7 +322,7 @@ def _rebuild_chain(payload) -> Chain:
     if type(payload) is not dict:
         raise MalformedCertificate("certificate is not a JSON object")
     where = "certificate"
-    spec = parse_field_header("field " + _string(payload, "field", where))
+    spec = _field(payload, "field", where)
     n = _get(payload, "vars", where)
     if type(n) is not int or n < 1:
         raise MalformedCertificate(f"{where}: vars {n!r} is not a positive integer")
@@ -327,7 +338,7 @@ def _rebuild_chain(payload) -> Chain:
             raise MalformedCertificate(f"{where}: not a JSON object")
         lift = None
         if _get(sj, "lift_to", where) is not None:
-            lift = parse_field_header("field " + _string(sj, "lift_to", where))
+            lift = _field(sj, "lift_to", where)
             if lift != builtin_extension(cur):
                 raise MalformedCertificate(
                     f"{where}: lift_to {lift.header()} is not the stock extension "

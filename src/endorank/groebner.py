@@ -20,16 +20,22 @@ coefficient on raws.  S-pairs wait in a heap under the total key (lcm
 degree, i, j).  Only finished bases are turned back into MultiPoly; the
 re-indexing in elimination and membership shifts packed ints.
 
+Inside the loop a polynomial is int (K, P, c) triples over one
+denominator, over every field: a remainder, an S-polynomial, and the one
+tail a basis element keeps, its tail negated as ints over a denominator D.
+Over a finite field the ints are the raws themselves over 1; over Q they
+are numerators.  Fractions appear only where a polynomial enters (a
+generator, and the argument of a normal form, over their least common
+denominator) and where one is read out (a normal form, a finished basis).
+
 Reduction is one integer loop for every field.  It takes terms largest first
 from a heap (Monagan & Pearce, "Sparse polynomial division using a heap",
 JSC 2011), and a step is `coef[m] += c * t` over ints, with no field call.
-Every basis element, over every field, keeps its raw tail negated, and
-beside it that tail as ints over a denominator D.  Over a finite field the
-ints are the negated raws themselves (D = 1), and products pile up
-unreduced; each coefficient is reduced once, by `FieldSpec.reduce`, when
-its term is popped, and a term that reduced to zero is skipped.  One
-coefficient absorbs at most one product per step, so the budget is capped
-at 2^32 steps, the room `fields` leaves in a digit.
+Over a finite field products pile up unreduced; each coefficient is
+reduced once, by `FieldSpec.reduce`, when its term is popped, and a term
+that reduced to zero is skipped.  One coefficient absorbs at most one
+product per step, so the budget is capped at 2^32 steps, the room
+`fields` leaves in a digit.
 
 Over Q the remainder is integer numerators over one running denominator
 `den` (fraction-free reduction, Becker & Weispfenning, "Groebner Bases",
@@ -37,12 +43,15 @@ GTM 141).  A popped numerator c reduced by an element with D != 1 needs
 c * t / D; with h = gcd(c, D), only D / h is new, so when h != D every
 numerator left, and the remainder so far, is scaled by D / h and den
 with them.  den thus grows only by the part of each D that the popped
-coefficient does not already carry.  The remainder turns into raws only
-at readout: a normal form, a new monic element (whose tail -c_i / c_0
-needs no den), or the tail of a reduced basis.
+coefficient does not already carry.  A nonzero remainder c_0, .., c_k
+becomes a monic element through one gcd, g = gcd(c_0, .., c_k): its
+negated tail -c_i / c_0 is ints over D = |c_0| / g, and den cancels.  A
+tail reduced against the other elements is divided by gcd(den, c_1..c_k).
 
-S-polynomials use the field's own raw arithmetic, one operation per term
-and pair, on the negated tails, so every field's comes out negated.  The
+An S-polynomial scales each element's ints by L / D, L = lcm(D_a, D_b)
+(skipped when the factor is 1), and subtracts them with the field's own
+raw arithmetic, one operation per term and pair, which over Q acts on the
+ints exactly; it comes out negated over every field, as ints over L.  The
 degree cap is checked once per reduction step and per S-polynomial, on the
 shifted top of a tail: its largest packed monomial, so its highest degree.
 Work is metered in reduction steps against a module-wide budget; blowing
@@ -257,20 +266,37 @@ class _Packing:
 # -- core reduction ------------------------------------------------------------
 
 
+def _numerators(terms: Sequence, spec: FieldSpec) -> tuple:
+    """Raw (K, P, c) triples as ints over a denominator, the form _reduce
+    takes: over Q the numerators over their least common denominator, over
+    a finite field the raws themselves over 1."""
+    if spec.is_finite:
+        return terms, 1
+    den = lcm(*(c.denominator for _, _, c in terms))
+    return [(k, p, c.numerator * (den // c.denominator)) for k, p, c in terms], den
+
+
 def _element(k: int, p: int, neg_tail: tuple, spec: FieldSpec) -> tuple:
     """A monic basis element from its negated raw tail triples: (lead K,
-    lead P, tail, D, int tail, top), where the int tail is the negated tail
-    times D, and top is the tail's largest P (see _top).  Over a finite
-    field the int tail is the negated tail itself (D = 1); over Q it is the
-    numerators over D, their least common denominator."""
-    if spec.is_finite:
-        return k, p, neg_tail, 1, neg_tail, _top(neg_tail)
-    D = lcm(*(c.denominator for _, _, c in neg_tail))
-    ints = tuple((tk, tp, c.numerator * (D // c.denominator)) for tk, tp, c in neg_tail)
-    return k, p, neg_tail, D, ints, _top(neg_tail)
+    lead P, D, ints, top), where ints over D is the negated tail (see
+    _numerators) and top is the tail's largest P (see _top)."""
+    ints, D = _numerators(neg_tail, spec)
+    return k, p, D, tuple(ints), _top(ints)
 
 
-def _top(tail: tuple):
+def _lowest_terms(k: int, p: int, ints: Sequence, den: int) -> tuple:
+    """The basis element of lead (K, P) whose negated tail is the int
+    triples over den != 0 (over a finite field, raws over 1): both divided
+    by g = gcd(den, c_1..c_k), signed like den, so D = |den| / g."""
+    g = gcd(den, *(c for _, _, c in ints))
+    if den < 0:
+        g = -g
+    if g != 1:
+        ints = [(tk, tp, c // g) for tk, tp, c in ints]
+    return k, p, den // g, tuple(ints), _top(ints)
+
+
+def _top(tail: Sequence):
     """A tail's largest P, of its highest degree (under lex or block orders
     not always its first); an empty tail's is below every shifted P."""
     return max((tp for _, tp, _ in tail), default=float("-inf"))
@@ -278,17 +304,21 @@ def _top(tail: tuple):
 
 def _poly(el: tuple, nvars: int, spec: FieldSpec) -> MultiPoly:
     """A basis element as a MultiPoly."""
-    tail = {q: spec.neg_raw(c) for _, q, c in el[2]}
-    return MultiPoly(spec, nvars, {el[1]: spec.one_raw(), **tail})
+    _, p, D, ints, _ = el
+    if spec.is_finite:
+        tail = {q: spec.neg_raw(c) for _, q, c in ints}
+    else:
+        tail = {q: Fraction(-c, D) for _, q, c in ints}
+    return MultiPoly(spec, nvars, {p: spec.one_raw(), **tail})
 
 
 def _monic_element(out: list, spec: FieldSpec) -> tuple:
-    """The triples of a nonzero remainder of _reduce scaled to a monic basis
-    element.  Over Q the numerators' common denominator cancels."""
+    """A nonzero remainder of _reduce scaled to a monic basis element.  Over
+    Q the negated tail is -c_i / c_0, so the remainder's den cancels."""
     if spec.is_finite:
         return _monic_raws(out, spec)
     (k, p, lc), *tail = out
-    return _element(k, p, tuple((tk, tp, Fraction(-c, lc)) for tk, tp, c in tail), spec)
+    return _lowest_terms(k, p, tail, -lc)
 
 
 def _monic_raws(terms: list, spec: FieldSpec) -> tuple:
@@ -303,7 +333,8 @@ def _monic_raws(terms: list, spec: FieldSpec) -> tuple:
 
 
 def _readout(remainder: tuple, spec: FieldSpec) -> list:
-    """The raw triples of a remainder of _reduce."""
+    """The raw triples of ints over a denominator, such as a remainder of
+    _reduce."""
     out, den = remainder
     if spec.is_finite:
         return out
@@ -311,26 +342,24 @@ def _readout(remainder: tuple, spec: FieldSpec) -> list:
 
 
 def _reduce(
-    terms: Sequence, basis: Sequence, pk: _Packing, spec: FieldSpec, work: _Work
+    poly: tuple, basis: Sequence, pk: _Packing, spec: FieldSpec, work: _Work
 ) -> tuple:
-    """Full normal form of a polynomial, given as raw (K, P, c) triples,
-    against basis elements (see _element).  Terms are taken largest first
-    from a heap of -K; a term whose coefficient is zero when popped is
-    skipped.  The first basis element whose lead divides the term reduces
-    it, so the result is deterministic for a fixed basis order (and unique
-    anyway once the basis is a Groebner basis).  Returns (triples largest
-    first, den): the remainder's numerators over den (see the module
-    docstring) and, over a finite field, its raws over den = 1."""
+    """Full normal form of a polynomial, given as (int (K, P, c) triples,
+    den) (see _numerators), against basis elements (see _element).  Terms
+    are taken largest first from a heap of -K; a term whose coefficient is
+    zero when popped is skipped.  The first basis element whose lead
+    divides the term reduces it, so the result is deterministic for a fixed
+    basis order (and unique anyway once the basis is a Groebner basis).
+    Returns (triples largest first, den) in the same form: the remainder's
+    numerators over den (see the module docstring) and, over a finite
+    field, its raws over den = 1."""
     cap = degree_cap()
     guard, deg_shift = pk.guard, pk.deg_shift
     above_cap = (cap + 1) << deg_shift  # the degree is P's top field
     reduce = spec.reduce
     coef: dict = {}
     packed: dict = {}
-    den = 1
-    if reduce is None:
-        den = lcm(*(c.denominator for _, _, c in terms))
-        terms = [(k, p, c.numerator * (den // c.denominator)) for k, p, c in terms]
+    terms, den = poly
     for k, p, c in terms:
         coef[k] = c
         packed[k] = p
@@ -347,7 +376,7 @@ def _reduce(
         if not c:
             continue
         p = packed[k]
-        for lk, lp, _, D, tail, top in basis:
+        for lk, lp, D, tail, top in basis:
             if not (p - lp) & guard:
                 break
         else:
@@ -380,21 +409,27 @@ def _reduce(
     return out, den
 
 
-def _spoly(a: tuple, b: tuple, lcm: tuple, pk: _Packing, spec: FieldSpec) -> list:
-    """The S-polynomial of two monic basis elements, negated, as (K, P, c)
-    triples; `lcm` is the packed lcm of their leads, which cancel.  It comes
-    out negated because the elements keep negated tails, which its uses do
-    not see: a remainder is tested for zero or made monic."""
+def _spoly(a: tuple, b: tuple, m: tuple, pk: _Packing, spec: FieldSpec) -> tuple:
+    """The S-polynomial of two monic basis elements, negated, as (int
+    (K, P, c) triples, L) like a remainder of _reduce: numerators over L =
+    lcm(D_a, D_b), or over a finite field raws over 1.  `m` is the packed
+    lcm of their leads, which cancel.  It comes out negated because the
+    elements keep negated tails, which its uses do not see: a remainder is
+    tested for zero or made monic.  Over Q the field's raw operations act
+    on the ints exactly."""
     cap = degree_cap()
-    lk, lp = lcm
+    lk, lp = m
     # The highest degree reached: the cancelling leads' or a shifted tail's.
-    degree = max(lp, a[5] + lp - a[1], b[5] + lp - b[1]) >> pk.deg_shift
+    degree = max(lp, a[4] + lp - a[1], b[4] + lp - b[1]) >> pk.deg_shift
     if degree > cap:
         raise DegreeCapExceeded(f"S-polynomial reached degree {degree} above cap {cap}")
+    L = lcm(a[2], b[2])
 
     def shifted(el: tuple):
-        sk, sp = lk - el[0], lp - el[1]
-        return ((tk + sk, tp + sp, c) for tk, tp, c in el[2])
+        sk, sp, s = lk - el[0], lp - el[1], L // el[2]
+        if s == 1:
+            return ((tk + sk, tp + sp, c) for tk, tp, c in el[3])
+        return ((tk + sk, tp + sp, c * s) for tk, tp, c in el[3])
 
     acc = {k: (p, c) for k, p, c in shifted(a)}
     for k, p, c in shifted(b):
@@ -407,7 +442,7 @@ def _spoly(a: tuple, b: tuple, lcm: tuple, pk: _Packing, spec: FieldSpec) -> lis
             del acc[k]
         else:
             acc[k] = (p, s)
-    return [(k, p, c) for k, (p, c) in acc.items()]
+    return [(k, p, c) for k, (p, c) in acc.items()], L
 
 
 # -- Buchberger ----------------------------------------------------------------
@@ -501,9 +536,9 @@ def _buchberger(ideal: Ideal, order: MonomialOrder, work: _Work) -> tuple:
         others = kept[:i] + kept[i + 1 :]
         if others:
             steps = work.steps
-            remainder = _reduce(g[2], others, pk, spec, work)
+            out, den = _reduce((g[3], g[2]), others, pk, spec, work)
             if work.steps != steps:  # else the tail is already reduced
-                g = _element(g[0], g[1], tuple(_readout(remainder, spec)), spec)
+                g = _lowest_terms(g[0], g[1], out, den)
         reduced.append(g)
     polys = tuple(_poly(g, n, spec) for g in reduced)
     return polys, pk, reduced
@@ -536,7 +571,7 @@ def normal_form(f: MultiPoly, gb: GroebnerBasis) -> MultiPoly:
     if not gb.polys:
         return f
     pk, basis = gb._packed
-    remainder = _reduce(pk.terms(f), basis, pk, f.spec, _Work(_budget))
+    remainder = _reduce(_numerators(pk.terms(f), f.spec), basis, pk, f.spec, _Work(_budget))
     return MultiPoly(f.spec, f.nvars, {p: c for _, p, c in _readout(remainder, f.spec)})
 
 

@@ -295,7 +295,16 @@ def _with_step(payload, idx, **fields):
             lambda p: _with_step(p, 2, describe=None),
             "step 2: describe is not 'collapse at (0, 0)'",
         ),
-        (lambda p: _with_step(p, 1, lift_to=""), "unknown field kind '' at line 1"),
+        (
+            lambda p: _with_step(p, 1, lift_to=""),
+            "step 1: lift_to: unknown field kind '' at line 1",
+        ),
+        (lambda p: {**p, "field": "F 4"}, "certificate: field: 4 is not prime"),
+        (
+            lambda p: _with_step(p, 1, kind="specialize", source=0, exponent=0, value=None),
+            "step 1: specialization value is missing",
+        ),
+        (lambda p: _with_step(p, 2, point=None), "step 2: collapse point is missing"),
         (lambda p: _with_step(p, 1, lift_to=0), "step 1: lift_to is not a string"),
         (lambda p: _with_step(p, 1, lift_to=False), "step 1: lift_to is not a string"),
         (lambda p: _with_step(p, 1, lift_to=[]), "step 1: lift_to is not a string"),
@@ -620,7 +629,9 @@ def test_chain_verify_refuses_non_ascii_field_header(files, capsys, tmp_path):
     code = main(["chain", str(chain_file), "--verify"])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == "endorank: error: malformed field header 'field F \u00b2' at line 1\n"
+    assert captured.err == (
+        "endorank: error: certificate: field: malformed field header 'field F \u00b2' at line 1\n"
+    )
 
 
 def test_missing_file_exits_one(capsys, tmp_path):

@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -427,7 +428,10 @@ def _reference_buchberger(ideal, order, work):
 
 def _packed_normal_form(f, basis, order, work):
     pk = groebner._Packing(f.nvars, order)
-    out = groebner._reduce(pk.terms(f), [packed_element(pk, g) for g in basis], pk, f.spec, work)
+    out = groebner._reduce(
+        groebner._numerators(pk.terms(f), f.spec), [packed_element(pk, g) for g in basis], pk,
+        f.spec, work,
+    )
     return MultiPoly(f.spec, f.nvars, {p: c for _, p, c in groebner._readout(out, f.spec)})
 
 
@@ -518,7 +522,8 @@ def _reduce_both(f, basis, order):
     got = _outcome(lambda w: _packed_normal_form(f, basis, order, w))
     pk = groebner._Packing(f.nvars, order)
     _, den = groebner._reduce(
-        pk.terms(f), [packed_element(pk, g) for g in basis], pk, f.spec, groebner._Work(10**5)
+        groebner._numerators(pk.terms(f), f.spec), [packed_element(pk, g) for g in basis], pk,
+        f.spec, groebner._Work(10**5),
     )
     return want, got, den
 
@@ -636,6 +641,45 @@ def test_buchberger_matches_reference_bases_and_steps():
     assert steps > 2000  # the pair sequence is exercised, not just trivial ideals
 
 
+def _mixed_denominators(rng, n):
+    """A polynomial over Q in the ideal (x1..xn) whose coefficients carry
+    the coprime denominators 2, 3 and 7."""
+    scales = [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 7), Fraction(3, 2), Fraction(-2, 7), 1]
+    f = _no_constant_term(rng, QQ, n)
+    return MultiPoly(QQ, n, {q: c * rng.choice(scales) for q, c in f.terms.items()})
+
+
+def test_buchberger_over_q_with_mixed_denominators_matches_reference():
+    # Elements of different D meet in S-polynomials, which scale each side
+    # by L / D; the finished bases re-check every S-polynomial too.
+    rng = random.Random(31)
+    mixed = steps = 0
+    clear_caches()
+    checks = groebner.STATS["spoly_checks"]
+    groebner.CHECK_SPOLYS = True
+    try:
+        for n in (2, 3):
+            for order in _orders(rng, n):
+                for _ in range(4):
+                    I = Ideal.of(QQ, n, [_mixed_denominators(rng, n) for _ in range(3)])
+                    want = _outcome(lambda w: _reference_buchberger(I, order, w), 2000)
+                    got = _outcome(lambda w: groebner._buchberger(I, order, w)[0], 2000)
+                    assert got == want, (n, order, I.generators)
+                    steps += got[1]
+                    if got[0] is BudgetExceeded:
+                        continue
+                    _, els = groebner_basis(I, order)._packed
+                    # each D is positive and least: no factor common to all ints
+                    assert all(el[2] > 0 and math.gcd(el[2], *(c for *_, c in el[3])) == 1
+                               for el in els), els
+                    mixed += len({el[2] for el in els}) > 1
+    finally:
+        groebner.CHECK_SPOLYS = False
+        clear_caches()
+    assert groebner.STATS["spoly_checks"] > checks
+    assert mixed > 10 and steps > 1000
+
+
 def test_inputs_above_the_degree_cap_are_never_packed_into_a_guard_bit():
     old = degree_cap()
     set_degree_cap(4)
@@ -697,7 +741,7 @@ def test_s_polynomials_past_the_cap_state_their_highest_degree():
 def test_every_field_keeps_one_sign_convention():
     """A basis element keeps its tail negated over every field, so _poly
     reads a monic f back from _monic_raws, and _spoly returns the negated
-    S-polynomial."""
+    S-polynomial, as ints over a denominator that _readout turns into raws."""
     rng = random.Random(53)
     pairs = 0
     for spec in (QQ, GF2, GF3, GF4, GF9):
@@ -717,6 +761,7 @@ def test_every_field_keeps_one_sign_convention():
                         packed_element(pk, a), packed_element(pk, b), (pk.key(lp), lp), pk, spec
                     )
                     want = -_reference_spoly(a, lms[0], b, lms[1])
+                    got = groebner._readout(got, spec)
                     assert MultiPoly(spec, n, {q: c for _, q, c in got}) == want, (spec, a, b)
                     pairs += not want.is_zero
     assert pairs > 200
