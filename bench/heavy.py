@@ -30,6 +30,10 @@ The inputs are written to a temporary directory from the text below:
   (x1*x2 - 3*x2^2 + x1, 2*x1 - x2^2, their product + 3*x1) by the same s.
 * conj-a1 / conj-a2: `conj A cyc.endo --properties` with cyc = (x2, x3, x1)
   and A1 = s, A2 = (x1 + x2^2 + x3^3, x2 + x3^2, x3).
+* startup-rank: the rank by elimination of (x1 + x2, (x1 + x2)^2, x3), which
+  is 2 with the relation y2 - y1^2: a few milliseconds of work, so the case
+  times a one-shot command's start-up (the interpreter, importing endorank,
+  building the parser).
 
 The conjugated maps are made by this checkout's own `conj` command.
 """
@@ -59,8 +63,9 @@ G2_ENDO = (
     "x3 -> (x1*x2 - 3*x2^2 + x1) * (2*x1 - x2^2) + 3*x1\n"
 )
 CYC_ENDO = "x1 -> x2\nx2 -> x3\nx3 -> x1\n"
+SMALL_ENDO = "x1 -> x1 + x2\nx2 -> (x1 + x2)^2\nx3 -> x3\n"
 
-CASES = ("heavy-rank-q", "heavy-rank-fp", "rank2-conj", "conj-a1", "conj-a2")
+CASES = ("heavy-rank-q", "heavy-rank-fp", "rank2-conj", "conj-a1", "conj-a2", "startup-rank")
 
 
 def _cli(root, argv, timeout=TIMEOUT_S):
@@ -100,6 +105,7 @@ def build_inputs(root, workdir):
 
     s, a2 = put("s.aut", S_AUT), put("a2.aut", A2_AUT)
     g, g2, cyc = put("g.endo", G_ENDO), put("g2.endo", G2_ENDO), put("cyc.endo", CYC_ENDO)
+    small = put("small.endo", SMALL_ENDO)
     heavy_q = _write(os.path.join(workdir, "heavy_q.endo"), _conjugated(root, s, g, "Q"))
     heavy_fp = _write(
         os.path.join(workdir, "heavy_fp.endo"), _conjugated(root, s, g, "F 2147483647")
@@ -111,6 +117,7 @@ def build_inputs(root, workdir):
         "rank2-conj": ["rank", rank2, "--method", "elim"],
         "conj-a1": ["conj", s, cyc, "--properties"],
         "conj-a2": ["conj", a2, cyc, "--properties"],
+        "startup-rank": ["rank", small, "--method", "elim"],
     }
 
 

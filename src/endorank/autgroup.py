@@ -11,7 +11,6 @@ the bottom spot-checks exactly those invariants on seeded samples.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .endo import Endomorphism, compose, rank
 from .errors import (
@@ -25,6 +24,7 @@ from .fields import FieldAutomorphism, FieldSpec
 from .groebner import invert_poly_map
 from .kronecker import KroneckerSystem, verify_base_external
 from .mpoly import MultiPoly
+from .records import record
 from .sampling import random_endomorphism
 
 
@@ -40,7 +40,7 @@ def map_coeffs(f: MultiPoly, delta: FieldAutomorphism) -> MultiPoly:
     )
 
 
-@dataclass(frozen=True)
+@record
 class SemiLinearAut:
     """delta on coefficients followed by the substitution x_k -> s_k.
 
@@ -133,7 +133,7 @@ def conjugate(a: SemiLinearAut, g: Endomorphism) -> Endomorphism:
     return Endomorphism(g.spec, g.nvars, tuple(out))
 
 
-@dataclass(frozen=True)
+@record
 class ConjugationReport:
     ok: bool
     inner: bool

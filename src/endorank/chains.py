@@ -19,7 +19,6 @@ SearchExhausted carrying the full attempt log.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -37,12 +36,13 @@ from .fields import (
     enumerate_elements,
 )
 from .mpoly import MultiPoly
+from .records import record
 
 
 _RATIONAL_EXTRAS = 8  # extra seeded 32-bit constants per variable over Q
 
 
-@dataclass(frozen=True)
+@record
 class ChainPolicy:
     """Knobs for the substitution search."""
 
@@ -74,7 +74,7 @@ _PARAMS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class SubstitutionRecord:
     """One left-composition step, small enough to serialize and replay.
 
@@ -152,7 +152,7 @@ class SubstitutionRecord:
         return f"collapse at ({coords})"
 
 
-@dataclass(frozen=True)
+@record
 class ChainStep:
     record: SubstitutionRecord
     rank_before: int
@@ -160,7 +160,7 @@ class ChainStep:
     after: Endomorphism
 
 
-@dataclass(frozen=True)
+@record
 class Chain:
     start: Endomorphism
     steps: tuple[ChainStep, ...]
@@ -304,7 +304,7 @@ def build_full_chain(
     return Chain(phi, tuple(steps))
 
 
-@dataclass(frozen=True)
+@record
 class ChainVerification:
     ok: bool
     ranks: tuple[int, ...]  # rank at the start, then after each step

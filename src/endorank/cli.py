@@ -284,14 +284,25 @@ def _endo(obj: dict, key: str, where: str, spec: FieldSpec, n: int) -> Endomorph
     texts = _strings(obj, key, where)
     if len(texts) != n:
         raise MalformedCertificate(f"{where}: {len(texts)} {key} images for {n} vars")
-    return Endomorphism(spec, n, tuple(parse_polynomial(s, spec, n) for s in texts))
+    return Endomorphism(
+        spec, n, tuple(_poly(s, f"{key}[{i}]", where, spec, n) for i, s in enumerate(texts))
+    )
 
 
-def _constant(text: str, key: str, where: str, spec: FieldSpec, n: int):
-    """The field element a certificate writes as polynomial text; text that
-    parses to a non-constant polynomial is refused, not read as its
-    constant term."""
-    f = parse_polynomial(text, spec, n)
+def _poly(text: str, label: str, where: str, spec: FieldSpec, n: int) -> MultiPoly:
+    """A certificate's polynomial text; the parser's error is prefixed with
+    the record and the key, e.g. `step 1: after[0]: ...`."""
+    try:
+        return parse_polynomial(text, spec, n)
+    except PolySyntaxError as exc:
+        raise MalformedCertificate(f"{where}: {label}: {exc}") from None
+
+
+def _constant(text: str, key: str, where: str, spec: FieldSpec, n: int, label=None):
+    """The field element a certificate writes as polynomial text (under key,
+    or under label, the key with its index in a list); text that parses to
+    a non-constant polynomial is refused, not read as its constant term."""
+    f = _poly(text, label or key, where, spec, n)
     if not f.is_constant():
         raise MalformedCertificate(f"{where}: {key} {text!r} is not a constant")
     return f.constant_term()
@@ -351,8 +362,8 @@ def _rebuild_chain(payload) -> Chain:
         point = None
         if sj.get("point") is not None:
             point = tuple(
-                _constant(s, "point", where, step_spec, n)
-                for s in _strings(sj, "point", where)
+                _constant(s, "point", where, step_spec, n, f"point[{i}]")
+                for i, s in enumerate(_strings(sj, "point", where))
             )
         rec = SubstitutionRecord(
             kind=_get(sj, "kind", where),

@@ -20,7 +20,6 @@ monotone along strict comparisons.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -42,9 +41,10 @@ from .groebner import (
     memoized,
 )
 from .mpoly import MultiPoly
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class Endomorphism:
     """An algebra endomorphism of K[x1..xn], given by the images of the
     variables.  Immutable and hashable, so results can be memoized on it."""
@@ -156,7 +156,7 @@ def relation_ideal(endo: Endomorphism) -> Ideal:
     return eliminate(graph_ideal(endo.images), range(endo.nvars))
 
 
-@dataclass(frozen=True)
+@record
 class RankCertificate:
     """Rank value plus enough context to audit it."""
 
@@ -291,7 +291,7 @@ def compare(phi: Endomorphism, psi: Endomorphism) -> Verdict:
     return Verdict.INCOMPARABLE
 
 
-@dataclass(frozen=True)
+@record
 class FalsifierReport:
     """Outcome of randomized cross-examination of a comparison verdict.
 

@@ -21,7 +21,6 @@ keeps the inner loops free of wrapper overhead without losing exactness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -32,6 +31,7 @@ from .errors import (
     InfiniteField,
     SpecMismatch,
 )
+from .records import record
 
 Raw = Union[Fraction, int]
 
@@ -143,7 +143,7 @@ def _extension_reduce(
     return reduce
 
 
-@dataclass(frozen=True)
+@record
 class FieldSpec:
     """The ground field.  kind is one of "Q", "Fp", "Fpk"."""
 
@@ -346,7 +346,7 @@ class FieldSpec:
         return f"F {self.p}^{self.k} mod {_t_polynomial(self.modulus)}"
 
 
-@dataclass(frozen=True)
+@record
 class FieldElement:
     """A typed field element: a spec plus a raw value."""
 
@@ -403,7 +403,7 @@ class FieldElement:
 # -- automorphisms ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class FieldAutomorphism:
     """x -> x^(p^e) on a finite field; e = 0 is the identity.
 

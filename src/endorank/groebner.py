@@ -65,7 +65,6 @@ S-polynomials reduce to zero, with counters in STATS.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -86,6 +85,7 @@ from .mpoly import (
     degree_cap,
     mono_lcm,
 )
+from .records import record
 
 # -- configuration and instrumentation ----------------------------------------
 
@@ -177,7 +177,7 @@ def _tie_sorted(items: list, cheap, full) -> list:
     return [x for _, x in keyed]
 
 
-@dataclass(frozen=True)
+@record
 class Ideal:
     """An ideal of K[x1..xn] given by generators, canonicalized so that equal
     generating sets compare and hash equal."""
@@ -209,7 +209,7 @@ class Ideal:
         return not self.generators
 
 
-@dataclass(frozen=True)
+@record
 class GroebnerBasis:
     """A reduced Groebner basis: monic, interreduced, sorted ascending by
     leading monomial.  Unique for a given (ideal, order)."""
@@ -219,7 +219,7 @@ class GroebnerBasis:
     polys: tuple[MultiPoly, ...]
     # The packing the basis was computed in and `polys` as packed elements,
     # so normal forms need not pack the basis again.
-    _packed: tuple = field(compare=False, repr=False)
+    _packed: tuple
 
     @property
     def is_unit(self) -> bool:

@@ -19,7 +19,6 @@ matrix-unit action becomes literally e(i,j): z_j -> z_i, all other z -> 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from typing import Callable, Optional, Sequence
@@ -34,9 +33,10 @@ from .errors import (
 from .fields import FieldElement, FieldSpec
 from .groebner import invert_poly_map, memoized, subalgebra_member
 from .mpoly import GREVLEX, MultiPoly
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class KroneckerSystem:
     """An n x n family of endomorphisms indexed 1-based via entry(i, j),
     with an optional explicit zero element."""
@@ -176,7 +176,7 @@ def _relation_violations(
     return problems, zero_hat, checked
 
 
-@dataclass(frozen=True)
+@record
 class SubbaseReport:
     ok: bool
     zero: Optional[Endomorphism]
@@ -300,7 +300,7 @@ def image_generator(
     return None
 
 
-@dataclass(frozen=True)
+@record
 class BaseCertificate:
     """Generators plus witnesses writing every variable in them, for a
     system that passed the subbase audit; zero is the common zero that audit
@@ -326,7 +326,7 @@ class BaseCertificate:
         return problems
 
 
-@dataclass(frozen=True)
+@record
 class BaseCheck:
     is_base: bool
     generators: tuple[MultiPoly, ...]
@@ -400,7 +400,7 @@ def verify_base_external(
 # -- normalization -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class NormalizationResult:
     certificate: BaseCertificate
     gammas: tuple[FieldElement, ...]  # generator values at the zero point
@@ -523,7 +523,7 @@ def normalize_base(cert: BaseCertificate) -> NormalizationResult:
 # -- internal base condition -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class InternalBaseReport:
     ok: bool
     phi: Endomorphism

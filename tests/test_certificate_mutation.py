@@ -15,6 +15,7 @@ import os
 import pathlib
 import tempfile
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -128,3 +129,37 @@ def test_a_changed_step_key_never_replays_ok(r_max, step, key, junk):
     record[name] = junk
     code, out, _ = _verify(payload)
     assert code in (1, 2) or (code == 0 and json.loads(out)["ok"] is False)
+
+
+
+@pytest.mark.parametrize(
+    "step, key, index, text, code, message",
+    [
+        (
+            None, "start", 0, "x1 +", 1,
+            "endorank: error: certificate: start[0]: expected a term, "
+            "found 'end of input' at line 1, column 5",
+        ),
+        (
+            1, "after", 1, "x3", 1,
+            "endorank: error: step 1: after[1]: x3 is outside the declared "
+            "variables x1..x2 at line 1, column 1",
+        ),
+        (
+            2, "point", 1, "1 +", 1,
+            "endorank: error: step 2: point[1]: expected a term, "
+            "found 'end of input' at line 1, column 4",
+        ),
+        # a resource limit met while parsing is no verdict on the certificate
+        (
+            None, "start", 0, "x1^999", 2,
+            "endorank: exhausted: product degree 999 exceeds cap 64 (degree 1, power 999)",
+        ),
+    ],
+)
+def test_a_parse_error_names_the_record_and_key(step, key, index, text, code, message):
+    payload = _certificate(8)
+    record = payload if step is None else payload["steps"][step - 1]
+    record[key][index] = text
+    got, _, err = _verify(payload)
+    assert (got, err.strip()) == (code, message)

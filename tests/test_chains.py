@@ -1,12 +1,12 @@
 """Rank-reducing substitution chains and their independent verifier."""
 
-import dataclasses
-
 import pytest
 
 from endorank.chains import (
     Chain,
     ChainPolicy,
+    ChainStep,
+    SubstitutionRecord,
     build_full_chain,
     lift_endo,
     reduce_rank_once,
@@ -215,9 +215,19 @@ def test_search_exhausted_carries_the_attempt_log():
 # -- the verifier catches tampering ---------------------------------------------
 
 
+def _record_with(rec, **params):
+    """A SubstitutionRecord with rec's fields, some of them replaced."""
+    fields = dict(
+        kind=rec.kind, variable=rec.variable, source=rec.source, exponent=rec.exponent,
+        value=rec.value, point=rec.point, lifted_to=rec.lifted_to,
+    )
+    return SubstitutionRecord(**{**fields, **params})
+
+
 def test_verifier_rejects_wrong_recorded_rank():
     chain = build_full_chain(gf2_vanishing_pair())
-    bad_step = dataclasses.replace(chain.steps[0], rank_after=0)
+    step = chain.steps[0]
+    bad_step = ChainStep(step.record, step.rank_before, 0, step.after)
     tampered = Chain(chain.start, (bad_step,) + chain.steps[1:])
     report = verify_chain(tampered)
     assert not report.ok
@@ -226,8 +236,9 @@ def test_verifier_rejects_wrong_recorded_rank():
 
 def test_verifier_rejects_wrong_composed_map():
     chain = build_full_chain(Endomorphism.identity(QQ, 2))
-    bad_step = dataclasses.replace(
-        chain.steps[0], after=endo(QQ, "0", "x2^2")
+    step = chain.steps[0]
+    bad_step = ChainStep(
+        step.record, step.rank_before, step.rank_after, endo(QQ, "0", "x2^2")
     )
     tampered = Chain(chain.start, (bad_step,) + chain.steps[1:])
     report = verify_chain(tampered)
@@ -237,8 +248,9 @@ def test_verifier_rejects_wrong_composed_map():
 
 def test_verifier_requires_declared_field_switch():
     chain = build_full_chain(gf2_vanishing_pair(), ChainPolicy(r_max=1))
-    record = dataclasses.replace(chain.steps[0].record, lifted_to=None)
-    bad_step = dataclasses.replace(chain.steps[0], record=record)
+    step = chain.steps[0]
+    record = _record_with(step.record, lifted_to=None)
+    bad_step = ChainStep(record, step.rank_before, step.rank_after, step.after)
     tampered = Chain(chain.start, (bad_step,) + chain.steps[1:])
     report = verify_chain(tampered)
     assert not report.ok
@@ -273,8 +285,9 @@ def test_verifier_replays_only_the_record_it_reads(idx, params, problem):
     ]
     assert verify_chain(chain).ok
     steps = list(chain.steps)
-    record = dataclasses.replace(steps[idx - 1].record, **params)
-    steps[idx - 1] = dataclasses.replace(steps[idx - 1], record=record)
+    step = steps[idx - 1]
+    record = _record_with(step.record, **params)
+    steps[idx - 1] = ChainStep(record, step.rank_before, step.rank_after, step.after)
     report = verify_chain(Chain(chain.start, tuple(steps)))
     assert not report.ok
     assert f"step {idx}: replay failed: {problem}" in report.problems
