@@ -9,7 +9,10 @@ PYTHONPATH and a timeout.  A case records its wall time, exit code and the
 sha256 of its stdout.
 
 --answers prints one line per case, "name exit digest", and no timings, so
-two checkouts (or a checkout and a pinned list) compare with diff.
+two checkouts (or a checkout and a pinned list) compare with diff.  A rank
+case adds the sha256 of its input file: its answer names only the field,
+the rank and the relations, so any map of the same rank would print the
+same digest.
 
 --against DIR times the checkout at DIR ("parent") and this one ("change")
 in alternation, case by case for ROUNDS rounds, because CPU speed on a
@@ -146,7 +149,11 @@ def main(argv=None):
         if args.answers:
             for name in cases:
                 r = run_case(root, inputs[name])
-                print(f"{name} {r['exit']} {r['sha256']}")
+                line = f"{name} {r['exit']} {r['sha256']}"
+                if inputs[name][0] == "rank":
+                    with open(inputs[name][1], "rb") as fh:
+                        line += " " + hashlib.sha256(fh.read()).hexdigest()
+                print(line)
             return 0
         roots = {"parent": os.path.abspath(args.against), "change": root}
         runs = {name: {"parent": [], "change": []} for name in cases}

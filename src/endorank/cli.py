@@ -790,7 +790,7 @@ def main(argv=None) -> int:
     except (ResourceLimit, SearchExhausted) as exc:
         print(f"endorank: exhausted: {exc}", file=sys.stderr)
         return 2
-    except (EndoRankError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (EndoRankError, OSError, json.JSONDecodeError) as exc:
         print(f"endorank: error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -312,19 +312,6 @@ class BaseCertificate:
     zero: Optional[Endomorphism]
     normalized: bool = False
 
-    def validate(self) -> list[str]:
-        """Substitute every witness back, for a certificate from elsewhere;
-        subalgebra_member already checks each witness it returns."""
-        problems = []
-        n = self.system.n
-        spec = self.system.spec
-        for k in range(n):
-            got = self.witnesses[k].substitute(self.generators)
-            want = MultiPoly.variable(spec, n, k)
-            if got != want:
-                problems.append(f"witness for x{k + 1} does not substitute back")
-        return problems
-
 
 @record
 class BaseCheck:

@@ -13,12 +13,9 @@ tokenizer takes a run x_i^e*x_j^f*.. (no blanks inside, no '^' after it) as
 one token, and a literal (c), (-c) or (a/b) as another.  The parser turns a
 monomial token straight into a one-term polynomial with its packed key, with
 no product or power per variable; the coefficient times the monomial stays
-one product.  Where the one-variable-at-a-time reading would raise, it reads
-the token's characters instead, so errors keep their class, message, line
-and column: an index outside x1..xn, an exponent or total degree above the
-degree cap, a number longer than int() reads, a fraction over a finite
-field or over zero, and a monomial whose product with the factors before it
-passes the cap.
+one product.  This folded reading is a fast path with one rule: where it
+fails, parse_polynomial reads the same text again one character token at a
+time, and that reading's polynomial or error stands.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from typing import Sequence
 
 from .errors import (
     CoefficientParseError,
-    DegreeCapExceeded,
+    EndoRankError,
     PolySyntaxError,
     UnknownVariable,
 )
@@ -203,14 +200,6 @@ def _tokenize(
     return toks
 
 
-def _unfolded(tok: tuple[str, str, int, int]) -> list[tuple[str, str, int, int]]:
-    """The character tokens of a token."""
-    kind, text, line, col = tok
-    if kind not in _FOLDED:
-        return [tok]
-    return _tokenize(text, line, col, fold=False)[:-1]
-
-
 @memoized
 def _atom(text: str) -> tuple[int, int]:
     """(0-based index, exponent) of x<i> or x<i>^<e>."""
@@ -218,18 +207,12 @@ def _atom(text: str) -> tuple[int, int]:
     return int(name[1:]) - 1, int(e) if e else 1
 
 
-def _shown(tok: tuple[str, str, int, int]) -> str:
-    """A token as an error quotes it: the text of its first character token."""
-    return _unfolded(tok)[0][1] or "end of input"
-
-
 # -- recursive-descent parser ---------------------------------------------------
 
 
 class _Parser:
-    """Recursive descent over the tokens.  Where reading a folded token
-    whole could change an error (see the module docstring), the parser puts
-    its character tokens in its place and reads those."""
+    """Recursive descent over the tokens.  An error quotes a token's text
+    as it stands: parse_polynomial shows only the character reading's."""
 
     def __init__(self, toks, spec: FieldSpec, nvars: int, t_is_variable: bool):
         self.toks = toks
@@ -247,15 +230,11 @@ class _Parser:
         self.pos += 1
         return t
 
-    def unfold(self, at: int) -> None:
-        """Put the character tokens of the folded token at `at` in its place."""
-        self.toks[at : at + 1] = _unfolded(self.toks[at])
-
     def expect(self, kind: str) -> tuple[str, str, int, int]:
         t = self.take()
         if t[0] != kind:
             raise PolySyntaxError(
-                f"expected {kind!r}, found {_shown(t)!r}", t[2], t[3]
+                f"expected {kind!r}, found {t[1] or 'end of input'!r}", t[2], t[3]
             )
         return t
 
@@ -263,7 +242,7 @@ class _Parser:
         f = self.expr()
         t = self.take()
         if t[0] != "end":
-            raise PolySyntaxError(f"trailing input {_shown(t)!r}", t[2], t[3])
+            raise PolySyntaxError(f"trailing input {t[1]!r}", t[2], t[3])
         return f
 
     def expr(self) -> MultiPoly:
@@ -280,18 +259,7 @@ class _Parser:
         f = self.factor()
         while self.peek() == "*":
             self.take()
-            at = self.pos
-            g = self.factor()
-            try:
-                f = f * g
-            except DegreeCapExceeded:
-                # The character tokens multiply one variable at a time, and
-                # an earlier product may be the one past the cap.
-                if self.toks[self.pos - 1][0] != "mono":
-                    raise
-                self.unfold(self.pos - 1)
-                self.pos = at
-                f = f * self.factor()
+            f = f * self.factor()
         return f
 
     def factor(self) -> MultiPoly:
@@ -308,12 +276,7 @@ class _Parser:
     def primary(self) -> MultiPoly:
         kind, text, line, col = self.take()
         if kind in _FOLDED:
-            f = self.folded(kind, text)
-            if f is not None:
-                return f
-            self.pos -= 1
-            self.unfold(self.pos)
-            kind, text, line, col = self.take()
+            return self.folded(kind, text)
         if kind == "int":
             value = _int(text, line, col)
             if self.peek() == "/":
@@ -338,31 +301,29 @@ class _Parser:
             f"expected a term, found {text or 'end of input'!r}", line, col
         )
 
-    def folded(self, kind: str, text: str) -> MultiPoly | None:
-        """The polynomial of a folded token, or None where its character
-        tokens raise."""
+    def folded(self, kind: str, text: str) -> MultiPoly:
+        """The polynomial of a folded token.  It raises ValueError wherever
+        the token's character tokens would raise, since a folded reading
+        that succeeds stands."""
         spec, n = self.spec, self.nvars
-        try:
-            if kind == "literal":
-                num, _, den = text[1:-1].partition("/")
-                if not den:
-                    c = spec.from_int_raw(int(num))
-                elif spec.kind == "Q" and int(den):
-                    c = Fraction(int(num), int(den))
-                else:
-                    return None
-                return MultiPoly(spec, n, {0: c} if c else {})
-            # x_i^e*x_j^f*..: the exponents add up in their bytes.
-            mono = degree = 0
-            for i, e in map(_atom, text.split("*")):
-                if not 0 <= i < n:
-                    return None
-                mono += e << (8 * i)
-                degree += e
-        except ValueError:  # a number longer than int() reads
-            return None
+        if kind == "literal":
+            num, _, den = text[1:-1].partition("/")
+            if not den:
+                c = spec.from_int_raw(int(num))
+            elif spec.kind == "Q" and int(den):
+                c = Fraction(int(num), int(den))
+            else:
+                raise ValueError(f"{text} over {spec.header()}")
+            return MultiPoly(spec, n, {0: c} if c else {})
+        # x_i^e*x_j^f*..: the exponents add up in their bytes.
+        mono = degree = 0
+        for i, e in map(_atom, text.split("*")):
+            if not 0 <= i < n:
+                raise ValueError(f"x{i + 1} is outside x1..x{n}")
+            mono += e << (8 * i)
+            degree += e
         if degree > degree_cap():
-            return None
+            raise ValueError(f"{text} is above the degree cap")
         return MultiPoly(spec, n, {mono + (degree << (8 * n)): spec.one_raw()})
 
     def name_atom(self, name: str, line: int, col: int) -> MultiPoly:
@@ -389,8 +350,14 @@ class _Parser:
 def parse_polynomial(
     text: str, spec: FieldSpec, nvars: int, line0: int = 1, col0: int = 1
 ) -> MultiPoly:
-    """Parse polynomial text that starts at line line0, column col0."""
-    return _Parser(_tokenize(text, line0, col0), spec, nvars, False).parse()
+    """Parse polynomial text that starts at line line0, column col0.  Where
+    the folded reading fails, the character reading decides."""
+    try:
+        return _Parser(_tokenize(text, line0, col0), spec, nvars, False).parse()
+    except (EndoRankError, ValueError):
+        pass  # the folded reading's error is not shown
+    toks = _tokenize(text, line0, col0, fold=False)
+    return _Parser(toks, spec, nvars, False).parse()
 
 
 def _parse_modulus_text(text: str, p: int, line0: int, col0: int) -> tuple[int, ...]:

@@ -19,8 +19,8 @@ from endorank.mpoly import GREVLEX, MultiPoly, set_degree_cap, degree_cap
 from endorank.parsing import (
     _format_monomial,
     _rational,
+    _FOLDED,
     _tokenize,
-    _unfolded,
     dump_endomorphism,
     format_coefficient,
     format_poly,
@@ -380,6 +380,14 @@ def _reference_tokenize(text, line0, col0):
     return toks
 
 
+def _unfolded(tok):
+    """The character tokens of a token."""
+    kind, text, line, col = tok
+    if kind not in _FOLDED:
+        return [tok]
+    return _tokenize(text, line, col, fold=False)[:-1]
+
+
 def _tokens(text, line0, col0, fold=True):
     """The tokens of _tokenize, each folded token expanded into its
     character tokens, or the error's (message, line, col)."""
@@ -575,6 +583,11 @@ _LONG = "1" * 5000  # longer than int() reads on Python 3.11 and later
         ("x1^40 * -x2^20*x3^10", QQ, 3), ("x1^60*x2^3*x3^5", QQ, 3),
         (f"x1^{_LONG}", QQ, 1), (f"x{_LONG}", QQ, 1), (f"({_LONG})", QQ, 1),
         (f"(1/{_LONG})*x1", QQ, 1), (f"x1^0{_LONG[:3]}", QQ, 1),
+        # the folded reading fails and the character reading answers 0
+        ("0*x1^40*x2^40", QQ, 3), ("x1^40*x2^40*0", QQ, 3),
+        # the character reading's first error wins over a later syntax error
+        ("x1^100*x2 +", QQ, 3), ("x1^30*x2^30*x3^30 - )", QQ, 3),
+        ("(1/2)*x1 + x9", FieldSpec.prime_field(5), 3),
     ],
 )
 def test_parser_matches_the_character_parser_on_edge_cases(text, spec, n):
