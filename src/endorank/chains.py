@@ -187,7 +187,9 @@ def _candidates(
     psi: Endomorphism, policy: ChainPolicy
 ) -> Iterator[tuple[SubstitutionRecord, Endomorphism]]:
     """Deterministic schedule of (record, working map) pairs.  The working
-    map differs from psi only for extension-lift candidates."""
+    map differs from psi only for extension-lift candidates.  Records are
+    built with every field by position (kind, variable, source, exponent,
+    value, point, lifted_to), the fast path of records.record."""
     spec = psi.spec
     occurring = _occurring(psi)
 
@@ -205,13 +207,13 @@ def _candidates(
                     continue
                 seen.add(v)
                 yield SubstitutionRecord(
-                    "specialize", variable=j + 1, value=spec.element(v)
+                    "specialize", j + 1, 0, 0, spec.element(v), None, None
                 ), psi
     else:
         for j in occurring:
             for elt in enumerate_elements(spec):
                 yield SubstitutionRecord(
-                    "specialize", variable=j + 1, value=elt
+                    "specialize", j + 1, 0, 0, elt, None, None
                 ), psi
 
     for j in occurring:
@@ -220,7 +222,7 @@ def _candidates(
                 continue
             for r in range(2, policy.r_max + 1):
                 yield SubstitutionRecord(
-                    "power", variable=j + 1, source=i + 1, exponent=r
+                    "power", j + 1, i + 1, r, None, None, None
                 ), psi
 
     if spec.is_finite:
@@ -232,10 +234,7 @@ def _candidates(
             for j in occurring:
                 for elt in fresh:
                     yield SubstitutionRecord(
-                        "specialize",
-                        variable=j + 1,
-                        value=elt,
-                        lifted_to=ext,
+                        "specialize", j + 1, 0, 0, elt, None, ext
                     ), lifted
 
 

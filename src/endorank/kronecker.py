@@ -14,7 +14,9 @@ A subbase becomes a base when the diagonal image generators z_1..z_n
 generate the whole polynomial algebra; that is decided by subalgebra
 membership, certified with explicit witnesses, and cross-checked against map
 inversion.  normalize_base rescales and recenters the generators so the
-matrix-unit action becomes literally e(i,j): z_j -> z_i, all other z -> 0.
+matrix-unit action becomes literally e(i,j): z_j -> z_i, all other z -> 0;
+it reads each entry's affine action from coefficients and carries the
+witnesses through the change, with no membership test.
 """
 
 from __future__ import annotations
@@ -249,33 +251,19 @@ def classify_representation(system: KroneckerSystem) -> RepresentationKind:
 # -- image generators and bases -----------------------------------------------------
 
 
-def image_generator(
-    phi: Endomorphism, hints: Sequence[MultiPoly] = (), proven: bool = False
-) -> Optional[MultiPoly]:
-    """A single polynomial z with K[phi-images] = K[z], for an idempotent of
-    rank 1 (checked here unless `proven` says the caller has proved it).
-    Candidates: supplied hints, then the nonconstant images from low degree
-    up, then constant-free shifts of those, then their degree-1 parts.  Each
-    candidate must contain every image (membership witnessed) and itself lie
-    in the image algebra.  Heuristic-complete: None means no candidate
-    verified, not that no generator exists."""
-    if not proven:
-        if compose(phi, phi) != phi:
-            raise RelationViolation(
-                "generator extraction requires an idempotent map"
-            )
-        r = rank(phi).value
-        if r != 1:
-            raise RelationViolation(
-                f"generator extraction requires rank 1, got rank {r}"
-            )
-
-    candidates: list[MultiPoly] = list(hints)
+def image_generator(phi: Endomorphism) -> Optional[MultiPoly]:
+    """A single polynomial z with K[z] = K[phi-images], for any map phi.
+    Candidates: the nonconstant images from low degree up, then
+    constant-free shifts of those, then their degree-1 parts.  A candidate
+    is returned only once two memberships show the equality: it lies in the
+    image algebra, and every image lies in K[z] (both witnessed).  So a
+    returned z is always a generator; None means no candidate verified, not
+    that no generator exists (verify_base_external takes explicit ones)."""
     images = sorted(
         (img for img in phi.images if not (img.is_zero or img.is_constant())),
         key=lambda f: (f.total_degree(), sorted(f.tuple_terms())),
     )
-    candidates.extend(images)
+    candidates = list(images)
     for img in images:
         shifted = img - MultiPoly.constant(
             phi.spec, phi.nvars, img.constant_term()
@@ -324,8 +312,7 @@ class BaseCheck:
 def _diagonal_generators(
     system: KroneckerSystem, Z: Optional[Sequence[MultiPoly]]
 ) -> tuple[MultiPoly, ...]:
-    """Z, or a generator of each diagonal entry of a system that passed the
-    subbase audit, which proved every entry idempotent of rank 1."""
+    """Z, or image_generator's generator of each diagonal entry."""
     if Z is not None:
         gens = tuple(Z)
         if len(gens) != system.n:
@@ -335,7 +322,7 @@ def _diagonal_generators(
         return gens
     out = []
     for i in range(1, system.n + 1):
-        z = image_generator(system.entry(i, i), proven=True)
+        z = image_generator(system.entry(i, i))
         if z is None:
             raise GeneratorNotFound(
                 f"no image generator found for diagonal entry ({i},{i}); "
@@ -396,30 +383,23 @@ class NormalizationResult:
     global_scale: FieldElement
 
 
-def _affine_parts(
-    w: MultiPoly, spec: FieldSpec
-) -> tuple[FieldElement, FieldElement]:
-    """Split a univariate witness a*y + b; reject anything of degree > 1."""
-    if w.total_degree() > 1:
-        raise NonAffineImage(
-            f"generator image is not affine in the target generator: {w}"
-        )
-    return w.coefficient((1,)), w.coefficient((0,))
-
-
 def normalize_base(cert: BaseCertificate) -> NormalizationResult:
     """Recenter and rescale the generators of a base certificate (as made by
     verify_base_external, whose subbase audit is not repeated) until the
     matrix-unit action of cert.system is literal: entry(i,j) sends z_j to
     z_i and all other generators to 0.
 
-    Each entry(i,j) applied to z_j must be affine in z_i, say a_ij z_i +
-    b_ij.  Consistency of the affine data (b_ij = gamma_j - a_ij gamma_i
-    where gamma is the generator tuple evaluated at the point of cert.zero,
-    and a_ij a_jk = a_ik) is verified, then z is recentered by gamma,
-    rescaled per generator by a_i1, and rescaled globally so z'_1 is monic.
-    The delta relations on the result are re-verified for every triple, and
-    the witnesses are recomputed.
+    Each entry(i,j) applied to z_j must be affine in z_i, a_ij z_i + b_ij,
+    read from coefficients: z_i is not constant, so a_ij is the image's
+    coefficient at z_i's GREVLEX leading monomial over z_i's leading
+    coefficient, and the image minus a_ij z_i must be the constant b_ij.
+    Consistency (b_ij = gamma_j - a_ij gamma_i where gamma is the generator
+    tuple evaluated at the point of cert.zero, and a_ij a_jk = a_ik) is
+    verified, then z is recentered by gamma, rescaled per generator by a_i1,
+    and rescaled globally so z'_1 is monic.  The delta relations on the
+    result are re-verified for every triple.  The certificate's witnesses
+    are carried through the affine change and checked by substitution (the
+    generators are algebraically independent, so witnesses are unique).
     """
     if cert.normalized:
         raise RelationViolation("certificate is already normalized")
@@ -437,20 +417,23 @@ def normalize_base(cert: BaseCertificate) -> NormalizationResult:
 
     a = [[spec.zero() for _ in range(n)] for _ in range(n)]
     for i in range(1, n + 1):
+        z_i = zs[i - 1]
+        lead = z_i.leading_monomial(GREVLEX)
+        lead_inv = z_i.coefficient(lead).inverse()
         for j in range(1, n + 1):
             image = system.entry(i, j).apply(zs[j - 1])
-            w = subalgebra_member(image, (zs[i - 1],))
-            if w is None:
+            a_ij = image.coefficient(lead) * lead_inv
+            rest = image - z_i.scale(a_ij)
+            if not rest.is_constant():
                 raise NonAffineImage(
-                    f"entry ({i},{j}) does not map z{j} into K[z{i}]"
+                    f"entry ({i},{j}) does not map z{j} to an affine "
+                    f"function of z{i}"
                 )
-            a_ij, b_ij = _affine_parts(w, spec)
             if a_ij.is_zero:
                 raise ZeroScale(
                     f"entry ({i},{j}) collapses z{j} to a constant"
                 )
-            expected_b = gammas[j - 1] - a_ij * gammas[i - 1]
-            if b_ij != expected_b:
+            if rest.constant_term() != gammas[j - 1] - a_ij * gammas[i - 1]:
                 raise RelationViolation(
                     f"affine offset of entry ({i},{j}) is inconsistent with "
                     "the zero point"
@@ -487,18 +470,23 @@ def normalize_base(cert: BaseCertificate) -> NormalizationResult:
                         f"on z'{k}"
                     )
 
-    witnesses = []
-    for k in range(n):
-        w = subalgebra_member(MultiPoly.variable(spec, n, k), final)
-        if w is None:
+    # final_i = lam alpha_i (z_i - gamma_i), so z_i = y_i / (lam alpha_i) +
+    # gamma_i turns a witness in the z into one in the final generators.
+    back = tuple(
+        MultiPoly.variable(spec, n, i).scale((lam * alphas[i]).inverse())
+        + MultiPoly.constant(spec, n, gammas[i])
+        for i in range(n)
+    )
+    witnesses = tuple(w.substitute(back) for w in cert.witnesses)
+    for k, w in enumerate(witnesses):
+        if w.substitute(final) != MultiPoly.variable(spec, n, k):
             raise RuntimeError(
                 "normalized generators lost the base property"
             )
-        witnesses.append(w)
 
     return NormalizationResult(
         certificate=BaseCertificate(
-            system, final, tuple(witnesses), cert.zero, normalized=True
+            system, final, witnesses, cert.zero, normalized=True
         ),
         gammas=gammas,
         scales=tuple(tuple(row) for row in a),

@@ -24,14 +24,17 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
+from .autgroup import SemiLinearAut
+from .endo import Endomorphism
 from .errors import (
     CoefficientParseError,
     EndoRankError,
     PolySyntaxError,
     UnknownVariable,
 )
-from .fields import FieldSpec, Raw
+from .fields import FieldAutomorphism, FieldSpec, Raw
 from .groebner import memoized
+from .kronecker import KroneckerSystem
 from .mpoly import GREVLEX, MultiPoly, _add_terms, degree_cap
 
 
@@ -469,8 +472,6 @@ def _parse_image_block(lines, spec, nvars):
 
 def load_endomorphism(text: str):
     """Parse an endomorphism file into an Endomorphism."""
-    from .endo import Endomorphism
-
     spec, nvars, rest = _parse_prelude(_content_lines(text))
     images, rest = _parse_image_block(rest, spec, nvars)
     if rest:
@@ -482,9 +483,6 @@ def load_endomorphism(text: str):
 def load_kronecker_system(text: str):
     """Parse a Kronecker-system file into a KroneckerSystem.  Memoized by the
     whole text; a malformed text raises again on every call."""
-    from .endo import Endomorphism
-    from .kronecker import KroneckerSystem
-
     spec, nvars, rest = _parse_prelude(_content_lines(text))
     if not rest:
         raise PolySyntaxError("missing 'kron n' line", 1)
@@ -531,9 +529,6 @@ def load_kronecker_system(text: str):
 def load_automorphism(text: str):
     """Parse an automorphism file into a SemiLinearAut (inverse computed and
     certified here; a non-invertible map is a load error)."""
-    from .autgroup import SemiLinearAut
-    from .fields import FieldAutomorphism
-
     spec, nvars, rest = _parse_prelude(_content_lines(text))
     if not rest:
         raise PolySyntaxError("missing 'delta ...' line", 1)

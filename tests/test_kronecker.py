@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from endorank import kronecker
+from endorank import groebner, kronecker
+from endorank.autgroup import SemiLinearAut, conjugate
 from endorank.endo import Endomorphism, compose, kronecker_endo, rank
 from endorank.errors import (
     DegreeCapExceeded,
@@ -13,9 +14,10 @@ from endorank.errors import (
     RelationViolation,
     ZeroScale,
 )
-from endorank.fields import GF2, GF3, GF4, QQ, enumerate_elements
-from endorank.groebner import clear_caches
+from endorank.fields import GF2, GF3, GF4, GF9, QQ, FieldAutomorphism, enumerate_elements
+from endorank.groebner import clear_caches, subalgebra_member
 from endorank.kronecker import (
+    BaseCertificate,
     KroneckerSystem,
     RepresentationKind,
     check_internal_base_condition,
@@ -25,7 +27,7 @@ from endorank.kronecker import (
     verify_base_external,
     verify_subbase,
 )
-from endorank.mpoly import MultiPoly, set_degree_cap
+from endorank.mpoly import GREVLEX, MultiPoly, set_degree_cap
 from endorank.parsing import format_poly, load_kronecker_system, parse_polynomial
 
 
@@ -429,12 +431,6 @@ def test_image_generator_for_standard_diagonals():
     assert str(image_generator(S.entry(2, 2))) == "x2"
 
 
-def test_image_generator_accepts_hints_first():
-    S = KroneckerSystem.standard(QQ, 2)
-    z = image_generator(S.entry(1, 1), hints=(P("2*x1"),))
-    assert str(z) == "2*x1"
-
-
 def _counting(monkeypatch):
     """Counts of the compositions and rank calls the kronecker module makes."""
     calls = {"compose": 0, "rank": 0}
@@ -460,16 +456,15 @@ def test_base_check_reuses_the_audit_for_the_diagonal_generators(monkeypatch):
     assert calls == {"compose": 21, "rank": 2}
 
 
-def test_image_generator_checks_its_input_unless_proven(monkeypatch):
+def test_image_generator_makes_no_compose_or_rank_call(monkeypatch):
+    # Its two memberships prove K[z] = K[images] for any map, so it checks
+    # neither idempotence nor rank.
     clear_caches()
-    e11 = KroneckerSystem.standard(QQ, 2).entry(1, 1)
     calls = _counting(monkeypatch)
-    assert str(image_generator(e11)) == "x1"
-    assert calls == {"compose": 1, "rank": 1}
-    assert str(image_generator(e11, proven=True)) == "x1"
-    assert calls == {"compose": 1, "rank": 1}
-    with pytest.raises(RelationViolation):
-        image_generator(endo(QQ, "x1", "x2"))  # rank 2
+    assert str(image_generator(KroneckerSystem.standard(QQ, 2).entry(1, 1))) == "x1"
+    assert image_generator(endo(QQ, "x1", "x2")) is None  # rank 2
+    assert str(image_generator(endo(QQ, "x1 + x2", "0"))) == "x1 + x2"
+    assert calls == {"compose": 0, "rank": 0}
 
 
 def test_image_generator_for_nonlinear_idempotent():
@@ -477,14 +472,19 @@ def test_image_generator_for_nonlinear_idempotent():
     assert str(image_generator(phi)) == "x1*x2 + x1"
 
 
-def test_image_generator_preconditions():
-    with pytest.raises(RelationViolation, match="idempotent"):
-        image_generator(endo(QQ, "x1^2", "0"))
-    with pytest.raises(RelationViolation, match="rank 1"):
-        image_generator(Endomorphism.identity(QQ, 2))
+def test_image_generator_answers_any_map():
+    # Not idempotent, rank 1: K[x1^2, 0] = K[x1^2].
+    assert str(image_generator(endo(QQ, "x1^2", "0"))) == "x1^2"
+    # Rank 2: no single polynomial generates K[x1, x2].
+    assert image_generator(Endomorphism.identity(QQ, 2)) is None
+    # The candidate x1 (a degree-1 part) contains both images, but lies
+    # outside their algebra, so it is no generator of it.
+    phi = endo(QQ, "x1^2", "x1^3 + x1")
+    assert subalgebra_member(P("x1"), phi.images) is None
+    assert image_generator(phi) is None
 
 
-def test_image_generator_can_miss_and_hints_rescue_it():
+def test_image_generator_can_miss_a_hidden_generator():
     # a retraction onto K[x1 + x2^2] whose defining images hide the
     # generator from every scheduled candidate
     z = P("x1 + x2^2")
@@ -492,7 +492,8 @@ def test_image_generator_can_miss_and_hints_rescue_it():
     assert compose(phi, phi) == phi
     assert rank(phi).value == 1
     assert image_generator(phi) is None
-    assert image_generator(phi, hints=(z,)) == z
+    assert subalgebra_member(z, phi.images) is not None
+    assert all(subalgebra_member(img, (z,)) is not None for img in phi.images)
 
 
 # -- external base checks --------------------------------------------------------------
@@ -636,6 +637,138 @@ def test_normalize_input_validation():
     result = normalize_base(check.certificate)
     with pytest.raises(RelationViolation):
         normalize_base(result.certificate)  # already normalized
+
+
+def reference_normalization(cert):
+    """normalize_base's data derived by subalgebra membership instead: each
+    affine action as a witness in z_i, and each final witness afresh.
+    Returns (gammas, scales, alphas, global scale, generators, witnesses)."""
+    system, zs = cert.system, cert.generators
+    spec, n = system.spec, system.n
+    omega = cert.zero.constant_part() if cert.zero is not None else (spec.zero(),) * n
+    gammas = tuple(z.evaluate(omega) for z in zs)
+    scales = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            w = subalgebra_member(system.entry(i + 1, j + 1).apply(zs[j]), (zs[i],))
+            assert w is not None and w.total_degree() == 1
+            a = w.coefficient((1,))
+            assert w.coefficient((0,)) == gammas[j] - a * gammas[i]
+            row.append(a)
+        scales.append(tuple(row))
+    alphas = tuple(row[0] for row in scales)
+    primed = [
+        (z - MultiPoly.constant(spec, n, g)).scale(a)
+        for z, g, a in zip(zs, gammas, alphas)
+    ]
+    lam = primed[0].leading_coefficient(GREVLEX).inverse()
+    final = tuple(z.scale(lam) for z in primed)
+    witnesses = tuple(
+        subalgebra_member(MultiPoly.variable(spec, n, k), final) for k in range(n)
+    )
+    return gammas, tuple(scales), alphas, lam, final, witnesses
+
+
+# name: (field, images of s, Frobenius power of delta, generators as
+# polynomials in the family's own generators, or None for those).
+NORMALIZATION_CASES = {
+    "q-nonlinear": (QQ, ("2*x1 + x2^2 + 1", "x2 - 3", "x1 + x3"), 0, None),
+    "f3-nonlinear": (GF3, ("x1 + x2^2", "x2 + 1"), 0, None),
+    "f9-nonlinear": (GF9, ("x1 + t*x2^2", "x2 + t"), 0, None),
+    "f4-frobenius": (GF4, ("x1 + t*x2^2", "x2", "t*x3 + 1"), 1, None),
+    "q-translated": (QQ, ("x1 + 1", "x2 + 2"), 0, None),
+    "f3-translated": (GF3, ("x1 + 2", "x2", "x3 + 1"), 0, None),
+    "q-scaled": (QQ, ("x1", "x2"), 0, ("2*x1", "3*x2")),
+    "f4-scaled": (GF4, ("x1", "x2"), 0, ("t*x1", "x2")),
+    "q-nonlinear-scaled": (QQ, ("x1 + x2^2", "x2"), 0, ("3*x1 + 1", "2 - x2")),
+    "f9-frobenius-scaled": (GF9, ("x1 + x2^2", "t*x2"), 1, ("t*x1 + 2", "x2 + t")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NORMALIZATION_CASES))
+def test_normalize_base_matches_the_membership_reference(case, monkeypatch):
+    spec, images, frob, exprs = NORMALIZATION_CASES[case]
+    n = len(images)
+    aut = SemiLinearAut.create(
+        FieldAutomorphism.frobenius(spec, frob),
+        tuple(parse_polynomial(s, spec, n) for s in images),
+    )
+    family = KroneckerSystem.standard(spec, n).transformed(lambda e: conjugate(aut, e))
+    gens = verify_base_external(family).generators
+    if exprs is not None:
+        gens = tuple(parse_polynomial(e, spec, n).substitute(gens) for e in exprs)
+    cert = verify_base_external(family, Z=gens).certificate
+
+    calls = []
+    for module, name in ((kronecker, "subalgebra_member"), (groebner, "_subalgebra_member_cached")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, _real=real: calls.append(args) or _real(*args)
+        )
+    result = normalize_base(cert)
+    monkeypatch.undo()
+    assert calls == []
+
+    gammas, scales, alphas, lam, final, witnesses = reference_normalization(cert)
+    assert result.gammas == gammas
+    assert result.scales == scales
+    assert result.alphas == alphas
+    assert result.global_scale == lam
+    assert result.certificate.generators == final
+    assert [format_poly(w) for w in result.certificate.witnesses] == [
+        format_poly(w) for w in witnesses
+    ]
+
+
+def _refusals():
+    S = KroneckerSystem.standard(QQ, 2)
+    x1, x2 = P("x1"), P("x2")
+    # With base generators, an audited family acts on each z_i through one
+    # standard generator, so every action in K[z_i] is affine.  This system
+    # squares z1 under (1,1) by hand; normalize_base does not repeat the
+    # audit.
+    squaring = KroneckerSystem(
+        QQ, 2, ((endo(QQ, "x1^2", "0"), S.entry(1, 2)), S.entries[1]), S.zero
+    )
+    moved_zero = Endomorphism.constant(QQ, 2, (QQ.element(1), QQ.element(0)))
+    return {
+        "degree 2 in z1": (
+            BaseCertificate(squaring, (x1, x2), (x1, x2), S.zero),
+            NonAffineImage,
+            r"^entry \(1,1\) does not map z1 to an affine function of z1$",
+        ),
+        "outside K[z2]": (
+            verify_base_external(S, Z=(x1, P("x2 + x1^2"))).certificate,
+            NonAffineImage,
+            r"^entry \(2,1\) does not map z1 to an affine function of z2$",
+        ),
+        "swapped generators": (
+            verify_base_external(S, Z=(x2, x1)).certificate,
+            ZeroScale,
+            r"^entry \(1,1\) collapses z1 to a constant$",
+        ),
+        "offset against the zero": (
+            BaseCertificate(S, (x1, x2), (x1, x2), moved_zero),
+            RelationViolation,
+            r"^affine offset of entry \(1,2\) is inconsistent with the zero point$",
+        ),
+        # the witnesses are carried, not searched, so a wrong one is caught
+        # by its substitution check
+        "swapped witnesses": (
+            BaseCertificate(S, (x1, x2), (x2, x1), S.zero),
+            RuntimeError,
+            r"^normalized generators lost the base property$",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_refusals()))
+def test_normalize_refusals(case):
+    cert, error, message = _refusals()[case]
+    with pytest.raises(error, match=message) as info:
+        normalize_base(cert)
+    assert type(info.value) is error
 
 
 # -- the internal base condition ----------------------------------------------------------
