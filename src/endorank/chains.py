@@ -291,12 +291,12 @@ def build_full_chain(
     the exception's attempt log covers the sticking level, and its `chain`
     is the partial chain of the steps accepted before it."""
     steps: list[ChainStep] = []
-    cur = phi
+    cur, r = phi, rank(phi).value
     try:
-        while rank(cur).value > 0:
+        while r > 0:
             step = reduce_rank_once(cur, policy)
             steps.append(step)
-            cur = step.after
+            cur, r = step.after, step.rank_after
     except SearchExhausted as exc:
         exc.chain = Chain(phi, tuple(steps))
         raise

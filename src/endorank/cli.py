@@ -404,7 +404,12 @@ def _rebuild_chain(payload) -> Chain:
 )
 def _cmd_chain(args) -> tuple[dict, list[str]]:
     if args.verify:
-        data = json.loads(_read(args.file), parse_int=_certificate_int)
+        try:
+            data = json.loads(_read(args.file), parse_int=_certificate_int)
+        except RecursionError:
+            raise MalformedCertificate(
+                "certificate: JSON nested deeper than the decoder reads"
+            ) from None
         chain = _rebuild_chain(data)
         result = verify_chain(chain)
         payload = {

@@ -225,9 +225,6 @@ class GroebnerBasis:
     def is_unit(self) -> bool:
         return len(self.polys) == 1 and self.polys[0].is_constant()
 
-    def leading_monomials(self) -> tuple:
-        return tuple(g.leading_monomial(self.order) for g in self.polys)
-
     def contains(self, f: MultiPoly) -> bool:
         return normal_form(f, self).is_zero
 
@@ -239,10 +236,11 @@ class _Packing:
     """The monomials of one computation, as pairs (K, P).
 
     P is the packed int of mpoly, so a monomial product adds P, divisibility
-    is one mask with `guard`, and the degree is P >> deg_shift.  K =
-    sum(e_i * W_i) over the order's weights in base 256 sorts exactly like
-    `order.key`, and a product adds K too.  Every degree reached (at most
-    254, an lcm of two monomials) is below the base, so K is injective.
+    is one mask with `guard`, and the degree is P >> deg_shift.  K is the
+    order's key, the dot product of the exponents with its weights (see
+    mpoly.MonomialOrder), so a product adds K too.  Every degree reached (at
+    most 254, an lcm of two monomials) is below mpoly.WEIGHT_BASE, so K is
+    injective.
     """
 
     __slots__ = ("nvars", "deg_shift", "guard", "weights")
@@ -250,7 +248,7 @@ class _Packing:
     def __init__(self, nvars: int, order: MonomialOrder):
         self.nvars = nvars
         self.deg_shift, self.guard = _layout(nvars)
-        self.weights = order.weights(nvars, 256)
+        self.weights = order.weights(nvars)
 
     def key(self, p: int) -> int:
         return sum(map(mul, _exponents(p, self.nvars), self.weights))
@@ -587,11 +585,9 @@ def ideal_dimension(ideal: Ideal) -> int:
         return ideal.nvars
     if gb.is_unit:
         return -1
-    sups = [
-        frozenset(i for i, e in enumerate(lm) if e)
-        for lm in gb.leading_monomials()
-    ]
     n = ideal.nvars
+    # Each lead's variables, read from its packed P.
+    sups = [frozenset(i for i, e in enumerate(_exponents(el[1], n)) if e) for el in gb._packed[1]]
     for size in range(n, 0, -1):
         for S in combinations(range(n), size):
             sset = frozenset(S)

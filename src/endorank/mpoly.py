@@ -19,6 +19,9 @@ and an exponent sum of two monomials fits its byte.  Hence:
 * the total degree is P >> 8n, so a larger degree is a larger int, and the
   constant monomial is 0.
 
+A monomial order is its weights, and its key is their dot product with the
+exponents, one int, which the Groebner engine keeps beside each packed P.
+
 Products, powers and substitution run in one integer kernel, and so does
 evaluation, which substitutes the point's coordinates as constants: term
 pairs multiply and add as ints, and each output coefficient is reduced once,
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -56,6 +60,10 @@ Monomial = tuple[int, ...]
 # The largest total degree of a packed monomial: an exponent byte keeps its
 # top bit as a guard.
 MAX_DEGREE = 127
+
+# The weights of every monomial order are digits of this base, so its keys
+# are exact below this total degree (an lcm in Buchberger reaches 254).
+WEIGHT_BASE = 256
 
 _degree_cap = 64
 
@@ -115,22 +123,17 @@ def mono_lcm(a: int, b: int, nvars: int) -> int:
 
 
 class MonomialOrder:
-    """Total order on monomials, exposed as a sort key (bigger key = bigger
-    monomial).  Subclasses define `_key`; every caller goes through `key`.
-
-    Every order here is also linear in the exponents: `weights(nvars, base)`
-    gives integers W with sum(e_i * W_i) ordered exactly like `key`, and
-    injective, for monomials whose total degree is below `base`."""
+    """Total order on monomials, defined once by its weights: integers
+    W = `weights(nvars)` whose dot product with the exponents, `key`, is
+    injective and orders monomials of total degree below WEIGHT_BASE like
+    the order (bigger key = bigger monomial)."""
 
     name = "order"
 
-    def key(self, m: Monomial) -> tuple:
-        return self._key(m)
+    def key(self, m: Monomial) -> int:
+        return sum(map(mul, m, self.weights(len(m))))
 
-    def _key(self, m: Monomial) -> tuple:
-        raise NotImplementedError
-
-    def weights(self, nvars: int, base: int) -> tuple[int, ...]:
+    def weights(self, nvars: int) -> tuple[int, ...]:
         raise NotImplementedError
 
     def __eq__(self, other):
@@ -146,20 +149,12 @@ class MonomialOrder:
         return self.name
 
 
-def _grevlex_key(m: Monomial) -> tuple:
-    # Ties at equal total degree break by the *smallest* trailing exponent:
-    # reversed, negated exponents compare the right way lexicographically.
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def _grevlex_weights(nvars: int, base: int) -> tuple[int, ...]:
-    # The same comparison as _grevlex_key, in digits of `base`, most
-    # significant first: the degree, then the prefix sums e1+..+e(k) for
-    # k = n-1 down to 1 (a smaller last exponent is a larger prefix sum).
-    return tuple(
-        base ** (nvars - 1) + sum(base ** (k - 1) for k in range(i + 1, nvars))
-        for i in range(nvars)
-    )
+def _grevlex_weights(nvars: int) -> tuple[int, ...]:
+    # W_i = B^(n-1) + .. + B^i: the key's digits are the degree, then the
+    # prefix sums e1+..+e(k) for k = n-1 down to 1, so at equal degree the
+    # smaller trailing exponent wins.
+    B = WEIGHT_BASE
+    return tuple((B**nvars - B**i) // (B - 1) for i in range(nvars))
 
 
 class GrevLex(MonomialOrder):
@@ -167,11 +162,8 @@ class GrevLex(MonomialOrder):
 
     name = "grevlex"
 
-    def _key(self, m):
-        return _grevlex_key(m)
-
-    def weights(self, nvars, base):
-        return _grevlex_weights(nvars, base)
+    def weights(self, nvars):
+        return _grevlex_weights(nvars)
 
 
 class Lex(MonomialOrder):
@@ -179,17 +171,15 @@ class Lex(MonomialOrder):
 
     name = "lex"
 
-    def _key(self, m):
-        return m
-
-    def weights(self, nvars, base):
-        return tuple(base ** (nvars - 1 - i) for i in range(nvars))
+    def weights(self, nvars):
+        return tuple(WEIGHT_BASE ** (nvars - 1 - i) for i in range(nvars))
 
 
 class Block(MonomialOrder):
     """Elimination order: the eliminated block dominates, grevlex inside
     each block.  Any monomial touching an eliminated variable outranks every
-    monomial that does not."""
+    monomial that does not: the eliminated block's grevlex weights are
+    shifted above every digit of the other block's."""
 
     name = "block"
 
@@ -199,24 +189,14 @@ class Block(MonomialOrder):
     def _ident(self):
         return self.eliminated
 
-    def _key(self, m):
-        # _grevlex_key of each block, split off in one pass from the last
-        # variable down: the block's degree, then its reversed, negated
-        # exponents.
-        elim = self.eliminated
-        ne, nr = [], []
-        for i in range(len(m) - 1, -1, -1):
-            (ne if i in elim else nr).append(-m[i])
-        return ((-sum(ne), tuple(ne)), (-sum(nr), tuple(nr)))
-
-    def weights(self, nvars, base):
+    def weights(self, nvars):
         elim = [i for i in range(nvars) if i in self.eliminated]
         rest = [i for i in range(nvars) if i not in self.eliminated]
         out = [0] * nvars
-        scale = base ** len(rest)
-        for i, w in zip(elim, _grevlex_weights(len(elim), base)):
+        scale = WEIGHT_BASE ** len(rest)
+        for i, w in zip(elim, _grevlex_weights(len(elim))):
             out[i] = w * scale
-        for i, w in zip(rest, _grevlex_weights(len(rest), base)):
+        for i, w in zip(rest, _grevlex_weights(len(rest))):
             out[i] = w
         return tuple(out)
 

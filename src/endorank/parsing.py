@@ -88,17 +88,17 @@ def format_coefficient(spec: FieldSpec, raw: Raw) -> str:
     return _t_polynomial(spec.digits(raw))
 
 
-def _format_monomial(m, var: str) -> str:
+def _format_monomial(m) -> str:
     parts = []
     for i, e in enumerate(m):
         if e == 0:
             continue
-        name = f"{var}{i + 1}"
+        name = f"x{i + 1}"
         parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts)
 
 
-def format_poly(f: MultiPoly, var: str = "x") -> str:
+def format_poly(f: MultiPoly) -> str:
     """Canonical text: grevlex-descending terms, explicit * between factors.
     A negative rational is subtracted; a coefficient with a + in it is
     parenthesized unless it is the whole text."""
@@ -112,7 +112,7 @@ def format_poly(f: MultiPoly, var: str = "x") -> str:
         c = terms[m]
         neg = spec.kind == "Q" and c < 0
         cs = format_coefficient(spec, -c if neg else c)
-        ms = _format_monomial(m, var)
+        ms = _format_monomial(m)
         if "+" in cs and (ms or len(monos) > 1):
             cs = f"({cs})"
         body = cs if not ms else ms if cs == "1" else f"{cs}*{ms}"
@@ -212,6 +212,11 @@ def _atom(text: str) -> tuple[int, int]:
 
 # -- recursive-descent parser ---------------------------------------------------
 
+# The deepest nesting of '(' and unary '-' together that the parser reads.
+# A level costs at most four frames, so this stays well below the
+# interpreter's recursion limit.
+MAX_NESTING = 100
+
 
 class _Parser:
     """Recursive descent over the tokens.  An error quotes a token's text
@@ -223,6 +228,15 @@ class _Parser:
         self.spec = spec
         self.nvars = nvars
         self.t_is_variable = t_is_variable
+        self.depth = 0
+
+    def nest(self, line: int, col: int) -> None:
+        """Enter the '(' or unary '-' at line, col; refused past MAX_NESTING."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise PolySyntaxError(
+                f"nesting of '(' and unary '-' deeper than {MAX_NESTING} levels", line, col
+            )
 
     def peek(self) -> str:
         """The kind of the next token."""
@@ -267,8 +281,11 @@ class _Parser:
 
     def factor(self) -> MultiPoly:
         if self.peek() == "-":
-            self.take()
-            return -self.factor()
+            _, _, line, col = self.take()
+            self.nest(line, col)
+            f = -self.factor()
+            self.depth -= 1
+            return f
         f = self.primary()
         if self.peek() != "^":
             return f
@@ -297,8 +314,10 @@ class _Parser:
         if kind == "name":
             return self.name_atom(text, line, col)
         if kind == "(":
+            self.nest(line, col)
             f = self.expr()
             self.expect(")")
+            self.depth -= 1
             return f
         raise PolySyntaxError(
             f"expected a term, found {text or 'end of input'!r}", line, col
@@ -310,6 +329,9 @@ class _Parser:
         that succeeds stands."""
         spec, n = self.spec, self.nvars
         if kind == "literal":
+            # its character tokens nest a '(' and, for (-c), a unary '-'
+            if self.depth + 1 + (text[1] == "-") > MAX_NESTING:
+                raise ValueError(f"{text} nests deeper than {MAX_NESTING} levels")
             num, _, den = text[1:-1].partition("/")
             if not den:
                 c = spec.from_int_raw(int(num))

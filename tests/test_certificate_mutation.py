@@ -150,6 +150,11 @@ def test_a_changed_step_key_never_replays_ok(r_max, step, key, junk):
             "endorank: error: step 2: point[1]: expected a term, "
             "found 'end of input' at line 1, column 4",
         ),
+        (
+            1, "after", 0, "(" * 150 + "x1" + ")" * 150, 1,
+            "endorank: error: step 1: after[0]: nesting of '(' and unary '-' deeper "
+            "than 100 levels at line 1, column 101",
+        ),
         # a resource limit met while parsing is no verdict on the certificate
         (
             None, "start", 0, "x1^999", 2,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from endorank import chains
 from endorank.chains import (
     Chain,
     ChainPolicy,
@@ -130,6 +131,38 @@ def test_complete_chain_length_is_the_rank():
     assert (chain.length, chain.complete) == (2, True)
     chain = build_full_chain(Endomorphism.zero(QQ, 2))
     assert (chain.length, chain.complete) == (0, True)
+
+
+def test_full_chain_ranks_only_its_start(monkeypatch):
+    # Every later level's rank is the rank_after of the step before it.
+    inside = [0]
+    outside = []
+    real_rank, real_reduce = chains.rank, chains.reduce_rank_once
+
+    def counted_rank(phi):
+        if not inside[0]:
+            outside.append(phi)
+        return real_rank(phi)
+
+    def reduce(psi, policy):
+        inside[0] += 1
+        try:
+            return real_reduce(psi, policy)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(chains, "rank", counted_rank)
+    monkeypatch.setattr(chains, "reduce_rank_once", reduce)
+    for phi in (
+        gf2_vanishing_pair(),
+        Endomorphism.identity(QQ, 3),
+        endo(GF3, "x1 + x2", "x1*x2"),
+        Endomorphism.zero(QQ, 2),
+    ):
+        outside.clear()
+        chain = build_full_chain(phi)
+        assert outside == [phi]
+        assert chain.complete
 
 
 def test_exhausted_search_keeps_the_partial_chain():

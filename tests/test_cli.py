@@ -634,6 +634,30 @@ def test_chain_verify_refuses_non_ascii_field_header(files, capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "image",
+    ["(" * 260 + "x1" + ")" * 260, "-" * 5000 + "x1", "-(" * 130 + "x1" + ")" * 130],
+    ids=["parentheses", "minus", "both"],
+)
+def test_deep_nesting_is_a_syntax_error(files, capsys, image):
+    code = main(["rank", files("deep.endo", f"field Q\nvars 1\nx1 -> {image}\n")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "endorank: error: nesting of '(' and unary '-' deeper than 100 levels "
+        "at line 3, column 107\n"
+    )
+
+
+def test_chain_verify_refuses_deeply_nested_json(capsys, tmp_path):
+    chain_file = tmp_path / "deep.json"
+    chain_file.write_text("[" * 200_000)
+    code = main(["chain", str(chain_file), "--verify"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "endorank: error: certificate: JSON nested deeper than the decoder reads\n"
+    )
+
+
 def test_missing_file_exits_one(capsys, tmp_path):
     code, _ = run_cli(capsys, "rank", str(tmp_path / "nope.endo"))
     assert code == 1

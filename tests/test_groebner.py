@@ -41,6 +41,7 @@ from endorank.mpoly import (
 from endorank.autgroup import conjugate
 from endorank.parsing import load_automorphism, load_endomorphism, parse_polynomial
 from endorank.sampling import random_polynomial
+from test_mpoly import tuple_key
 
 
 def p(text, spec=QQ, n=2):
@@ -133,6 +134,40 @@ def test_ideal_dimension_frozen_cases():
 def test_dimension_char_p():
     assert ideal_dimension(ideal("x1^2 + x2^2", spec=GF2)) == 1
     assert ideal_dimension(ideal("x1^3 - x2", spec=GF3)) == 1
+
+
+def _dimension_from_tuple_leads(I):
+    """The dimension from each basis polynomial's lead under grevlex's tuple
+    definition: the largest variable set containing no lead's support."""
+    gb = groebner_basis(I, GREVLEX)
+    if gb.is_unit:
+        return -1
+    leads = [max(g.tuple_terms(), key=lambda m: tuple_key(GREVLEX, m)) for g in gb.polys]
+    sups = [{i for i, e in enumerate(m) if e} for m in leads]
+    for size in range(I.nvars, -1, -1):
+        for S in itertools.combinations(range(I.nvars), size):
+            if not any(sup <= set(S) for sup in sups):
+                return size
+
+
+def test_ideal_dimension_reads_leads_from_the_packed_basis(monkeypatch):
+    rng = random.Random(5)
+    cases = []
+    for spec in (QQ, GF3, GF4):
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            gens = [
+                random_polynomial(rng, spec, n, max_degree=3, max_terms=3)
+                for _ in range(rng.randint(0, 4))
+            ]
+            cases.append(Ideal.of(spec, n, gens))
+    want = [_dimension_from_tuple_leads(I) for I in cases]
+    assert set(want) == {-1, 0, 1, 2, 3, 4}
+    calls = []
+    key = mpoly.MonomialOrder.key
+    monkeypatch.setattr(mpoly.MonomialOrder, "key", lambda self, m: calls.append(m) or key(self, m))
+    assert [ideal_dimension(I) for I in cases] == want
+    assert calls == []
 
 
 def test_eliminate_twisted_cubic():
@@ -458,8 +493,11 @@ FIELDS = (QQ, GF2, GF3, GF4)
 
 
 def test_packed_key_orders_like_order_key_and_mask_divides_like_tuples():
+    # order.key is the packed key, and both sort like the order's tuple
+    # definition; the reference Buchberger above sorts by order.key, so
+    # this pins it.
     rng = random.Random(11)
-    for n in range(1, 7):
+    for n in range(1, 9):
         for order in _orders(rng, n):
             # 70 is above the default cap, 127 the packed limit
             top = rng.choice((3, 9, 70, mpoly.MAX_DEGREE))
@@ -475,7 +513,8 @@ def test_packed_key_orders_like_order_key_and_mask_divides_like_tuples():
                 f = MultiPoly.from_terms(QQ, n, [(m, QQ.one_raw())])
                 ((P, _),) = f.terms.items()
                 packed[m] = (pk.key(P), P)
-            by_key = sorted(monos, key=order.key)
+                assert order.key(m) == packed[m][0]
+            by_key = sorted(monos, key=lambda m: tuple_key(order, m))
             assert sorted(monos, key=lambda m: packed[m][0]) == by_key, (n, order)
             assert len({k for k, _ in packed.values()}) == len(monos)
             for m in monos:
@@ -489,8 +528,9 @@ def test_packed_key_orders_like_order_key_and_mask_divides_like_tuples():
             # lcms reach degree 254; their keys still order like tuples
             for m, lcm in lcms.items():
                 assert lcm == mpoly._pack(m), (n, m)
-            by_key = sorted(lcms, key=order.key)
+            by_key = sorted(lcms, key=lambda m: tuple_key(order, m))
             assert sorted(lcms, key=lambda m: pk.key(lcms[m])) == by_key, (n, order)
+            assert sorted(lcms, key=order.key) == by_key, (n, order)
 
 
 def test_reduce_matches_reference_remainders_and_steps():

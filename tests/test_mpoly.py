@@ -224,30 +224,42 @@ def test_hash_consistency():
     assert len({f, g}) == 1
 
 
+def _grevlex_tuple(m):
+    """Grevlex as a tuple: the degree, then the negated exponents from the
+    last one, so at equal degree the smallest trailing exponent wins."""
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
 def _block_key_two_passes(order, m):
-    """Block._key as it was: one pass over m for each block."""
-
-    def grevlex(block):
-        return (sum(block), tuple(-e for e in reversed(block)))
-
+    """A block order as a tuple: grevlex of the eliminated block, then of
+    the rest, one pass over m for each block."""
     elim = tuple(e for i, e in enumerate(m) if i in order.eliminated)
     rest = tuple(e for i, e in enumerate(m) if i not in order.eliminated)
-    return (grevlex(elim), grevlex(rest))
+    return (_grevlex_tuple(elim), _grevlex_tuple(rest))
+
+
+def tuple_key(order, m):
+    """The order's tuple definition, independent of its weights."""
+    if order == GREVLEX:
+        return _grevlex_tuple(m)
+    if order == LEX:
+        return m
+    return _block_key_two_passes(order, m)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(
     eliminated=st.frozensets(st.integers(0, 7)),
-    monomials=st.lists(
-        st.lists(st.integers(0, 9), min_size=1, max_size=7).map(tuple),
-        min_size=1,
-        max_size=6,
+    monomials=st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 9)] * n), min_size=1, max_size=12)
     ),
 )
-def test_block_keys_equal_the_two_pass_split(eliminated, monomials):
+def test_block_keys_order_like_the_two_pass_split(eliminated, monomials):
     order = Block(eliminated)
-    for m in monomials:  # one order, several arities
-        assert order.key(m) == _block_key_two_passes(order, m)
+    monomials = sorted(set(monomials))
+    by_split = sorted(monomials, key=lambda m: _block_key_two_passes(order, m))
+    assert sorted(monomials, key=order.key) == by_split
+    assert len({order.key(m) for m in monomials}) == len(monomials)
 
 
 # -- the integer kernel against the tuple loop it replaced ---------------------

@@ -20,6 +20,7 @@ from endorank.parsing import (
     _format_monomial,
     _rational,
     _FOLDED,
+    _Parser,
     _tokenize,
     dump_endomorphism,
     format_coefficient,
@@ -156,7 +157,7 @@ def test_expanded_polynomials_match_a_reference(spec):
         assert parse_polynomial(text, spec, n) == want, text
 
 
-def ref_format_poly(f, var="x"):
+def ref_format_poly(f):
     """The printer with one branch for Q and one for finite fields, which
     the single loop replaced."""
     if f.is_zero:
@@ -171,7 +172,7 @@ def ref_format_poly(f, var="x"):
             c = terms[m]
             neg = c < 0
             mag = -c if neg else c
-            ms = _format_monomial(m, var)
+            ms = _format_monomial(m)
             if not ms:
                 body = _rational(mag)
             elif mag == 1:
@@ -186,7 +187,7 @@ def ref_format_poly(f, var="x"):
     pieces = []
     for m in monos:
         cs = format_coefficient(spec, terms[m])
-        ms = _format_monomial(m, var)
+        ms = _format_monomial(m)
         if not ms:
             pieces.append(f"({cs})" if ("+" in cs and multi) else cs)
         elif cs == "1":
@@ -205,7 +206,6 @@ def test_printer_matches_the_two_branch_printer_seeded(spec):
         for _ in range(40):
             f = _poly(rng, spec, n, max_degree=4, max_terms=6)
             assert format_poly(f) == ref_format_poly(f)
-            assert format_poly(f, "y") == ref_format_poly(f, "y")
             assert format_poly(-f) == ref_format_poly(-f)
 
 
@@ -593,6 +593,40 @@ _LONG = "1" * 5000  # longer than int() reads on Python 3.11 and later
 def test_parser_matches_the_character_parser_on_edge_cases(text, spec, n):
     got, want = _both(text, spec, n, 3, 7)
     assert got == want
+
+
+def _nested(depth, inner):
+    return "(" * depth + inner + ")" * depth
+
+
+@pytest.mark.parametrize(
+    "text, ok",
+    [
+        (_nested(100, "x1"), True), (_nested(101, "x1"), False),
+        ("-" * 100 + "x1", True), ("-" * 101 + "x1", False), ("-" * 5000 + "x1", False),
+        ("-(" * 50 + "x1" + ")" * 50, True), ("-(" * 50 + "-x1" + ")" * 50, False),
+        # a folded literal nests one level, and its sign one more
+        (_nested(99, "(3)"), True), (_nested(100, "(3)"), False),
+        (_nested(98, "(-3)"), True), (_nested(99, "(-3)"), False),
+        (_nested(99, "(2)*x1^2*x2"), True), (_nested(100, "x1^2*x2 - 1"), True),
+        # levels side by side do not add up
+        (" + ".join(["(-x1)"] * 150), True), (" - ".join(["-(3)"] * 150), True),
+    ],
+)
+def test_nesting_is_bounded_alike_in_both_readings(text, ok):
+    def reading(fold):
+        return _Parser(_tokenize(text, 1, 1, fold), QQ, 2, False).parse()
+
+    if ok:
+        assert parse_polynomial(text, QQ, 2) == reading(True) == reading(False)
+        return
+    with pytest.raises(PolySyntaxError) as exc:
+        parse_polynomial(text, QQ, 2)
+    assert str(exc.value) == (
+        "nesting of '(' and unary '-' deeper than 100 levels at line 1, column 101"
+    )
+    with pytest.raises((PolySyntaxError, ValueError)):
+        reading(True)
 
 
 def test_parser_follows_a_lowered_degree_cap():
