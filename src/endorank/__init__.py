@@ -67,12 +67,10 @@ from .groebner import (
 from .kronecker import (
     BaseCertificate,
     BaseCheck,
-    InternalBaseReport,
     KroneckerSystem,
     NormalizationResult,
     RepresentationKind,
     SubbaseReport,
-    check_internal_base_condition,
     classify_representation,
     image_generator,
     normalize_base,
@@ -88,8 +86,6 @@ from .mpoly import (
     set_degree_cap,
 )
 from .parsing import (
-    dump_endomorphism,
-    format_field_header,
     format_poly,
     load_automorphism,
     load_endomorphism,

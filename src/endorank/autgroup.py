@@ -71,11 +71,6 @@ class SemiLinearAut:
             raise NotABase("the substitution part is not invertible")
         return SemiLinearAut(delta, tuple(images), inv)
 
-    @staticmethod
-    def identity(spec: FieldSpec, nvars: int) -> "SemiLinearAut":
-        xs = tuple(MultiPoly.variable(spec, nvars, k) for k in range(nvars))
-        return SemiLinearAut(FieldAutomorphism.identity(spec), xs, xs)
-
     @property
     def spec(self) -> FieldSpec:
         return self.delta.spec

@@ -28,6 +28,7 @@ from .errors import (
     DegreeCapExceeded,
     SearchExhausted,
     SpecMismatch,
+    quote,
 )
 from .fields import (
     FieldElement,
@@ -58,8 +59,6 @@ def lift_endo(endo: Endomorphism, dst: FieldSpec) -> Endomorphism:
     """Re-read a map over a prime field as a map over its stock extension,
     the one lift a chain takes.  A residue already is the raw of its
     constant in the extension, so each image keeps its terms."""
-    if endo.spec == dst:
-        return endo
     if dst != builtin_extension(endo.spec):
         raise SpecMismatch(f"no lift {endo.spec.header()} -> {dst.header()}")
     images = tuple(MultiPoly(dst, endo.nvars, img.terms) for img in endo.images)
@@ -103,7 +102,7 @@ class SubstitutionRecord:
         a missing value or point.
         SpecMismatch: a value or point unfit for the field."""
         if type(self.kind) is not str or self.kind not in _PARAMS:
-            raise ValueError(f"unknown substitution kind {self.kind!r}")
+            raise ValueError(f"unknown substitution kind {quote(self.kind)}")
         used = _PARAMS[self.kind]
         for name in ("variable", "source", "exponent", "value", "point"):
             v, default = getattr(self, name), getattr(SubstitutionRecord, name)
@@ -112,7 +111,7 @@ class SubstitutionRecord:
         for name in ("variable", "source"):
             v = getattr(self, name)
             if name in used and (type(v) is not int or not 1 <= v <= nvars):
-                raise ValueError(f"{name} {v!r} outside 1..{nvars}")
+                raise ValueError(f"{name} {quote(v)} outside 1..{nvars}")
         if self.kind == "collapse":
             if self.point is None:
                 raise ValueError("collapse point is missing")
@@ -132,7 +131,7 @@ class SubstitutionRecord:
             if self.source == self.variable:
                 raise ValueError("source equals variable")
             if type(self.exponent) is not int or self.exponent < 2:
-                raise ValueError(f"exponent {self.exponent!r} is not at least 2")
+                raise ValueError(f"exponent {quote(self.exponent)} is not at least 2")
             images[self.variable - 1] = (
                 MultiPoly.variable(spec, nvars, self.source - 1) ** self.exponent
             )

@@ -44,6 +44,7 @@ from .errors import (
     ResourceLimit,
     SearchExhausted,
     SpecMismatch,
+    quote,
 )
 from .fields import GF4, QQ, FieldAutomorphism, FieldSpec, builtin_extension
 from .groebner import get_budget, invert_poly_map, set_budget
@@ -304,14 +305,14 @@ def _constant(text: str, key: str, where: str, spec: FieldSpec, n: int, label=No
     a non-constant polynomial is refused, not read as its constant term."""
     f = _poly(text, label or key, where, spec, n)
     if not f.is_constant():
-        raise MalformedCertificate(f"{where}: {key} {text!r} is not a constant")
+        raise MalformedCertificate(f"{where}: {key} {quote(text)} is not a constant")
     return f.constant_term()
 
 
 def _rank(obj: dict, key: str, where: str) -> int:
     v = _get(obj, key, where)
     if type(v) is not int or v < 0:
-        raise MalformedCertificate(f"{where}: {key} {v!r} is not a non-negative integer")
+        raise MalformedCertificate(f"{where}: {key} {quote(v)} is not a non-negative integer")
     return v
 
 
@@ -336,7 +337,7 @@ def _rebuild_chain(payload) -> Chain:
     spec = _field(payload, "field", where)
     n = _get(payload, "vars", where)
     if type(n) is not int or n < 1:
-        raise MalformedCertificate(f"{where}: vars {n!r} is not a positive integer")
+        raise MalformedCertificate(f"{where}: vars {quote(n)} is not a positive integer")
     start = _endo(payload, "start", where, spec, n)
     step_list = _get(payload, "steps", where)
     if type(step_list) is not list:

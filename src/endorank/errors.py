@@ -4,10 +4,20 @@ Every error raised by this package derives from EndoRankError, so callers can
 catch one type at the boundary.  ResourceLimit errors (DegreeCapExceeded,
 CoefficientGrowthExceeded, BudgetExceeded) and SearchExhausted are
 deliberately distinct from negative mathematical answers: hitting a cap never
-means "no".
+means "no".  A message that quotes input quotes it through quote(), so a huge
+value in a file or certificate cannot make a huge message.
 """
 
 from __future__ import annotations
+
+
+def quote(value) -> str:
+    """repr(value) for a message that quotes input: when it is longer than
+    60 characters, its first 60 characters and its full length."""
+    text = repr(value)
+    if len(text) <= 60:
+        return text
+    return f"{text[:60]}... ({len(text)} characters)"
 
 
 class EndoRankError(Exception):

@@ -194,10 +194,6 @@ class FieldSpec:
         return self.kind != "Q"
 
     @property
-    def char(self) -> int:
-        return 0 if self.kind == "Q" else self.p
-
-    @property
     def order(self) -> int:
         """Number of elements; raises over Q."""
         if self.kind == "Q":
@@ -302,9 +298,6 @@ class FieldSpec:
     def zero(self) -> "FieldElement":
         return FieldElement(self, self.zero_raw())
 
-    def one(self) -> "FieldElement":
-        return FieldElement(self, self.one_raw())
-
     def element(self, value) -> "FieldElement":
         """Coerce an int, Fraction, or (over GF(p^k)) coefficient sequence of
         1, t, t^2, .. into this field."""
@@ -371,15 +364,6 @@ class FieldElement:
 
     def __neg__(self):
         return FieldElement(self.spec, self.spec.neg_raw(self.raw))
-
-    def __truediv__(self, other):
-        self._require_same(other)
-        return FieldElement(
-            self.spec, self.spec.mul_raw(self.raw, self.spec.inv_raw(other.raw))
-        )
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow_raw(self.raw, e))
 
     def inverse(self) -> "FieldElement":
         return FieldElement(self.spec, self.spec.inv_raw(self.raw))

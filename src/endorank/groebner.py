@@ -204,10 +204,6 @@ class Ideal:
         clean = _tie_sorted(clean, lambda f: (f.total_degree(), len(f.terms)), _poly_sort_key)
         return Ideal(spec, nvars, tuple(clean))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.generators
-
 
 @record
 class GroebnerBasis:
@@ -698,7 +694,10 @@ def invert_poly_map(
     images: Sequence[MultiPoly],
 ) -> Optional[tuple[MultiPoly, ...]]:
     """Exact inverse of the polynomial map x_k -> images[k], if the map is an
-    algebra automorphism; None otherwise.  Both round trips are verified."""
+    algebra automorphism; None otherwise.  Both round trips are verified:
+    once every x_k has a membership witness the map is onto, hence an
+    automorphism, so a witness tuple that fails to invert it is a fault and
+    raises RuntimeError."""
     return _invert_cached(tuple(images))
 
 
@@ -725,5 +724,5 @@ def _invert_cached(
     candidate = tuple(ws)
     for k in range(n):
         if images[k].substitute(candidate) != xs[k]:
-            return None
+            raise RuntimeError("inverse failed its round trip")
     return candidate

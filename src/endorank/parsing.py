@@ -31,6 +31,7 @@ from .errors import (
     EndoRankError,
     PolySyntaxError,
     UnknownVariable,
+    quote,
 )
 from .fields import FieldAutomorphism, FieldSpec, Raw
 from .groebner import memoized
@@ -251,7 +252,7 @@ class _Parser:
         t = self.take()
         if t[0] != kind:
             raise PolySyntaxError(
-                f"expected {kind!r}, found {t[1] or 'end of input'!r}", t[2], t[3]
+                f"expected {kind!r}, found {quote(t[1] or 'end of input')}", t[2], t[3]
             )
         return t
 
@@ -259,7 +260,7 @@ class _Parser:
         f = self.expr()
         t = self.take()
         if t[0] != "end":
-            raise PolySyntaxError(f"trailing input {t[1]!r}", t[2], t[3])
+            raise PolySyntaxError(f"trailing input {quote(t[1])}", t[2], t[3])
         return f
 
     def expr(self) -> MultiPoly:
@@ -320,7 +321,7 @@ class _Parser:
             self.depth -= 1
             return f
         raise PolySyntaxError(
-            f"expected a term, found {text or 'end of input'!r}", line, col
+            f"expected a term, found {quote(text or 'end of input')}", line, col
         )
 
     def folded(self, kind: str, text: str) -> MultiPoly:
@@ -369,7 +370,7 @@ class _Parser:
                     col,
                 )
             return MultiPoly.variable(self.spec, self.nvars, idx - 1)
-        raise UnknownVariable(f"unknown name {name!r}", line, col)
+        raise UnknownVariable(f"unknown name {quote(name)}", line, col)
 
 
 def parse_polynomial(
@@ -409,13 +410,13 @@ def parse_field_header(line: str, lineno: int = 1) -> FieldSpec:
     if rest == ["Q"]:
         return FieldSpec.rationals()
     if not rest or rest[0] != "F":
-        raise PolySyntaxError(f"unknown field kind {' '.join(rest)!r}", lineno)
+        raise PolySyntaxError(f"unknown field kind {quote(' '.join(rest))}", lineno)
     if len(rest) == 2 and _is_digits(rest[1]):
         return FieldSpec.prime_field(_int(rest[1], lineno))
     if len(rest) >= 4 and rest[2] == "mod":
         pk = rest[1].split("^")
         if len(pk) != 2 or not _is_digits(pk[0]) or not _is_digits(pk[1]):
-            raise PolySyntaxError(f"bad extension-field order {rest[1]!r}", lineno)
+            raise PolySyntaxError(f"bad extension-field order {quote(rest[1])}", lineno)
         p, k = _int(pk[0], lineno), _int(pk[1], lineno)
         at = line.index("mod") + 3  # the first "mod" is rest[2]
         modulus = _parse_modulus_text(line[at:], p, lineno, at + 1)
@@ -424,11 +425,7 @@ def parse_field_header(line: str, lineno: int = 1) -> FieldSpec:
                 f"modulus degree {len(modulus) - 1} != declared degree {k}", lineno
             )
         return FieldSpec.extension_field(p, k, modulus)
-    raise PolySyntaxError(f"malformed field header {line!r}", lineno)
-
-
-def format_field_header(spec: FieldSpec) -> str:
-    return f"field {spec.header()}"
+    raise PolySyntaxError(f"malformed field header {quote(line)}", lineno)
 
 
 # -- structured input files -----------------------------------------------------
@@ -485,7 +482,7 @@ def _parse_image_block(lines, spec, nvars):
         lhs, rhs = line.split("->", 1)
         if lhs.strip() != f"x{k}":
             raise PolySyntaxError(
-                f"expected image of x{k}, found {lhs.strip()!r}", lineno
+                f"expected image of x{k}, found {quote(lhs.strip())}", lineno
             )
         # rhs starts just after the arrow, at column len(lhs) + 3.
         images.append(parse_polynomial(rhs, spec, nvars, lineno, len(lhs) + 3))
@@ -497,7 +494,7 @@ def load_endomorphism(text: str):
     spec, nvars, rest = _parse_prelude(_content_lines(text))
     images, rest = _parse_image_block(rest, spec, nvars)
     if rest:
-        raise PolySyntaxError(f"unexpected trailing line {rest[0][1]!r}", rest[0][0])
+        raise PolySyntaxError(f"unexpected trailing line {quote(rest[0][1])}", rest[0][0])
     return Endomorphism(spec, nvars, images)
 
 
@@ -533,7 +530,7 @@ def load_kronecker_system(text: str):
             images, rest = _parse_image_block(rest[1:], spec, nvars)
             zero = Endomorphism(spec, nvars, images)
         else:
-            raise PolySyntaxError(f"unexpected line {line!r}", lineno)
+            raise PolySyntaxError(f"unexpected line {quote(line)}", lineno)
     missing = [
         (i, j)
         for i in range(1, n + 1)
@@ -563,16 +560,8 @@ def load_automorphism(text: str):
     elif parts[1].startswith("frob^") and _is_digits(parts[1][5:]):
         delta = FieldAutomorphism.frobenius(spec, _int(parts[1][5:], lineno))
     else:
-        raise PolySyntaxError(f"unknown delta {parts[1]!r}", lineno)
+        raise PolySyntaxError(f"unknown delta {quote(parts[1])}", lineno)
     images, rest = _parse_image_block(rest[1:], spec, nvars)
     if rest:
-        raise PolySyntaxError(f"unexpected trailing line {rest[0][1]!r}", rest[0][0])
+        raise PolySyntaxError(f"unexpected trailing line {quote(rest[0][1])}", rest[0][0])
     return SemiLinearAut.create(delta, images)
-
-
-def dump_endomorphism(endo) -> str:
-    """Canonical endomorphism file text (inverse of load_endomorphism)."""
-    lines = [format_field_header(endo.spec), f"vars {endo.nvars}"]
-    for k, img in enumerate(endo.images, start=1):
-        lines.append(f"x{k} -> {format_poly(img)}")
-    return "\n".join(lines) + "\n"

@@ -74,7 +74,7 @@ def test_create_rejects_shape_mismatches():
 
 
 def test_identity_automorphism():
-    e = SemiLinearAut.identity(QQ, 2)
+    e = SemiLinearAut.create(FieldAutomorphism.identity(QQ), (P("x1"), P("x2")))
     assert e.is_inner
     f = P("x1^2 - 3*x2")
     assert e.apply(f) == f

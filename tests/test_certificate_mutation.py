@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from endorank.cli import main
+from endorank.errors import quote
 
 GF2_COUNTEREXAMPLE = pathlib.Path(__file__).parent / "fixtures" / "gf2_counterexample.endo"
 
@@ -168,3 +169,35 @@ def test_a_parse_error_names_the_record_and_key(step, key, index, text, code, me
     record[key][index] = text
     got, _, err = _verify(payload)
     assert (got, err.strip()) == (code, message)
+
+
+
+@pytest.mark.parametrize(
+    "step, key, value, where, length",
+    [
+        (None, "vars", list(range(100_000)), "certificate: vars [0, 1, 2,", 688_890),
+        (1, "kind", "k" * 100_000, "step 1: unknown substitution kind 'kkk", 100_002),
+        (1, "rank_before", [[list(range(10))] * 10] * 1000, "step 1: rank_before [[[0,", 322_000),
+        (1, "variable", list(range(50_000)), "step 1: variable [0, 1, 2,", 338_890),
+        (None, "start", ["y" * 100_000, "x2"], "certificate: start[0]: unknown name 'yyy", 100_002),
+    ],
+    ids=["vars", "kind", "rank_before", "variable", "start"],
+)
+def test_an_oversized_value_is_quoted_short(step, key, value, where, length):
+    # `length` is the size of the quoted value's repr, which the message
+    # reports in place of the rest of it.
+    payload = _certificate(8)
+    record = payload if step is None else payload["steps"][step - 1]
+    record[key] = value
+    code, _, err = _verify(payload)
+    assert code == 1
+    assert err.startswith(f"endorank: error: {where}")
+    assert f"... ({length} characters)" in err
+    assert err.count("\n") == 1 and len(err.encode()) < 300
+
+
+def test_a_short_value_is_quoted_as_its_repr():
+    assert quote("x1 +") == "'x1 +'"
+    assert quote([1, 2]) == "[1, 2]"
+    assert quote("a" * 58) == repr("a" * 58)
+    assert quote("a" * 59) == "'" + "a" * 59 + "... (61 characters)"

@@ -16,6 +16,8 @@ from endorank.chains import (
 from endorank.endo import Endomorphism, compose, rank
 from endorank.errors import SearchExhausted, SpecMismatch
 from endorank.fields import GF2, GF3, GF4, GF8, GF9, QQ
+from endorank.groebner import clear_caches, get_budget, set_budget
+from endorank.mpoly import MultiPoly, set_degree_cap
 from endorank.parsing import parse_polynomial
 
 
@@ -208,6 +210,9 @@ def test_lift_endo_takes_only_the_stock_extension():
     with pytest.raises(SpecMismatch):
         lift_endo(gf2_vanishing_pair(), GF9)
     assert lift_endo(endo(GF3, "x1^2", "x2"), GF9).spec == GF9
+    # verify_chain lifts only across fields, so no lift keeps the field
+    with pytest.raises(SpecMismatch):
+        lift_endo(gf2_vanishing_pair(), GF2)
 
 
 def test_extension_lift_rescues_a_blocked_search():
@@ -243,6 +248,58 @@ def test_search_exhausted_carries_the_attempt_log():
     with pytest.raises(SearchExhausted) as exc_info:
         build_full_chain(phi, policy)
     assert exc_info.value.chain.length == 0
+
+
+
+def test_a_candidate_past_the_degree_cap_is_logged_and_skipped():
+    u = GF4_VANISHING
+    phi = endo(GF4, f"{u} * x1", f"{u} * x2")
+    clear_caches()  # a cached rank would answer without meeting the cap
+    rank(phi)
+    set_degree_cap(12)
+    try:
+        with pytest.raises(SearchExhausted) as exc_info:
+            reduce_rank_once(phi, ChainPolicy(r_max=2))
+    finally:
+        set_degree_cap(64)
+    log = [(rec.describe(), outcome) for rec, outcome in exc_info.value.attempts]
+    assert log[-2:] == [
+        ("x1 := x2^2", "degree cap exceeded"),
+        ("x2 := x1^2", "degree cap exceeded"),
+    ]
+
+
+def test_the_degree_cap_decides_which_step_the_search_takes():
+    # x1 := x2^2 raises the images to degree 8, past a cap of 8 while
+    # ranking, so the search goes on to the lift.
+    picks = []
+    for cap in (8, 64):
+        clear_caches()
+        set_degree_cap(cap)
+        try:
+            picks.append(reduce_rank_once(gf2_vanishing_pair(), ChainPolicy(seed=1)))
+        finally:
+            set_degree_cap(64)
+    assert [step.record.describe() for step in picks] == [
+        "x1 := t (after lifting to F 2^2 mod t^2+t+1)",
+        "x1 := x2^2",
+    ]
+
+
+def test_a_candidate_past_the_budget_is_logged_and_skipped():
+    psi = gf2_vanishing_pair()
+    clear_caches()
+    rank(psi)  # warmed, so only the candidates' ranks spend budget
+    budget = get_budget()
+    set_budget(1)
+    try:
+        with pytest.raises(SearchExhausted) as exc_info:
+            reduce_rank_once(psi, ChainPolicy(seed=1))
+    finally:
+        set_budget(budget)
+        clear_caches()
+    outcomes = {outcome for _, outcome in exc_info.value.attempts}
+    assert outcomes == {"budget exceeded", "rank 2 -> 0"}
 
 
 # -- the verifier catches tampering ---------------------------------------------
@@ -324,3 +381,39 @@ def test_verifier_replays_only_the_record_it_reads(idx, params, problem):
     report = verify_chain(Chain(chain.start, tuple(steps)))
     assert not report.ok
     assert f"step {idx}: replay failed: {problem}" in report.problems
+
+
+def test_verifier_reports_a_step_over_a_field_it_cannot_lift_to():
+    chain = build_full_chain(gf2_vanishing_pair())
+    step = chain.steps[0]
+    over_gf8 = Endomorphism(
+        GF8, 2, tuple(MultiPoly(GF8, 2, img.terms) for img in step.after.images)
+    )
+    bad_step = ChainStep(step.record, step.rank_before, step.rank_after, over_gf8)
+    report = verify_chain(Chain(chain.start, (bad_step,) + chain.steps[1:]))
+    assert report.problems == (
+        "step 1: cannot lift the previous map to F 2^3 mod t^3+t+1",
+        "chain stops at rank 2, not 0",
+    )
+
+
+def test_verifier_reports_a_drop_of_two():
+    psi = gf2_vanishing_pair()
+    record = SubstitutionRecord("specialize", variable=1, value=GF2.zero())
+    after = compose(record.sigma(GF2, 2), psi)
+    report = verify_chain(Chain(psi, (ChainStep(record, 2, 0, after),)))
+    assert report.problems == ("step 1: rank moved 2 -> 0, not exactly -1",)
+
+
+def test_verifier_reports_a_step_that_changes_nothing():
+    # x2 does not occur, so pinning it leaves the map as it was
+    phi = endo(QQ, "x1", "x1")
+    record = SubstitutionRecord("specialize", variable=2, value=QQ.zero())
+    after = compose(record.sigma(QQ, 2), phi)
+    assert after == phi
+    report = verify_chain(Chain(phi, (ChainStep(record, 1, 1, after),)))
+    assert report.problems == (
+        "step 1: rank moved 1 -> 1, not exactly -1",
+        "step 1: the composed map is not strictly below its predecessor",
+        "chain stops at rank 1, not 0",
+    )

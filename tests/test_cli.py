@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from endorank import kronecker
+from endorank import cli, kronecker
 from endorank.cli import main
 from endorank.endo import Endomorphism, compose
 from endorank.fields import QQ
@@ -94,6 +94,18 @@ def test_rank_text_output(files, capsys):
     code, out = run_cli(capsys, "rank", path)
     assert code == 0
     assert out.splitlines()[0] == "rank: 2"
+
+
+def test_rank_text_lists_the_relations(files, capsys):
+    path = files("cusp.endo", "field Q\nvars 2\nx1 -> x1^2\nx2 -> x1^3\n")
+    code, out = run_cli(capsys, "rank", path)
+    assert code == 0
+    assert out.splitlines() == [
+        "rank: 1",
+        "method: elimination",
+        "relation ideal generators:",
+        "  x1^3 - x2^2",
+    ]
 
 
 def test_rank_jacobian_method(files, capsys):
@@ -885,6 +897,20 @@ def test_selftest_passes(capsys):
     names = [c["name"] for c in payload["results"]]
     assert "gf2-counterexample-rank" in names
     assert "json-determinism" in names
+
+
+def test_a_failing_selftest_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(
+        cli, "_selftest_checks", lambda: [("holds", lambda: None), ("breaks", lambda: "wrong")]
+    )
+    code, out = run_cli(capsys, "selftest")
+    assert code == 1
+    assert out.splitlines()[2:] == [
+        "PASS  holds",
+        "FAIL  breaks",
+        "      wrong",
+        "1 passed, 1 failed",
+    ]
 
 
 def test_same_seed_runs_are_byte_identical(tmp_path):

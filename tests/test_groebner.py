@@ -287,6 +287,25 @@ def test_invert_round_trip_seeded():
                 assert inv[k].substitute(composed) == want
 
 
+def test_a_witness_that_fails_the_round_trip_is_a_fault(monkeypatch):
+    # Every x_k has a witness, so the map is onto and the inverse must hold:
+    # a failed round trip is a bug, not a "not invertible".
+    images = (p("x1 + x2^2"), p("x2"))
+    member = groebner.subalgebra_member
+
+    def corrupted(f, gens):
+        w = member(f, gens)
+        return w + p("x2") if f == p("x1") else w
+
+    clear_caches()
+    monkeypatch.setattr(groebner, "subalgebra_member", corrupted)
+    with pytest.raises(RuntimeError, match="^inverse failed its round trip$"):
+        invert_poly_map(images)
+    monkeypatch.undo()
+    clear_caches()
+    assert invert_poly_map(images) is not None
+
+
 def test_groebner_cache_is_shared():
     clear_caches()
     groebner.reset_stats()

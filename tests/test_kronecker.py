@@ -20,7 +20,6 @@ from endorank.kronecker import (
     BaseCertificate,
     KroneckerSystem,
     RepresentationKind,
-    check_internal_base_condition,
     classify_representation,
     image_generator,
     normalize_base,
@@ -769,39 +768,3 @@ def test_normalize_refusals(case):
     with pytest.raises(error, match=message) as info:
         normalize_base(cert)
     assert type(info.value) is error
-
-
-# -- the internal base condition ----------------------------------------------------------
-
-
-def test_internal_condition_against_two_generator_family():
-    S = KroneckerSystem.standard(QQ, 2)
-    cert = verify_base_external(S).certificate
-    identities = (Endomorphism.identity(QQ, 2), Endomorphism.identity(QQ, 2))
-    report = check_internal_base_condition(cert, two_generator_system(), identities)
-    assert report.ok
-    assert report.problems == ()
-    assert [str(i) for i in report.psi.images] == ["x1*x2 + x1", "x2"]
-
-
-def test_internal_condition_against_itself():
-    S = KroneckerSystem.standard(QQ, 2)
-    cert = verify_base_external(S).certificate
-    identities = (Endomorphism.identity(QQ, 2), Endomorphism.identity(QQ, 2))
-    report = check_internal_base_condition(cert, S, identities)
-    assert report.ok
-    assert report.phi.is_identity
-
-
-def test_internal_condition_input_validation():
-    S = KroneckerSystem.standard(QQ, 2)
-    cert = verify_base_external(S).certificate
-    ident = Endomorphism.identity(QQ, 2)
-    with pytest.raises(RelationViolation):
-        check_internal_base_condition(cert, KroneckerSystem.standard(QQ, 3), (ident, ident))
-    with pytest.raises(RelationViolation):
-        check_internal_base_condition(cert, S, (ident,))
-    zero = Endomorphism.zero(QQ, 2)
-    sink = KroneckerSystem(QQ, 2, ((zero, zero), (zero, zero)), zero)
-    with pytest.raises(RelationViolation):
-        check_internal_base_condition(cert, sink, (ident, ident))

@@ -534,7 +534,7 @@ def test_one_term_products_and_powers_past_the_cap():
                 assert got == want
             # Over F2, 2*x1 is zero and its power is too.
             assert all(want is DegreeCapExceeded for _, want in cases[:-1])
-            assert (cases[-1][1] is DegreeCapExceeded) == (spec.char != 2)
+            assert (cases[-1][1] is DegreeCapExceeded) == (spec.p != 2)
     finally:
         set_degree_cap(64)
 

@@ -52,7 +52,7 @@ def _samples():
         FieldAutomorphism(GF4, 1),
         _endo(QQ, "x1 + x2", "x2"),
         ChainPolicy(),
-        SubstitutionRecord("specialize", variable=1, value=GF2.one()),
+        SubstitutionRecord("specialize", variable=1, value=GF2.element(1)),
         _basis(),
     ]
 

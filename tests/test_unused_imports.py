@@ -1,11 +1,17 @@
-"""Every name the package and its tests import is read somewhere in the same
-file: the unused-import check of pyflakes, with only the standard library.
-And every private function, method or class of the package is used.
+"""Three ast checks on the package, with only the standard library.
 
-src/endorank/__init__.py is left out of the import check, since it imports
-names to re-export them."""
+- Every name the package and its tests import is read somewhere in the same
+  file: the unused-import check of pyflakes.
+- Every private function, method or class of the package is used.
+- Every public function, class, constant and method of the package is read
+  by the package itself, apart from a short list of library controls and
+  stock inputs that only callers and tests use.
+
+src/endorank/__init__.py is left out of the first and the last: it imports
+names only to re-export them, so a name it reads is not a use."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -82,3 +88,89 @@ def test_no_dead_private_definitions():
         for path in sorted(ROOT.glob("src/endorank/*.py"))
     }
     assert dead_private_definitions(sources) == []
+
+
+# Public names the package defines but does not read itself.
+UNREAD_BY_DESIGN = {
+    "endo.py: Endomorphism.point_map",  # perfbench/layertrace.py times it by name
+    "groebner.py: clear_caches",  # library controls documented in README
+    "mpoly.py: set_degree_cap",
+    "groebner.py: reset_stats",  # zeroes groebner.STATS for callers
+    "mpoly.py: LEX",  # the stock order and field that callers pass in
+    "fields.py: GF8",
+}
+
+
+def _reads(node) -> list[str]:
+    """Each name read under node: a loaded name, an attribute, or a string
+    constant, since cli._fields(chain, ..., "complete") reads Chain.complete
+    by its name."""
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.append(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.append(sub.value)
+    return out
+
+
+def _public_definitions(tree):
+    """(label, name, node) for each public top-level function, class and
+    constant, and each method of a public class that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_"):
+                continue
+            yield node.name, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        m = item.name
+                        if not (m.startswith("__") and m.endswith("__")):
+                            yield f"{node.name}.{m}", m, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id, target.id, node
+
+
+def unread_public_definitions(sources: dict[str, str]) -> list[str]:
+    """'file: name' for each public definition that no file reads outside
+    the definition itself.  Reads are matched by name alone, so a method
+    shares its reads with every attribute of the same name."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    reads = Counter(r for tree in trees.values() for r in _reads(tree))
+    return [
+        f"{file}: {label}"
+        for file, tree in trees.items()
+        for label, name, node in _public_definitions(tree)
+        if reads[name] == _reads(node).count(name)
+    ]
+
+
+def test_the_public_definition_check_sees_a_dead_function():
+    sources = {
+        "a.py": "LIMIT = 3\nSTOCK = 4\ndef used(): pass\ndef dead(): return dead()\n"
+        "class K:\n    def m(self): return K\n    def unread(self): pass\n"
+        "    def __eq__(self, o): pass\n    def _p(self): pass\n"
+        "    flag: bool = True\nclass _Hidden:\n    def m2(self): pass\n",
+        "b.py": "from a import used, K, LIMIT\nused(k.m(LIMIT))\nK\n"
+        "getattr(k, '_p')\n",
+    }
+    assert unread_public_definitions(sources) == [
+        "a.py: STOCK",
+        "a.py: dead",
+        "a.py: K.unread",
+    ]
+
+
+def test_no_unread_public_definitions():
+    sources = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted(ROOT.glob("src/endorank/*.py"))
+        if path.name != "__init__.py"
+    }
+    assert set(unread_public_definitions(sources)) == UNREAD_BY_DESIGN
