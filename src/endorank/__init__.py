@@ -26,13 +26,12 @@ from .chains import (
     verify_chain,
 )
 from .endo import (
+    Comparison,
     Endomorphism,
-    FalsifierReport,
     RankCertificate,
     Verdict,
     compare,
     compose,
-    equivalence_falsifier,
     jacobian_rank_at,
     kronecker_endo,
     rank,

@@ -13,7 +13,8 @@ one check of a step record.
 Over small prime fields all constants may fail; the schedule then tries
 powers, and finally lifts the whole computation into a stock quadratic
 extension where fresh constants exist.  A failed search raises
-SearchExhausted carrying the full attempt log.
+SearchExhausted carrying the full attempt log; a candidate that meets a
+resource limit ends the search with that limit instead.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from typing import Iterator, Optional
 
 from .endo import Endomorphism, Verdict, compare, compose, rank
 from .errors import (
-    BudgetExceeded,
-    DegreeCapExceeded,
+    ResourceLimit,
     SearchExhausted,
     SpecMismatch,
     quote,
@@ -172,7 +172,8 @@ class Chain:
     def complete(self) -> bool:
         if self.steps:
             return self.steps[-1].rank_after == 0
-        return rank(self.start).value == 0
+        # rank 0 holds exactly when every image is constant
+        return all(img.is_constant() for img in self.start.images)
 
 
 def _occurring(endo: Endomorphism) -> list[int]:
@@ -244,8 +245,9 @@ def reduce_rank_once(
 
     Rank 1 maps always collapse to the image of the origin.  Higher ranks
     walk the candidate schedule; every candidate's rank is recomputed by
-    elimination and only an exact drop of one is accepted.  Candidates that
-    blow the degree cap or the basis budget are logged and skipped.
+    elimination and only an exact drop of one is accepted.  A candidate
+    that meets a resource limit ends the search with that limit, naming the
+    candidate, so a limit never decides which step is taken.
     """
     r0 = rank(psi).value
     if r0 <= 0:
@@ -267,12 +269,8 @@ def reduce_rank_once(
         try:
             after = compose(record.sigma(work.spec, work.nvars), work)
             r1 = rank(after).value
-        except DegreeCapExceeded:
-            attempts.append((record, "degree cap exceeded"))
-            continue
-        except BudgetExceeded:
-            attempts.append((record, "budget exceeded"))
-            continue
+        except ResourceLimit as exc:  # a limit is no answer: end the search
+            raise type(exc)(f"{exc} (candidate {record.describe()})") from exc
         if r1 == r0 - 1:
             return ChainStep(record, r0, r1, after)
         attempts.append((record, f"rank {r0} -> {r1}"))
@@ -363,7 +361,7 @@ def verify_chain(chain: Chain) -> ChainVerification:
             problems.append(
                 f"step {idx}: rank moved {r_work} -> {r_after}, not exactly -1"
             )
-        if compare(step.after, work) is not Verdict.STRICTLY_BELOW:
+        if compare(step.after, work).verdict is not Verdict.STRICTLY_BELOW:
             problems.append(
                 f"step {idx}: the composed map is not strictly below its predecessor"
             )

@@ -6,10 +6,11 @@ degree cap or the coefficient bound on powers) or a substitution search ran
 out before an answer existed.
 
 JSON output is deterministic byte-for-byte for a fixed input and seed:
-payloads carry "schema": 1 and the seed, keys are sorted, indentation is
-fixed, and every report embeds enough certificate data to be replayed
-(chain certificates can be re-verified with `chain --verify`, which
-refuses, exit 1, a step that does not build the substitution it records).
+payloads carry "schema": 1 and, for a seeded command, the seed; keys are
+sorted, indentation is fixed, and every report embeds enough certificate
+data to be replayed (chain certificates can be re-verified with
+`chain --verify`, which refuses, exit 1, a step that does not build the
+substitution it records; a compare verdict carries its separators).
 """
 
 from __future__ import annotations
@@ -29,13 +30,7 @@ from .chains import (
     build_full_chain,
     verify_chain,
 )
-from .endo import (
-    Endomorphism,
-    compare,
-    compose,
-    equivalence_falsifier,
-    rank,
-)
+from .endo import Endomorphism, compare, compose, rank
 from .errors import (
     EndoRankError,
     FieldConstructionError,
@@ -184,42 +179,19 @@ def _cmd_rank(args) -> tuple[dict, list[str]]:
     "order relation between two maps",
     _arg("file", help="first endomorphism file"),
     _arg("other", help="second endomorphism file"),
-    _arg(
-        "--falsify",
-        type=_at_least(0),
-        default=0,
-        metavar="N",
-        help="also run N falsifier trials on the verdict",
-    ),
-    seed=True,
 )
 def _cmd_compare(args) -> tuple[dict, list[str]]:
     phi = load_endomorphism(_read(args.file))
     psi = load_endomorphism(_read(args.other))
-    verdict = compare(phi, psi)
+    result = compare(phi, psi)
     payload = {
-        "seed": args.seed,
-        "verdict": verdict.value,
-        "falsifier": None,
+        "verdict": result.verdict.value,
+        **_fields(result, "first_only", "second_only"),
     }
-    lines = [f"verdict: {verdict.value}"]
-    if args.falsify > 0:
-        report = equivalence_falsifier(
-            phi, psi, trials=args.falsify, seed=args.seed
-        )
-        payload["falsifier"] = _fields(
-            report,
-            "samples",
-            "nonvacuous",
-            "implication_failures",
-            "separation_witnesses",
-            "consistent",
-        )
-        lines.append(
-            f"falsifier: {report.samples} samples, "
-            f"{report.implication_failures} failures, "
-            f"consistent={report.consistent}"
-        )
+    lines = [f"verdict: {result.verdict.value}"]
+    for which, sep in (("first", result.first_only), ("second", result.second_only)):
+        if sep is not None:
+            lines.append(f"relation of the {which} map only: {sep}")
     return payload, lines
 
 

@@ -256,13 +256,35 @@ class Verdict(Enum):
     INCOMPARABLE = "incomparable"
 
 
-def _ideal_superset(big: Ideal, small: Ideal) -> bool:
+def _outside(big: Ideal, small: Ideal) -> Optional[MultiPoly]:
+    """The first generator of small that big does not contain, or None."""
     gb = groebner_basis(big, GREVLEX)
-    return all(gb.contains(g) for g in small.generators)
+    return next((g for g in small.generators if not gb.contains(g)), None)
 
 
-def compare(phi: Endomorphism, psi: Endomorphism) -> Verdict:
-    """Position of phi relative to psi in the preorder.
+@record
+class Comparison:
+    """Where one map sits relative to another, with the separators that
+    prove it.  first_only is a relation of the first map's images that the
+    second map's images do not satisfy, second_only the reverse; each is
+    checked by two substitutions."""
+
+    first_only: Optional[MultiPoly]
+    second_only: Optional[MultiPoly]
+
+    @property
+    def verdict(self) -> Verdict:
+        if self.first_only is None:
+            if self.second_only is None:
+                return Verdict.EQUIVALENT
+            return Verdict.STRICTLY_ABOVE
+        if self.second_only is None:
+            return Verdict.STRICTLY_BELOW
+        return Verdict.INCOMPARABLE
+
+
+def compare(phi: Endomorphism, psi: Endomorphism) -> Comparison:
+    """Position of phi relative to psi in the preorder, with its separators.
 
     phi is below psi exactly when phi's relation ideal contains psi's; then
     composing with anything can only merge phi's fibers at least as much as
@@ -274,137 +296,4 @@ def compare(phi: Endomorphism, psi: Endomorphism) -> Verdict:
         raise ArityMismatch("comparison across different variable counts")
     i_phi = relation_ideal(phi)
     i_psi = relation_ideal(psi)
-    below = _ideal_superset(i_phi, i_psi)
-    above = _ideal_superset(i_psi, i_phi)
-    if below and above:
-        return Verdict.EQUIVALENT
-    if below:
-        return Verdict.STRICTLY_BELOW
-    if above:
-        return Verdict.STRICTLY_ABOVE
-    return Verdict.INCOMPARABLE
-
-
-@record
-class FalsifierReport:
-    """Outcome of randomized cross-examination of a comparison verdict.
-
-    Engineered pairs (phi1, phi2) satisfy psi.phi1 = psi.phi2 by
-    construction; under a below/equivalent verdict each such pair must also
-    satisfy phi.phi1 = phi.phi2.  Separation witnesses certify strictness:
-    polynomials in one relation ideal but not the other.
-    """
-
-    verdict: "Verdict"
-    samples: int
-    nonvacuous: int
-    implication_failures: int
-    separation_witnesses: tuple[MultiPoly, ...]
-    consistent: bool
-
-
-def _find_separator(big: Ideal, small: Ideal) -> Optional[MultiPoly]:
-    """A generator of `big` that is not in `small` (exists iff big > small)."""
-    small_gb = groebner_basis(small, GREVLEX)
-    for g in groebner_basis(big, GREVLEX).polys:
-        if not small_gb.contains(g):
-            return g
-    return None
-
-
-def equivalence_falsifier(
-    phi: Endomorphism,
-    psi: Endomorphism,
-    trials: int = 25,
-    seed: int = 0,
-) -> FalsifierReport:
-    """Stress-test compare(phi, psi) against the compositional definition.
-
-    For each trial a random phi1 and a random member H of psi's relation
-    ideal give phi2 = phi1 - H, so psi.phi1 = psi.phi2 holds by construction
-    (and is asserted).  A below/equivalent verdict predicts phi.phi1 =
-    phi.phi2 on every sample; equivalently H must die under phi's images.
-    Strict and incomparable verdicts are certified by explicit separating
-    polynomials rather than sampling.
-    """
-    from .sampling import random_endomorphism, random_nonzero_scalar
-
-    if trials < 0:
-        raise ValueError(f"trials must be at least 0, got {trials}")
-    verdict = compare(phi, psi)
-    rng = random.Random(seed)
-    spec = phi.spec
-    n = phi.nvars
-
-    directions: list[tuple[Endomorphism, Endomorphism]] = []
-    if verdict in (Verdict.STRICTLY_BELOW, Verdict.EQUIVALENT):
-        directions.append((phi, psi))  # members of I_psi must die under phi
-    if verdict in (Verdict.STRICTLY_ABOVE, Verdict.EQUIVALENT):
-        directions.append((psi, phi))
-
-    samples = 0
-    nonvacuous = 0
-    failures = 0
-    for low, high in directions:
-        # Relation ideals live in a fresh n-variable ring, so their
-        # generators can be read straight back as polynomials in x.
-        high_gens = groebner_basis(relation_ideal(high), GREVLEX).polys
-        for _ in range(trials):
-            samples += 1
-            phi1 = random_endomorphism(
-                rng, spec, n, max_degree=2, max_terms=2
-            )
-            hs = []
-            for _k in range(n):
-                h = MultiPoly.zero(spec, n)
-                if high_gens and rng.random() < 0.8:
-                    g = rng.choice(high_gens)
-                    c = random_nonzero_scalar(rng, spec)
-                    h = g.scale(c)
-                hs.append(h)
-            if any(not h.is_zero for h in hs):
-                nonvacuous += 1
-            phi2 = Endomorphism(
-                spec, n, tuple(a - h for a, h in zip(phi1.images, hs))
-            )
-            # The premise high.phi1 = high.phi2: phi2 = phi1 - h, and
-            # substitution is a ring map, so each h must die under high.
-            if any(not h.substitute(high.images).is_zero for h in hs):
-                raise RuntimeError("engineered pair failed its own premise")
-            if compose(low, phi1) != compose(low, phi2):
-                failures += 1
-
-    expected_witnesses = {
-        Verdict.EQUIVALENT: 0,
-        Verdict.STRICTLY_BELOW: 1,
-        Verdict.STRICTLY_ABOVE: 1,
-        Verdict.INCOMPARABLE: 2,
-    }[verdict]
-    witnesses: list[MultiPoly] = []
-    i_phi = relation_ideal(phi)
-    i_psi = relation_ideal(psi)
-    if verdict in (Verdict.STRICTLY_BELOW, Verdict.INCOMPARABLE):
-        w = _find_separator(i_phi, i_psi)
-        if w is not None:
-            # Dies under phi, survives under psi: separates the two fiber
-            # partitions.
-            witnesses.append(w)
-    if verdict in (Verdict.STRICTLY_ABOVE, Verdict.INCOMPARABLE):
-        w = _find_separator(i_psi, i_phi)
-        if w is not None:
-            witnesses.append(w)
-
-    ok = failures == 0 and len(witnesses) == expected_witnesses
-    for w in witnesses:
-        died_phi = w.substitute(phi.images).is_zero
-        died_psi = w.substitute(psi.images).is_zero
-        if died_phi == died_psi:
-            ok = False
-    return FalsifierReport(
-        verdict=verdict,
-        samples=samples,
-        nonvacuous=nonvacuous,
-        implication_failures=failures,
-        separation_witnesses=tuple(witnesses),
-        consistent=ok,
-    )
+    return Comparison(_outside(i_psi, i_phi), _outside(i_phi, i_psi))

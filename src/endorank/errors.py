@@ -4,20 +4,25 @@ Every error raised by this package derives from EndoRankError, so callers can
 catch one type at the boundary.  ResourceLimit errors (DegreeCapExceeded,
 CoefficientGrowthExceeded, BudgetExceeded) and SearchExhausted are
 deliberately distinct from negative mathematical answers: hitting a cap never
-means "no".  A message that quotes input quotes it through quote(), so a huge
-value in a file or certificate cannot make a huge message.
+means "no".  A message that quotes input quotes it through quote(), or shows
+it bare through cut(), so a huge value in a file or certificate cannot make a
+huge message.
 """
 
 from __future__ import annotations
 
 
-def quote(value) -> str:
-    """repr(value) for a message that quotes input: when it is longer than
-    60 characters, its first 60 characters and its full length."""
-    text = repr(value)
+def cut(text: str) -> str:
+    """text for a message that shows input: when it is longer than 60
+    characters, its first 60 characters and its full length."""
     if len(text) <= 60:
         return text
     return f"{text[:60]}... ({len(text)} characters)"
+
+
+def quote(value) -> str:
+    """repr(value), cut short, for a message that quotes input."""
+    return cut(repr(value))
 
 
 class EndoRankError(Exception):

@@ -31,6 +31,7 @@ from .errors import (
     EndoRankError,
     PolySyntaxError,
     UnknownVariable,
+    cut,
     quote,
 )
 from .fields import FieldAutomorphism, FieldSpec, Raw
@@ -365,7 +366,7 @@ class _Parser:
             idx = _int(name[1:], line, col)
             if not 1 <= idx <= self.nvars:
                 raise UnknownVariable(
-                    f"{name} is outside the declared variables x1..x{self.nvars}",
+                    f"{cut(name)} is outside the declared variables x1..x{self.nvars}",
                     line,
                     col,
                 )

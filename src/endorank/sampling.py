@@ -1,6 +1,6 @@
 """Seeded random scalars, polynomials and endomorphisms, used by the
-falsifier, the conjugation checker, and the test corpora (a random point is a
-tuple of random_scalar values).
+conjugation checker and the test corpora (a random point is a tuple of
+random_scalar values).
 
 Everything takes an explicit random.Random so callers stay reproducible.
 Polynomials come out sparse with small coefficients and degrees, which keeps

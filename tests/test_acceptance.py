@@ -161,8 +161,19 @@ def test_criterion_3_order_versus_rank():
     violations = 0
     seen = {v: 0 for v in Verdict}
     for phi, psi in pairs:
-        verdict = compare(phi, psi)
+        result = compare(phi, psi)
+        verdict = result.verdict
         seen[verdict] += 1
+        # a separator holds under its own map's images, not the other's
+        for sep, own, other in (
+            (result.first_only, phi, psi),
+            (result.second_only, psi, phi),
+        ):
+            if sep is not None and (
+                not sep.substitute(own.images).is_zero
+                or sep.substitute(other.images).is_zero
+            ):
+                violations += 1
         r_phi, r_psi = rank(phi).value, rank(psi).value
         if verdict is Verdict.EQUIVALENT and r_phi != r_psi:
             violations += 1

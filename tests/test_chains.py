@@ -14,7 +14,13 @@ from endorank.chains import (
     verify_chain,
 )
 from endorank.endo import Endomorphism, compose, rank
-from endorank.errors import SearchExhausted, SpecMismatch
+from endorank.cli import main
+from endorank.errors import (
+    BudgetExceeded,
+    DegreeCapExceeded,
+    SearchExhausted,
+    SpecMismatch,
+)
 from endorank.fields import GF2, GF3, GF4, GF8, GF9, QQ
 from endorank.groebner import clear_caches, get_budget, set_budget
 from endorank.mpoly import MultiPoly, set_degree_cap
@@ -133,10 +139,12 @@ def test_complete_chain_length_is_the_rank():
     assert (chain.length, chain.complete) == (2, True)
     chain = build_full_chain(Endomorphism.zero(QQ, 2))
     assert (chain.length, chain.complete) == (0, True)
+    assert not Chain(endo(QQ, "x1", "3"), ()).complete
 
 
 def test_full_chain_ranks_only_its_start(monkeypatch):
-    # Every later level's rank is the rank_after of the step before it.
+    # Every later level's rank is the rank_after of the step before it, and
+    # Chain.complete of the zero map's empty chain reads constant images.
     inside = [0]
     outside = []
     real_rank, real_reduce = chains.rank, chains.reduce_rank_once
@@ -163,8 +171,8 @@ def test_full_chain_ranks_only_its_start(monkeypatch):
     ):
         outside.clear()
         chain = build_full_chain(phi)
-        assert outside == [phi]
         assert chain.complete
+        assert outside == [phi]
 
 
 def test_exhausted_search_keeps_the_partial_chain():
@@ -251,55 +259,56 @@ def test_search_exhausted_carries_the_attempt_log():
 
 
 
-def test_a_candidate_past_the_degree_cap_is_logged_and_skipped():
+def test_a_candidate_past_the_degree_cap_ends_the_search():
     u = GF4_VANISHING
     phi = endo(GF4, f"{u} * x1", f"{u} * x2")
     clear_caches()  # a cached rank would answer without meeting the cap
     rank(phi)
     set_degree_cap(12)
     try:
-        with pytest.raises(SearchExhausted) as exc_info:
+        with pytest.raises(DegreeCapExceeded, match=r"\(candidate x1 := x2\^2\)$"):
             reduce_rank_once(phi, ChainPolicy(r_max=2))
     finally:
         set_degree_cap(64)
-    log = [(rec.describe(), outcome) for rec, outcome in exc_info.value.attempts]
-    assert log[-2:] == [
-        ("x1 := x2^2", "degree cap exceeded"),
-        ("x2 := x1^2", "degree cap exceeded"),
-    ]
 
 
-def test_the_degree_cap_decides_which_step_the_search_takes():
+def test_the_degree_cap_never_decides_which_step_the_search_takes(tmp_path, capsys):
     # x1 := x2^2 raises the images to degree 8, past a cap of 8 while
-    # ranking, so the search goes on to the lift.
-    picks = []
-    for cap in (8, 64):
-        clear_caches()
-        set_degree_cap(cap)
-        try:
-            picks.append(reduce_rank_once(gf2_vanishing_pair(), ChainPolicy(seed=1)))
-        finally:
-            set_degree_cap(64)
-    assert [step.record.describe() for step in picks] == [
-        "x1 := t (after lifting to F 2^2 mod t^2+t+1)",
-        "x1 := x2^2",
-    ]
+    # ranking: the search stops there (exit 2) rather than going on to the
+    # lift, and under the default cap it takes that step.
+    path = tmp_path / "pair.endo"
+    path.write_text(
+        "field F 2\nvars 2\n"
+        "x1 -> (x1^2 + x1) * (x2^2 + x2) * x1\n"
+        "x2 -> (x1^2 + x1) * (x2^2 + x2) * x2\n"
+    )
+    clear_caches()
+    set_degree_cap(8)
+    try:
+        with pytest.raises(DegreeCapExceeded, match=r"\(candidate x1 := x2\^2\)$"):
+            reduce_rank_once(gf2_vanishing_pair(), ChainPolicy(seed=1))
+        assert main(["chain", str(path), "--seed", "1"]) == 2
+    finally:
+        set_degree_cap(64)
+    assert "(candidate x1 := x2^2)" in capsys.readouterr().err
+    clear_caches()
+    step = reduce_rank_once(gf2_vanishing_pair(), ChainPolicy(seed=1))
+    assert step.record.describe() == "x1 := x2^2"
 
 
-def test_a_candidate_past_the_budget_is_logged_and_skipped():
+def test_a_candidate_past_the_budget_ends_the_search():
     psi = gf2_vanishing_pair()
     clear_caches()
     rank(psi)  # warmed, so only the candidates' ranks spend budget
     budget = get_budget()
     set_budget(1)
     try:
-        with pytest.raises(SearchExhausted) as exc_info:
+        # the specializations give the zero map, whose rank spends nothing
+        with pytest.raises(BudgetExceeded, match=r"\(candidate x1 := x2\^2\)$"):
             reduce_rank_once(psi, ChainPolicy(seed=1))
     finally:
         set_budget(budget)
         clear_caches()
-    outcomes = {outcome for _, outcome in exc_info.value.attempts}
-    assert outcomes == {"budget exceeded", "rank 2 -> 0"}
 
 
 # -- the verifier catches tampering ---------------------------------------------

@@ -133,25 +133,34 @@ def test_compare_text_verdict(files, capsys):
     ident = files("id.endo", "field Q\nvars 2\nx1 -> x1\nx2 -> x2\n")
     code, out = run_cli(capsys, "compare", proj, ident)
     assert code == 0
-    assert out.strip() == "verdict: strictly-below"
+    assert out.splitlines() == [
+        "verdict: strictly-below",
+        "relation of the first map only: x2",
+    ]
+    code, out = run_cli(capsys, "compare", ident, proj)
+    assert out.splitlines()[1] == "relation of the second map only: x2"
+    code, out = run_cli(capsys, "compare", proj, proj)
+    assert out.splitlines() == ["verdict: equivalent"]
 
 
-def test_compare_with_falsifier(files, capsys):
-    proj = files("proj.endo", "field Q\nvars 2\nx1 -> x1\nx2 -> 0\n")
+def test_compare_json_carries_the_separators(files, capsys):
+    e11 = files("e11.endo", "field Q\nvars 2\nx1 -> x1\nx2 -> 0\n")
+    e22 = files("e22.endo", "field Q\nvars 2\nx1 -> 0\nx2 -> x2\n")
     ident = files("id.endo", "field Q\nvars 2\nx1 -> x1\nx2 -> x2\n")
-    code, out = run_cli(
-        capsys, "compare", proj, ident, "--falsify", "5", "--format", "json"
-    )
+    code, out = run_cli(capsys, "compare", e11, e22, "--format", "json")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["verdict"] == "strictly-below"
-    assert payload["falsifier"] == {
-        "samples": 5,
-        "nonvacuous": 0,
-        "implication_failures": 0,
-        "separation_witnesses": ["x2"],
-        "consistent": True,
+    assert json.loads(out) == {
+        "schema": 1,
+        "command": "compare",
+        "verdict": "incomparable",
+        "first_only": "x2",
+        "second_only": "x1",
     }
+    code, out = run_cli(capsys, "compare", e11, ident, "--format", "json")
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["first_only"], payload["second_only"]) == (
+        "strictly-below", "x2", None,
+    )
 
 
 def test_compare_mismatched_fields_is_an_input_error(files, capsys):
@@ -718,13 +727,12 @@ def test_r_max_below_one_is_a_usage_error(files, capsys):
     assert code == 0 and "chain length: 2" in out
 
 
-def test_negative_falsify_is_a_usage_error(files, capsys):
+def test_compare_takes_no_falsify_or_seed(files, capsys):
     path = files("ce.endo", GF2_COUNTEREXAMPLE)
-    code, err = usage_error(capsys, "compare", path, path, "--falsify", "-3")
-    assert code == 1
-    assert "argument --falsify: must be at least 0, got -3" in err
-    code, err = usage_error(capsys, "compare", path, path, "--falsify", "x")
-    assert code == 1 and "argument --falsify: invalid int value: 'x'" in err
+    for flag in ("--falsify", "--seed"):
+        code, err = usage_error(capsys, "compare", path, path, flag, "3")
+        assert code == 1
+        assert f"unrecognized arguments: {flag} 3" in err
 
 
 # -- budget -----------------------------------------------------------------------

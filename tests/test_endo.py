@@ -11,7 +11,6 @@ from endorank.endo import (
     Verdict,
     compare,
     compose,
-    equivalence_falsifier,
     jacobian_rank_at,
     kronecker_endo,
     rank,
@@ -287,12 +286,12 @@ def test_rank_of_composite_never_exceeds_factors():
 def test_compare_oracle_verdicts():
     ident = Endomorphism.identity(QQ, 2)
     proj = endo(QQ, "x1", "0")
-    assert compare(proj, ident) is Verdict.STRICTLY_BELOW
-    assert compare(ident, proj) is Verdict.STRICTLY_ABOVE
-    assert compare(proj, endo(QQ, "2*x1", "0")) is Verdict.EQUIVALENT
+    assert compare(proj, ident).verdict is Verdict.STRICTLY_BELOW
+    assert compare(ident, proj).verdict is Verdict.STRICTLY_ABOVE
+    assert compare(proj, endo(QQ, "2*x1", "0")).verdict is Verdict.EQUIVALENT
     e11 = kronecker_endo(QQ, 2, 1, 1)
     e22 = kronecker_endo(QQ, 2, 2, 2)
-    assert compare(e11, e22) is Verdict.INCOMPARABLE
+    assert compare(e11, e22).verdict is Verdict.INCOMPARABLE
 
 
 def test_constants_sit_at_the_bottom_but_apart():
@@ -301,8 +300,8 @@ def test_constants_sit_at_the_bottom_but_apart():
     ident = Endomorphism.identity(QQ, 2)
     c1 = Endomorphism.constant(QQ, 2, [1, 2])
     c2 = Endomorphism.constant(QQ, 2, [3, 4])
-    assert compare(c1, ident) is Verdict.STRICTLY_BELOW
-    assert compare(c1, c2) is Verdict.INCOMPARABLE
+    assert compare(c1, ident).verdict is Verdict.STRICTLY_BELOW
+    assert compare(c1, c2).verdict is Verdict.INCOMPARABLE
     assert compose(ident, c1) == c1
     assert compose(endo(QQ, "x1 + 7", "x2"), c1) == c1
 
@@ -320,7 +319,7 @@ def test_left_composition_only_descends():
     for _ in range(10):
         psi = random_endomorphism(rng, QQ, 2, max_degree=2, max_terms=2)
         sigma = random_endomorphism(rng, QQ, 2, max_degree=2, max_terms=2)
-        verdict = compare(compose(sigma, psi), psi)
+        verdict = compare(compose(sigma, psi), psi).verdict
         assert verdict in (Verdict.STRICTLY_BELOW, Verdict.EQUIVALENT)
 
 
@@ -331,7 +330,7 @@ def test_verdict_agrees_with_rank():
     for _ in range(12):
         a = random_endomorphism(rng, QQ, 2, max_degree=2, max_terms=2)
         b = random_endomorphism(rng, QQ, 2, max_degree=2, max_terms=2)
-        verdict = compare(a, b)
+        verdict = compare(a, b).verdict
         ra, rb = rank(a).value, rank(b).value
         if verdict is Verdict.EQUIVALENT:
             assert ra == rb
@@ -341,55 +340,69 @@ def test_verdict_agrees_with_rank():
             assert ra >= rb
 
 
-# -- the falsifier --------------------------------------------------------------
+# -- separators ---------------------------------------------------------------
 
 
-def test_falsifier_on_all_four_verdicts():
+EXPECTED_VERDICT = {
+    (False, False): Verdict.EQUIVALENT,
+    (True, False): Verdict.STRICTLY_BELOW,
+    (False, True): Verdict.STRICTLY_ABOVE,
+    (True, True): Verdict.INCOMPARABLE,
+}
+
+
+def check_separators(phi, psi):
+    # Each separator is a relation of one map's images that the other's do
+    # not satisfy, and which separators exist decides the verdict.
+    result = compare(phi, psi)
+    for sep, own, other in (
+        (result.first_only, phi, psi),
+        (result.second_only, psi, phi),
+    ):
+        if sep is not None:
+            assert sep.substitute(own.images).is_zero
+            assert not sep.substitute(other.images).is_zero
+    key = (result.first_only is not None, result.second_only is not None)
+    assert result.verdict is EXPECTED_VERDICT[key]
+    same = compare(phi, phi)
+    assert (same.first_only, same.second_only) == (None, None)
+    return result
+
+
+def test_separators_prove_the_verdict():
     ident = Endomorphism.identity(QQ, 2)
     proj = endo(QQ, "x1", "0")
     pairs = [
-        (proj, ident, Verdict.STRICTLY_BELOW, 1),
-        (ident, proj, Verdict.STRICTLY_ABOVE, 1),
-        (kronecker_endo(QQ, 2, 1, 1), kronecker_endo(QQ, 2, 2, 2), Verdict.INCOMPARABLE, 2),
-        (proj, endo(QQ, "2*x1", "0"), Verdict.EQUIVALENT, 0),
+        (proj, ident, Verdict.STRICTLY_BELOW),
+        (ident, proj, Verdict.STRICTLY_ABOVE),
+        (kronecker_endo(QQ, 2, 1, 1), kronecker_endo(QQ, 2, 2, 2), Verdict.INCOMPARABLE),
+        (proj, endo(QQ, "2*x1", "0"), Verdict.EQUIVALENT),
     ]
-    for phi, psi, want, witnesses in pairs:
-        report = equivalence_falsifier(phi, psi, trials=10, seed=3)
-        assert report.verdict is want
-        assert report.consistent
-        assert report.implication_failures == 0
-        assert len(report.separation_witnesses) == witnesses
+    for phi, psi, want in pairs:
+        assert check_separators(phi, psi).verdict is want
 
 
-def test_falsifier_refuses_negative_trials():
-    ident = Endomorphism.identity(QQ, 2)
-    with pytest.raises(ValueError, match="^trials must be at least 0, got -3$"):
-        equivalence_falsifier(ident, ident, trials=-3)
-    report = equivalence_falsifier(ident, ident, trials=0)
-    assert report.consistent and report.samples == 0
+@pytest.mark.parametrize("spec", [QQ, GF2, GF3, GF4], ids=["QQ", "GF2", "GF3", "GF4"])
+def test_separators_prove_the_verdict_on_random_pairs(spec):
+    rng = random.Random(44)
+    seen = set()
+    for _ in range(12):
+        a = random_endomorphism(rng, spec, 2, max_degree=2, max_terms=2)
+        b = random_endomorphism(rng, spec, 2, max_degree=2, max_terms=2)
+        for phi, psi in ((a, b), (compose(b, a), a)):
+            seen.add(check_separators(phi, psi).verdict)
+    assert seen == set(Verdict)
 
 
-def test_falsifier_engineered_pairs_are_nonvacuous():
-    # zero map below the projection: the projection's relation ideal is
-    # nonzero, so the engineered pairs genuinely differ.
-    report = equivalence_falsifier(
-        Endomorphism.zero(QQ, 2), endo(QQ, "x1", "0"), trials=15, seed=9
-    )
-    assert report.verdict is Verdict.STRICTLY_BELOW
-    assert report.consistent
-    assert report.nonvacuous > 0
+def test_separators_of_the_kronecker_pair():
+    result = compare(kronecker_endo(QQ, 2, 1, 1), kronecker_endo(QQ, 2, 2, 2))
+    assert (str(result.first_only), str(result.second_only)) == ("x2", "x1")
 
 
-def test_falsifier_witnesses_separate():
-    report = equivalence_falsifier(
-        kronecker_endo(QQ, 2, 1, 1), kronecker_endo(QQ, 2, 2, 2), trials=5, seed=0
-    )
-    assert [str(w) for w in report.separation_witnesses] == ["x2", "x1"]
-
-
-def test_falsifier_over_finite_field():
-    phi = Endomorphism.zero(GF3, 2)
-    psi = Endomorphism(GF3, 2, (parse_polynomial("x1", GF3, 2), parse_polynomial("0", GF3, 2)))
-    report = equivalence_falsifier(phi, psi, trials=10, seed=1)
-    assert report.verdict is Verdict.STRICTLY_BELOW
-    assert report.consistent
+@pytest.mark.parametrize("spec", [QQ, GF3], ids=["QQ", "GF3"])
+def test_the_zero_map_sits_below_a_projection_with_a_separator(spec):
+    # The projection's relation ideal is (x2), inside the zero map's
+    # (x1, x2); x1 is the zero map's relation that the projection breaks.
+    result = check_separators(Endomorphism.zero(spec, 2), endo(spec, "x1", "0"))
+    assert result.verdict is Verdict.STRICTLY_BELOW
+    assert (str(result.first_only), result.second_only) == ("x1", None)

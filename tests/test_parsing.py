@@ -66,6 +66,21 @@ def test_variable_bounds_and_names():
         parse_polynomial("y1", QQ, 2)
 
 
+def test_an_over_long_variable_name_is_cut_in_the_message():
+    with pytest.raises(UnknownVariable) as exc_info:
+        parse_polynomial("x3", QQ, 2)
+    assert str(exc_info.value) == (
+        "x3 is outside the declared variables x1..x2 at line 1, column 1"
+    )
+    name = "x" + "9" * 4300  # the most digits the tokenizer reads
+    with pytest.raises(UnknownVariable) as exc_info:
+        parse_polynomial(name, QQ, 2)
+    assert str(exc_info.value) == (
+        f"{name[:60]}... (4301 characters) is outside the declared variables "
+        "x1..x2 at line 1, column 1"
+    )
+
+
 def test_fractions_only_over_q():
     with pytest.raises(CoefficientParseError):
         parse_polynomial("1/2*x1", GF3, 1)
