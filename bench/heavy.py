@@ -4,9 +4,12 @@
     python3 bench/heavy.py --against DIR [--case NAME ...] > record.json
 
 Run from the root of a checkout; stdlib only.  Each case is one
-`python3 -m endorank.cli ... --format json` call with the checkout's src on
-PYTHONPATH and a timeout.  A case records its wall time, exit code and the
-sha256 of its stdout.
+`endorank.cli ... --format json` call with the checkout's src on PYTHONPATH
+and a timeout.  A case records its wall time, exit code, the sha256 of its
+stdout and its peak memory: the child's own high-water resident set
+(VmHWM, read from /proc at exit by a short wrapper that runs the CLI as
+`python3 -m` does; null where /proc is missing).  Not ru_maxrss, which a
+child inherits from the process that started it.
 
 --answers prints one line per case, "name exit digest", and no timings, so
 two checkouts (or a checkout and a pinned list) compare with diff.  A rank
@@ -17,7 +20,8 @@ same digest.
 --against DIR times the checkout at DIR ("parent") and this one ("change")
 in alternation, case by case for ROUNDS rounds, because CPU speed on a
 shared machine drifts over minutes; it prints the runs, their medians and
-the min-max range of each side's exit-0 runs as JSON.  A case is
+the min-max range of each side's exit-0 runs, and the median peak memory
+of each side, as JSON.  A case is
 `separated` only when the two ranges do not overlap; a case without
 separation reads flat, whatever its medians say, because ROUNDS runs a
 side cannot tell a smaller difference from this machine's drift.
@@ -70,18 +74,50 @@ SMALL_ENDO = "x1 -> x1 + x2\nx2 -> (x1 + x2)^2\nx3 -> x3\n"
 
 CASES = ("heavy-rank-q", "heavy-rank-fp", "rank2-conj", "conj-a1", "conj-a2", "startup-rank")
 
+# `python3 -c _PEAK_WRAPPER FILE ARGS` runs `endorank.cli ARGS` as
+# `python3 -m endorank.cli ARGS` does, and at exit writes the process's
+# VmHWM line from /proc/self/status to FILE.
+_PEAK_WRAPPER = """
+import atexit, runpy, sys
+out = sys.argv.pop(1)
+def peak():
+    try:
+        with open("/proc/self/status") as src:
+            lines = [line for line in src if line.startswith("VmHWM:")]
+    except OSError:
+        return
+    with open(out, "w") as dst:
+        dst.writelines(lines)
+atexit.register(peak)
+runpy.run_module("endorank.cli", run_name="__main__", alter_sys=True)
+"""
+
 
 def _cli(root, argv, timeout=TIMEOUT_S):
-    """(exit code or "timeout", stdout bytes, wall seconds) of one CLI call."""
+    """(exit code or "timeout", stdout bytes, wall seconds, peak MB or None)
+    of one CLI call."""
     env = {k: v for k, v in os.environ.items() if k not in ("ENDORANK_BUDGET", "PYTHONPATH")}
     env["PYTHONPATH"] = os.path.join(root, "src")
-    cmd = [sys.executable, "-m", "endorank.cli", *argv, "--format", "json"]
-    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="endorank-peak-") as tmp:
+        peak_file = os.path.join(tmp, "vmhwm")
+        cmd = [sys.executable, "-c", _PEAK_WRAPPER, peak_file, *argv, "--format", "json"]
+        start = time.perf_counter()
+        try:
+            done = subprocess.run(cmd, env=env, capture_output=True, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return "timeout", b"", time.perf_counter() - start, None
+        wall = time.perf_counter() - start
+        return done.returncode, done.stdout, wall, _peak_mb(peak_file)
+
+
+def _peak_mb(path):
+    """The VmHWM line ("VmHWM: <kB> kB") a wrapped CLI call wrote, in MB,
+    or None."""
     try:
-        done = subprocess.run(cmd, env=env, capture_output=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return "timeout", b"", time.perf_counter() - start
-    return done.returncode, done.stdout, time.perf_counter() - start
+        with open(path, encoding="ascii") as fh:
+            return round(int(fh.read().split()[1]) / 1024, 2)
+    except (OSError, IndexError, ValueError):
+        return None
 
 
 def _write(path, text):
@@ -92,7 +128,7 @@ def _write(path, text):
 
 def _conjugated(root, aut, endo, field):
     """The conjugate of endo by aut, as an endomorphism file over field."""
-    code, out, _ = _cli(root, ["conj", aut, endo])
+    code, out, _, _ = _cli(root, ["conj", aut, endo])
     if code != 0:
         raise SystemExit(f"heavy: building an input failed (conj exited {code})")
     images = json.loads(out)["conjugated"]
@@ -125,8 +161,13 @@ def build_inputs(root, workdir):
 
 
 def run_case(root, argv):
-    code, out, wall = _cli(root, argv)
-    return {"wall_s": round(wall, 3), "exit": code, "sha256": hashlib.sha256(out).hexdigest()}
+    code, out, wall, peak = _cli(root, argv)
+    return {
+        "wall_s": round(wall, 3),
+        "peak_mb": peak,
+        "exit": code,
+        "sha256": hashlib.sha256(out).hexdigest(),
+    }
 
 
 def _median(values):
@@ -176,6 +217,8 @@ def main(argv=None):
                 ok = [r["wall_s"] for r in rs if r["exit"] == 0]
                 entry[f"{side}_median_s"] = _median(ok)
                 entry[f"{side}_range_s"] = [min(ok), max(ok)] if ok else None
+                peaks = [r["peak_mb"] for r in rs if r["peak_mb"] is not None]
+                entry[f"{side}_median_peak_mb"] = _median(peaks)
             parent, change = entry["parent_range_s"], entry["change_range_s"]
             entry["separated"] = bool(parent and change) and (
                 parent[1] < change[0] or change[1] < parent[0]

@@ -10,7 +10,9 @@ Kronecker-system texts and variable powers) is made by `memoized`: a
 least-recently-used table of at most CACHE_SIZE entries, which
 clear_caches() empties.  No table keys on the budget or the degree cap, so
 a hit answers without spending either; an exception is never stored, so a
-limit is raised again on the next call.
+limit is raised again on the next call.  An elimination's basis is computed
+and dropped, not memoized: only the relation ideal read from it is kept,
+so a membership on the same graph ideal computes that basis again.
 
 Inside a computation a monomial is the packed int a MultiPoly keys its terms
 by, plus an order key (see _Packing), so a monomial product is two additions
@@ -450,6 +452,11 @@ def groebner_basis(ideal: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasi
 
 @memoized
 def _groebner_basis(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
+    return _compute_basis(ideal, order)
+
+
+def _compute_basis(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
+    """The reduced basis, computed afresh and checked under CHECK_SPOLYS."""
     polys, pk, packed = _buchberger(ideal, order, _Work(_budget))
     gb = GroebnerBasis(ideal, order, polys, (pk, packed))
     STATS["bases_computed"] += 1
@@ -595,7 +602,10 @@ def ideal_dimension(ideal: Ideal) -> int:
 def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
     """Intersect with the subring that omits the dropped variables, and
     re-index the survivors onto x1..x(n-|drop|) keeping their relative
-    order."""
+    order.  The elimination basis is computed, not memoized, and dropped
+    once its elements free of the dropped variables are read: callers keep
+    the result (endo.relation_ideal memoizes it), and a basis kept beside
+    it would only hold memory."""
     dropped = frozenset(drop)
     if not dropped:
         return ideal
@@ -604,7 +614,7 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
     keep = [i for i in range(ideal.nvars) if i not in dropped]
     if not keep:
         raise ArityMismatch("cannot eliminate every variable")
-    gb = groebner_basis(ideal, Block(dropped))
+    gb = _compute_basis(ideal, Block(dropped))
     out = []
     for g in gb.polys:
         if g.variables_used() & dropped:

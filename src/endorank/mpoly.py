@@ -45,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -126,12 +126,15 @@ class MonomialOrder:
     """Total order on monomials, defined once by its weights: integers
     W = `weights(nvars)` whose dot product with the exponents, `key`, is
     injective and orders monomials of total degree below WEIGHT_BASE like
-    the order (bigger key = bigger monomial)."""
+    the order (bigger key = bigger monomial).  A caller keying many
+    monomials of one arity builds W once and passes it to each `key`."""
 
     name = "order"
 
-    def key(self, m: Monomial) -> int:
-        return sum(map(mul, m, self.weights(len(m))))
+    def key(self, m: Monomial, weights: Optional[tuple[int, ...]] = None) -> int:
+        if weights is None:
+            weights = self.weights(len(m))
+        return sum(map(mul, m, weights))
 
     def weights(self, nvars: int) -> tuple[int, ...]:
         raise NotImplementedError
@@ -404,7 +407,8 @@ class MultiPoly:
     def leading_monomial(self, order: MonomialOrder) -> Monomial:
         if not self.terms:
             raise ValueError("the zero polynomial has no leading monomial")
-        return max(self.tuple_terms(), key=order.key)
+        weights = order.weights(self.nvars)
+        return max(self.tuple_terms(), key=lambda m: order.key(m, weights))
 
     def leading_coefficient(self, order: MonomialOrder) -> FieldElement:
         return self.coefficient(self.leading_monomial(order))

@@ -108,7 +108,8 @@ def format_poly(f: MultiPoly) -> str:
         return "0"
     spec = f.spec
     terms = f.tuple_terms()
-    monos = sorted(terms, key=GREVLEX.key, reverse=True)
+    weights = GREVLEX.weights(f.nvars)
+    monos = sorted(terms, key=lambda m: GREVLEX.key(m, weights), reverse=True)
     out = []
     for m in monos:
         c = terms[m]

@@ -23,6 +23,7 @@ from endorank.errors import (
     SpecMismatch,
 )
 from endorank.fields import GF2, GF3, GF4, QQ
+from endorank.mpoly import Block
 from endorank.parsing import parse_polynomial
 from endorank.sampling import random_endomorphism, random_scalar
 
@@ -198,10 +199,47 @@ def test_clear_caches_drops_relation_ideals():
     assert {k: t.cache_info().currsize for k, t in tables.items()} == dict.fromkeys(tables, 0)
     relation_ideal(phi)
     assert groebner.STATS["bases_computed"] == 1  # a fresh elimination
-    # Membership in K[images] reads the same x-eliminating basis of the
-    # same graph ideal.
+    # The elimination keeps only the relation ideal, not its basis, so
+    # membership in K[images] computes the same graph ideal's basis again.
     assert groebner.invert_poly_map(phi.images) is None
+    assert groebner.STATS["bases_computed"] == 2
+
+
+def test_an_elimination_keeps_the_relation_ideal_not_its_basis():
+    maps = [
+        endo(QQ, "x1^2 - x2", "x1*x2"),
+        endo(QQ, "x1 + x2^2", "(x1 + x2^2)^2"),
+        endo(GF3, "x1*x2", "x1 - x2^3"),
+    ]
+    endorank.clear_caches()
+    for phi in maps:
+        rank(phi)
+    # The basis table holds no Block-order basis: looking one up misses.
+    table = groebner._groebner_basis
+    for phi in maps:
+        misses = table.cache_info().misses
+        table(groebner.graph_ideal(phi.images), Block(range(phi.nvars)))
+        assert table.cache_info().misses == misses + 1
+    # A second rank reads the memoized relation ideal and computes nothing.
+    groebner.reset_stats()
+    for phi in maps:
+        rank(phi)
+    assert groebner.STATS["bases_computed"] == 0
+
+
+def test_an_uncached_elimination_still_checks_its_basis():
+    phi = endo(QQ, "x1^2 - x2", "x1*x2")
+    endorank.clear_caches()
+    groebner.reset_stats()
+    groebner.CHECK_SPOLYS = True
+    try:
+        relation_ideal(phi)
+    finally:
+        groebner.CHECK_SPOLYS = False
+        endorank.clear_caches()
     assert groebner.STATS["bases_computed"] == 1
+    assert groebner.STATS["spoly_checks"] > 0
+    assert groebner.STATS["spoly_failures"] == 0
 
 
 def test_every_memo_table_has_the_same_finite_bound():

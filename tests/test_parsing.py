@@ -222,6 +222,24 @@ def test_printer_matches_the_two_branch_printer_seeded(spec):
             assert format_poly(-f) == ref_format_poly(-f)
 
 
+def test_printer_builds_the_order_weights_once(monkeypatch):
+    f = MultiPoly.from_terms(
+        QQ, 3, [((a, b, (a + b) % 3), a + 2 * b + 1) for a in range(10) for b in range(10)]
+    )
+    assert len(f.terms) == 100
+    want = ref_format_poly(f)
+    builds = []
+    weights = type(GREVLEX).weights
+    monkeypatch.setattr(
+        type(GREVLEX), "weights", lambda self, n: builds.append(n) or weights(self, n)
+    )
+    assert format_poly(f) == want
+    assert builds == [3]
+    builds.clear()
+    f.leading_monomial(GREVLEX)
+    assert builds == [3]
+
+
 def test_field_headers():
     for spec in (QQ, GF2, GF3, GF4, GF9, FieldSpec.prime_field(101)):
         assert parse_field_header(f"field {spec.header()}") == spec
