@@ -41,7 +41,6 @@ from .fields import (
     GF2,
     GF3,
     GF4,
-    GF8,
     GF9,
     QQ,
     FieldAutomorphism,
@@ -78,7 +77,6 @@ from .kronecker import (
 )
 from .mpoly import (
     GREVLEX,
-    LEX,
     Block,
     MultiPoly,
     degree_cap,

@@ -467,7 +467,6 @@ QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime_field(2)
 GF3 = FieldSpec.prime_field(3)
 GF4 = FieldSpec.extension_field(2, 2, (1, 1, 1))  # t^2 + t + 1
-GF8 = FieldSpec.extension_field(2, 3, (1, 1, 0, 1))  # t^3 + t + 1
 GF9 = FieldSpec.extension_field(3, 2, (1, 0, 1))  # t^2 + 1
 
 

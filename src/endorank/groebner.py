@@ -18,9 +18,25 @@ Inside a computation a monomial is the packed int a MultiPoly keys its terms
 by, plus an order key (see _Packing), so a monomial product is two additions
 and a divisibility test is one mask.  Each generator is packed once: its
 largest term is the lead, and its tail is scaled by -1 over the lead
-coefficient on raws.  S-pairs wait in a heap under the total key (lcm
-degree, i, j).  Only finished bases are turned back into MultiPoly; the
-re-indexing in elimination and membership shifts packed ints.
+coefficient on raws.  Only finished bases are turned back into MultiPoly;
+the re-indexing in elimination and membership shifts packed ints.
+
+Buchberger is signature-based (Faugère's F5, ISSAC 2002; the rewrite form
+of Eder & Roune, ISSAC 2013; Eder & Faugère's survey, JSC 2017).  The
+generators enter one at a time, in _seed's order, and every element made
+while generator i enters has a signature t*e_i: written as a combination of
+generators 1..i, t is the lead of generator i's cofactor.  Signatures
+compare position over term, and a signature is packed like a
+monomial, so one of degree above MAX_DEGREE is refused with
+DegreeCapExceeded.  S-pairs wait in a heap by signature, and one is dropped
+when its signature is a syzygy's (t is a multiple of an earlier
+generator's element's lead, F5's criterion, or of a signature that reduced
+to zero) or when an element added after the pair's generator has a
+signature dividing it (the rewrite criterion).  Reduction is regular: an
+element reduces a term only where its signature times the quotient stays
+below the signature being reduced.  On the graph ideals that rank
+eliminates, whose generators form a regular sequence, no S-pair left by the
+criteria has been seen to reduce to zero.
 
 Inside the loop a polynomial is int (K, P, c) triples over one
 denominator, over every field: a remainder, an S-polynomial, and the one
@@ -71,7 +87,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations, groupby
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
@@ -79,6 +95,8 @@ from .errors import ArityMismatch, BudgetExceeded, DegreeCapExceeded, SpecMismat
 from .fields import _DIGIT_ROOM_BITS, FieldSpec
 from .mpoly import (
     GREVLEX,
+    MAX_DEGREE,
+    WEIGHT_BASE,
     Block,
     MonomialOrder,
     MultiPoly,
@@ -145,13 +163,16 @@ def clear_caches() -> None:
 
 
 class _Work:
-    """Step counter for one computation."""
+    """Step counter for one computation, beside the polynomials it reduced
+    to zero: S-pairs, and generators already in the ideal of the earlier
+    ones."""
 
-    __slots__ = ("steps", "budget")
+    __slots__ = ("steps", "budget", "zero_reductions")
 
     def __init__(self, budget: int):
         self.steps = 0
         self.budget = budget
+        self.zero_reductions = 0
 
     def step(self) -> None:
         self.steps += 1
@@ -274,10 +295,11 @@ def _numerators(terms: Sequence, spec: FieldSpec) -> tuple:
 
 def _element(k: int, p: int, neg_tail: tuple, spec: FieldSpec) -> tuple:
     """A monic basis element from its negated raw tail triples: (lead K,
-    lead P, D, ints, top), where ints over D is the negated tail (see
-    _numerators) and top is the tail's largest P (see _top)."""
+    lead P, D, ints, top, sig), where ints over D is the negated tail (see
+    _numerators), top is the tail's largest P (see _top) and sig is the key
+    of the element's signature, set inside _buchberger and 0 elsewhere."""
     ints, D = _numerators(neg_tail, spec)
-    return k, p, D, tuple(ints), _top(ints)
+    return k, p, D, tuple(ints), _top(ints), 0
 
 
 def _lowest_terms(k: int, p: int, ints: Sequence, den: int) -> tuple:
@@ -289,7 +311,7 @@ def _lowest_terms(k: int, p: int, ints: Sequence, den: int) -> tuple:
         g = -g
     if g != 1:
         ints = [(tk, tp, c // g) for tk, tp, c in ints]
-    return k, p, den // g, tuple(ints), _top(ints)
+    return k, p, den // g, tuple(ints), _top(ints), 0
 
 
 def _top(tail: Sequence):
@@ -300,7 +322,7 @@ def _top(tail: Sequence):
 
 def _poly(el: tuple, nvars: int, spec: FieldSpec) -> MultiPoly:
     """A basis element as a MultiPoly."""
-    _, p, D, ints, _ = el
+    _, p, D, ints = el[:4]
     if spec.is_finite:
         tail = {q: spec.neg_raw(c) for _, q, c in ints}
     else:
@@ -328,6 +350,13 @@ def _monic_raws(terms: list, spec: FieldSpec) -> tuple:
     return _element(k, p, tuple((tk, tp, mul_raw(c, m)) for tk, tp, c in tail), spec)
 
 
+def _negated(el: tuple, spec: FieldSpec) -> tuple:
+    """A monic basis element, negated, as (int (K, P, c) triples, D) like
+    an S-polynomial of _spoly."""
+    k, p, D, ints = el[:4]
+    return [(k, p, spec.neg_raw(1) if spec.is_finite else -D), *ints], D
+
+
 def _readout(remainder: tuple, spec: FieldSpec) -> list:
     """The raw triples of ints over a denominator, such as a remainder of
     _reduce."""
@@ -338,17 +367,21 @@ def _readout(remainder: tuple, spec: FieldSpec) -> list:
 
 
 def _reduce(
-    poly: tuple, basis: Sequence, pk: _Packing, spec: FieldSpec, work: _Work
+    poly: tuple, basis: Sequence, pk: _Packing, spec: FieldSpec, work: _Work,
+    bound=inf,
 ) -> tuple:
     """Full normal form of a polynomial, given as (int (K, P, c) triples,
     den) (see _numerators), against basis elements (see _element).  Terms
     are taken largest first from a heap of -K; a term whose coefficient is
-    zero when popped is skipped.  The first basis element whose lead
-    divides the term reduces it, so the result is deterministic for a fixed
-    basis order (and unique anyway once the basis is a Groebner basis).
-    Returns (triples largest first, den) in the same form: the remainder's
-    numerators over den (see the module docstring) and, over a finite
-    field, its raws over den = 1."""
+    zero when popped is skipped.  The first basis element that may reduce
+    the term does, so the result is deterministic for a fixed basis order
+    (and unique anyway once the basis is a Groebner basis).  An element may
+    when its lead divides the term and, the reduction being regular, its
+    signature key plus the quotient's key is below `bound`, the key of the
+    polynomial's signature (see _buchberger); by default every reduction
+    is.  Returns (triples largest first, den) in the same form: the
+    remainder's numerators over den (see the module docstring) and, over a
+    finite field, its raws over den = 1."""
     cap = degree_cap()
     guard, deg_shift = pk.guard, pk.deg_shift
     above_cap = (cap + 1) << deg_shift  # the degree is P's top field
@@ -372,8 +405,8 @@ def _reduce(
         if not c:
             continue
         p = packed[k]
-        for lk, lp, D, tail, top in basis:
-            if not (p - lp) & guard:
+        for lk, lp, D, tail, top, sig in basis:
+            if not (p - lp) & guard and sig + k - lk < bound:
                 break
         else:
             out.append((k, p, c))
@@ -476,51 +509,82 @@ def _seed(ideal: Ideal, pk: _Packing) -> list[tuple]:
 
 
 def _buchberger(ideal: Ideal, order: MonomialOrder, work: _Work) -> tuple:
-    """The reduced basis as (polys, packing, packed elements)."""
+    """The reduced basis as (polys, packing, packed elements), by the
+    signature Buchberger of the module docstring.  An element whose top term
+    only an element of its own signature divides is kept: with the rewrite
+    criterion's order (the latest element), later pairs need it."""
     spec = ideal.spec
     n = ideal.nvars
     pk = _Packing(n, order)
-    guard = pk.guard
-    # Each element gets its order keys once, here or when it enters.
-    G = _seed(ideal, pk)
-    # Pairs wait in a heap under the total key (lcm degree, i, j); `pending`
-    # holds the same pairs for the chain criterion.
-    pairs: list[tuple] = []
-    pending: set[tuple[int, int]] = set()
+    guard, deg_shift = pk.guard, pk.deg_shift
+    # Generator i's signatures t*e_i have keys i*stride + key(t): a key of
+    # degree below WEIGHT_BASE is below stride, so keys compare i first.
+    stride = WEIGHT_BASE**n
+    G: list[tuple] = []
+    sigs: list[int] = []  # the packed t of each element's signature t*e_i
 
-    def add_pairs(t: int) -> None:
-        for s in range(t):
-            lp = mono_lcm(G[s][1], G[t][1], n)
-            heappush(pairs, (lp >> pk.deg_shift, s, t, pk.key(lp), lp))
-            pending.add((s, t))
-
-    for t in range(1, len(G)):
-        add_pairs(t)
-
-    while pairs:
-        _, i, j, lk, lp = heappop(pairs)
-        pending.remove((i, j))
-        # Coprime leads: the S-polynomial reduces to zero for free.
-        if lp == G[i][1] + G[j][1]:
-            continue
-        # Chain criterion: a third lead dividing the lcm, both of whose pairs
-        # with i and j have already been handled, makes this pair redundant.
-        redundant = False
-        for k, g in enumerate(G):
-            if k == i or k == j or (lp - g[1]) & guard:
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
-                redundant = True
-                break
-        if redundant:
-            continue
-        out, _ = _reduce(_spoly(G[i], G[j], (lk, lp), pk, spec), G, pk, spec, work)
+    def enter(poly: tuple, sk: int, sp: int, el: Optional[tuple] = None) -> None:
+        """Regular-reduce a polynomial of signature (key sk, packed t sp),
+        and keep it as an element with its S-pairs, or its signature as a
+        syzygy's; `el` is poly's own element, kept when no step reduces it.
+        `first`, `syzygies` and `pairs` are the entering generator's, set in
+        the loop below."""
+        steps = work.steps
+        out, _ = _reduce(poly, G, pk, spec, work, sk)
         if not out:
-            continue
-        G.append(_monic_element(out, spec))
-        add_pairs(len(G) - 1)
+            work.zero_reductions += 1
+            syzygies.append(sp)
+            return
+        if el is None or work.steps != steps:
+            el = _monic_element(out, spec)
+        g = el[:5] + (sk,)
+        t = len(G)
+        G.append(g)
+        sigs.append(sp)
+        # The S-pair of g and G[s] has the larger of the signatures
+        # u*sig(g) and v*sig(G[s]), u and v the cofactors of the lcm of
+        # their leads: g's when G[s] comes from an earlier generator.  The
+        # larger side is the pair's generator, and equal sides make none.
+        for s, h in enumerate(G[:t]):
+            lp = mono_lcm(h[1], g[1], n)
+            lk = pk.key(lp)
+            a, b = t, s
+            ak, ap = shifted(t, lk, lp)
+            if s >= first:
+                bk, bp = shifted(s, lk, lp)
+                if bk == ak:
+                    continue
+                if bk > ak:
+                    a, b, ak, ap = s, t, bk, bp
+            heappush(pairs, (ak, a, b, ap, (lk, lp)))
+
+    def shifted(a: int, lk: int, lp: int) -> tuple:
+        """The signature of G[a] times the cofactor of the monomial (lk, lp)
+        over its lead, as (key, packed t)."""
+        sp = lp - G[a][1] + sigs[a]
+        if sp >> deg_shift > MAX_DEGREE:
+            raise DegreeCapExceeded(
+                f"signature reached degree {sp >> deg_shift} above {MAX_DEGREE}"
+            )
+        return lk - G[a][0] + G[a][5], sp
+
+    for i, f in enumerate(_seed(ideal, pk), 1):
+        first = len(G)
+        # t*e_i is a syzygy's signature when t is a multiple of an earlier
+        # generator's element's lead (F5's criterion) or of a signature
+        # reduced to zero.
+        syzygies = [g[1] for g in G]
+        pairs: list[tuple] = []
+        enter(_negated(f, spec), i * stride, 0, f)
+        while pairs:
+            sk, a, b, sp, m = heappop(pairs)
+            if any(not (sp - z) & guard for z in syzygies):
+                continue
+            # Rewrite criterion: a later element whose signature divides
+            # the pair's stands for it.
+            if any(not (sp - sigs[c]) & guard for c in range(a + 1, len(G))):
+                continue
+            enter(_spoly(G[a], G[b], m, pk, spec), sk, sp)
 
     # Minimal: keep only leads not divisible by another kept lead.
     kept: list[tuple] = []

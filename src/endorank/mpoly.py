@@ -169,15 +169,6 @@ class GrevLex(MonomialOrder):
         return _grevlex_weights(nvars)
 
 
-class Lex(MonomialOrder):
-    """Pure lexicographic order, x1 > x2 > ..."""
-
-    name = "lex"
-
-    def weights(self, nvars):
-        return tuple(WEIGHT_BASE ** (nvars - 1 - i) for i in range(nvars))
-
-
 class Block(MonomialOrder):
     """Elimination order: the eliminated block dominates, grevlex inside
     each block.  Any monomial touching an eliminated variable outranks every
@@ -208,7 +199,6 @@ class Block(MonomialOrder):
 
 
 GREVLEX = GrevLex()
-LEX = Lex()
 
 
 # -- the integer kernel -------------------------------------------------------

@@ -21,10 +21,11 @@ from endorank.errors import (
     SearchExhausted,
     SpecMismatch,
 )
-from endorank.fields import GF2, GF3, GF4, GF8, GF9, QQ
+from endorank.fields import GF2, GF3, GF4, GF9, QQ
 from endorank.groebner import clear_caches, get_budget, set_budget
 from endorank.mpoly import MultiPoly, set_degree_cap
 from endorank.parsing import parse_polynomial
+from test_fields import GF8
 
 
 def endo(spec, *images):
@@ -273,9 +274,9 @@ def test_a_candidate_past_the_degree_cap_ends_the_search():
 
 
 def test_the_degree_cap_never_decides_which_step_the_search_takes(tmp_path, capsys):
-    # x1 := x2^2 raises the images to degree 8, past a cap of 8 while
-    # ranking: the search stops there (exit 2) rather than going on to the
-    # lift, and under the default cap it takes that step.
+    # x1 := x2^2 raises the images to degree 8, past a cap of 7 that the
+    # map's own rank fits in: the search stops there (exit 2) rather than
+    # going on to the lift, and under the default cap it takes that step.
     path = tmp_path / "pair.endo"
     path.write_text(
         "field F 2\nvars 2\n"
@@ -283,7 +284,7 @@ def test_the_degree_cap_never_decides_which_step_the_search_takes(tmp_path, caps
         "x2 -> (x1^2 + x1) * (x2^2 + x2) * x2\n"
     )
     clear_caches()
-    set_degree_cap(8)
+    set_degree_cap(7)
     try:
         with pytest.raises(DegreeCapExceeded, match=r"\(candidate x1 := x2\^2\)$"):
             reduce_rank_once(gf2_vanishing_pair(), ChainPolicy(seed=1))

@@ -881,14 +881,14 @@ def test_properties_past_the_degree_cap_exit_two(files, capsys, budget):
 def test_selftest_past_its_budget_exits_two(capsys):
     clear_caches()  # a cached basis would answer without spending budget
     try:
-        code = main(["selftest", "--budget", "5"])
+        code = main(["selftest", "--budget", "3"])
     finally:
         clear_caches()
     captured = capsys.readouterr()
     assert code == 2
     assert "FAIL" not in captured.out
-    assert captured.err.startswith("endorank: exhausted: reduction budget of 5 steps")
-    # The first check spends more than 5 steps; the message names it.
+    assert captured.err.startswith("endorank: exhausted: reduction budget of 3 steps")
+    # The first check spends more than 3 steps; the message names it.
     assert captured.err.rstrip().endswith("(selftest check gf2-counterexample-rank)")
 
 

@@ -32,7 +32,6 @@ from endorank.groebner import (
 from endorank import mpoly
 from endorank.mpoly import (
     GREVLEX,
-    LEX,
     Block,
     MultiPoly,
     degree_cap,
@@ -41,7 +40,7 @@ from endorank.mpoly import (
 from endorank.autgroup import conjugate
 from endorank.parsing import load_automorphism, load_endomorphism, parse_polynomial
 from endorank.sampling import random_polynomial
-from test_mpoly import tuple_key
+from test_mpoly import LEX, tuple_key
 
 
 def p(text, spec=QQ, n=2):
@@ -187,16 +186,18 @@ def test_eliminate_validates():
 
 
 def test_budget_is_a_resource_verdict():
+    # The cyclic-3 ideal takes 4 reduction steps.
+    cyclic = ideal("x1 + x2 + x3", "x1*x2 + x2*x3 + x1*x3", "x1*x2*x3 - 1", n=3)
     clear_caches()
     old = get_budget()
     try:
         set_budget(1)
         with pytest.raises(BudgetExceeded):
-            groebner_basis(ideal("x1^3 - 2*x1*x2", "x1^2*x2 + x1 - 2*x2^2"))
+            groebner_basis(cyclic)
         # nothing was cached for the failed attempt; a real budget succeeds
         set_budget(old)
-        gb = groebner_basis(ideal("x1^3 - 2*x1*x2", "x1^2*x2 + x1 - 2*x2^2"))
-        assert [str(f) for f in gb.polys] == ["x2^2 - 1/2*x1", "x1*x2", "x1^2"]
+        gb = groebner_basis(cyclic)
+        assert [str(f) for f in gb.polys] == ["x1 + x2 + x3", "x2^2 + x2*x3 + x3^2", "x3^3 - 1"]
     finally:
         set_budget(old)
     with pytest.raises(ValueError):
@@ -358,7 +359,9 @@ def mono_div(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _reference_reduce(f, basis, lms, order, work):
+def _reference_reduce(f, basis, lms, order, work, regular=None):
+    """f reduced by the first element whose lead divides its largest term,
+    and, when given, for which regular(k, m) holds."""
     spec = f.spec
     cap = degree_cap()
     cur = f.tuple_terms()
@@ -368,7 +371,7 @@ def _reference_reduce(f, basis, lms, order, work):
         c = cur.pop(m)
         hit = -1
         for k, lm in enumerate(lms):
-            if mono_divides(lm, m):
+            if mono_divides(lm, m) and (regular is None or regular(k, m)):
                 hit = k
                 break
         if hit < 0:
@@ -425,12 +428,37 @@ def packed_element(pk, f):
     return groebner._monic_raws(pk.terms(f), f.spec)
 
 
-def _reference_buchberger(ideal, order, work):
-    seed = sorted(
+def _reference_seed(ideal, order):
+    return sorted(
         (make_monic(f, order) for f in ideal.generators),
         key=lambda f: (order.key(f.leading_monomial(order)), groebner._poly_sort_key(f)),
     )
-    G = list(seed)
+
+
+def _reference_reduced(G, lms, order, work):
+    """The reduced basis from a Groebner basis G with leads lms."""
+    by_lm = sorted(range(len(G)), key=lambda idx: order.key(lms[idx]))
+    kept = []
+    for idx in by_lm:
+        if any(mono_divides(lms[kidx], lms[idx]) for kidx in kept):
+            continue
+        kept.append(idx)
+    basis = [G[idx] for idx in kept]
+    blms = [lms[idx] for idx in kept]
+    reduced = []
+    for i, g in enumerate(basis):
+        others = basis[:i] + basis[i + 1 :]
+        olms = blms[:i] + blms[i + 1 :]
+        reduced.append(_reference_reduce(g, others, olms, order, work) if others else g)
+    reduced.sort(key=lambda f: order.key(f.leading_monomial(order)))
+    return tuple(reduced)
+
+
+def _reference_buchberger(ideal, order, work):
+    """The classic Buchberger: pairs by lcm degree, with the coprime and
+    chain criteria.  Its steps differ from the engine's; its bases are the
+    oracle."""
+    G = _reference_seed(ideal, order)
     lms = [g.leading_monomial(order) for g in G]
     pending = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
 
@@ -462,22 +490,64 @@ def _reference_buchberger(ideal, order, work):
         lms.append(r.leading_monomial(order))
         t = len(G) - 1
         pending.update((k, t) for k in range(t))
+    return _reference_reduced(G, lms, order, work)
 
-    by_lm = sorted(range(len(G)), key=lambda idx: order.key(lms[idx]))
-    kept = []
-    for idx in by_lm:
-        if any(mono_divides(lms[kidx], lms[idx]) for kidx in kept):
-            continue
-        kept.append(idx)
-    basis = [G[idx] for idx in kept]
-    blms = [lms[idx] for idx in kept]
-    reduced = []
-    for i, g in enumerate(basis):
-        others = basis[:i] + basis[i + 1 :]
-        olms = blms[:i] + blms[i + 1 :]
-        reduced.append(_reference_reduce(g, others, olms, order, work) if others else g)
-    reduced.sort(key=lambda f: order.key(f.leading_monomial(order)))
-    return tuple(reduced)
+
+def _reference_signature_buchberger(ideal, order, work):
+    """The engine's signature Buchberger on exponent tuples.  The signature
+    of an element is (i, t) for t*e_i, generator i in seed order, compared
+    by (i, order.key(t)).  Pairs are taken by (signature, generator,
+    partner), and a pair is skipped when a lead of an earlier generator's
+    element or a signature reduced to zero divides its t, or when an element
+    after its generator has a signature dividing it.  A term m is reduced
+    only by an element whose signature times m over its lead is smaller."""
+
+    def key(sig):
+        return (sig[0], order.key(sig[1]))
+
+    G, lms, sigs = [], [], []
+    for i, f in enumerate(_reference_seed(ideal, order)):
+        first = len(G)
+        syzygies = list(lms)
+        pairs = []
+
+        def enter(h, sig):
+            def regular(k, m):
+                return key((sigs[k][0], mono_mul(mono_div(m, lms[k]), sigs[k][1]))) < key(sig)
+
+            r = _reference_reduce(h, G, lms, order, work, regular)
+            if r.is_zero:
+                syzygies.append(sig[1])
+                return
+            r = make_monic(r, order)
+            t = len(G)
+            G.append(r)
+            lms.append(r.leading_monomial(order))
+            sigs.append(sig)
+            for s in range(t):
+                lcm = mono_lcm(lms[s], lms[t])
+                # an earlier generator's side is the smaller
+                sides = {}
+                for x in (t,) if s < first else (t, s):
+                    sides[x] = (i, mono_mul(mono_div(lcm, lms[x]), sigs[x][1]))
+                    if mono_degree(sides[x][1]) > mpoly.MAX_DEGREE:
+                        raise DegreeCapExceeded("signature past the packed degrees")
+                if len(sides) == 2 and sides[t] == sides[s]:
+                    continue
+                a = max(sides, key=lambda x: key(sides[x]))
+                pairs.append((key(sides[a]), a, s + t - a, sides[a]))
+
+        enter(f, (i, (0,) * ideal.nvars))
+        while pairs:
+            pair = min(pairs, key=lambda q: q[:3])
+            pairs.remove(pair)
+            _, a, b, sig = pair
+            if any(mono_divides(z, sig[1]) for z in syzygies):
+                continue
+            if any(mono_divides(sigs[c][1], sig[1]) for c in range(a + 1, len(G))):
+                continue
+            enter(_reference_spoly(G[a], lms[a], G[b], lms[b]), sig)
+    return _reference_reduced(G, lms, order, work)
 
 
 def _packed_normal_form(f, basis, order, work):
@@ -685,19 +755,33 @@ def _no_constant_term(rng, spec, n):
             return f
 
 
+def _check_against_references(I, order, budget=2000):
+    """The engine's basis and steps against the signature reference's, and
+    its basis against the classic reference's where that one finishes.
+    Returns (steps, whether the bases were compared)."""
+    got = _outcome(lambda w: groebner._buchberger(I, order, w)[0], budget)
+    assert got == _outcome(lambda w: _reference_signature_buchberger(I, order, w), budget), (
+        I.spec, order, I.generators)
+    classic = _outcome(lambda w: _reference_buchberger(I, order, w), budget)
+    compared = isinstance(classic[0], tuple) and isinstance(got[0], tuple)
+    if compared:
+        assert got[0] == classic[0], (I.spec, order, I.generators)
+    return got[1], compared
+
+
 def test_buchberger_matches_reference_bases_and_steps():
     rng = random.Random(7)
-    steps = 0
+    steps = compared = 0
     for n in range(2, 5):
         for spec in FIELDS:
             for order in _orders(rng, n):
                 for _ in range(2):
                     I = Ideal.of(spec, n, [_no_constant_term(rng, spec, n) for _ in range(3)])
-                    want = _outcome(lambda w: _reference_buchberger(I, order, w), 2000)
-                    got = _outcome(lambda w: groebner._buchberger(I, order, w)[0], 2000)
-                    assert got == want, (spec, n, order, I.generators)
-                    steps += got[1]
+                    got = _check_against_references(I, order)
+                    steps += got[0]
+                    compared += got[1]
     assert steps > 2000  # the pair sequence is exercised, not just trivial ideals
+    assert compared == 119  # one ideal takes the classic loop past its budget
 
 
 def _mixed_denominators(rng, n):
@@ -721,11 +805,9 @@ def test_buchberger_over_q_with_mixed_denominators_matches_reference():
             for order in _orders(rng, n):
                 for _ in range(4):
                     I = Ideal.of(QQ, n, [_mixed_denominators(rng, n) for _ in range(3)])
-                    want = _outcome(lambda w: _reference_buchberger(I, order, w), 2000)
-                    got = _outcome(lambda w: groebner._buchberger(I, order, w)[0], 2000)
-                    assert got == want, (n, order, I.generators)
-                    steps += got[1]
-                    if got[0] is BudgetExceeded:
+                    got, compared = _check_against_references(I, order)
+                    steps += got
+                    if not compared:
                         continue
                     _, els = groebner_basis(I, order)._packed
                     # each D is positive and least: no factor common to all ints
@@ -736,7 +818,61 @@ def test_buchberger_over_q_with_mixed_denominators_matches_reference():
         groebner.CHECK_SPOLYS = False
         clear_caches()
     assert groebner.STATS["spoly_checks"] > checks
-    assert mixed > 10 and steps > 1000
+    assert mixed > 10 and steps > 500
+
+
+def test_a_lex_ideal_the_classic_pair_loop_could_not_finish():
+    # From the seed-7 sweep above: the classic loop runs out of 2,000 steps
+    # on it, and the signature criteria finish in 747.
+    I = Ideal.of(QQ, 4, [p(t, n=4) for t in (
+        "4*x1*x2^2 + 2*x1*x3 - x1*x4",
+        "-3*x4^4 + 3*x1*x2*x4 + 2*x1*x4^2 + 3*x1",
+        "2*x1*x2^2*x3 + 2*x2*x3^2 - x1^2 + 2*x1*x3",
+    )])
+    work = groebner._Work(2000)
+    groebner._buchberger(I, LEX, work)
+    assert work.steps == 747
+    clear_caches()
+    gb = groebner_basis(I, LEX)
+    # Under lex the S-polynomials and normal forms rise above degree 64.
+    old = degree_cap()
+    set_degree_cap(mpoly.MAX_DEGREE)
+    try:
+        groebner._verify_spolys(gb)
+        assert all(normal_form(f, gb).is_zero for f in I.generators)
+    finally:
+        set_degree_cap(old)
+        clear_caches()
+
+
+def test_a_graph_ideal_reduces_no_s_pair_to_zero():
+    # heavy-rank-q's graph ideal: the conjugate of g by s (60, 12 and 4
+    # terms, degree 16).  Its generators y_i - g_i form a regular sequence,
+    # and no S-pair that the F5 and rewrite criteria leave reduces to zero.
+    s = load_automorphism(
+        "field Q\nvars 3\ndelta identity\nx1 -> x1 + x2^2\nx2 -> x2 + x3^2\nx3 -> x3\n"
+    )
+    g = load_endomorphism(
+        "field Q\nvars 3\nx1 -> x1*x3 - 3*x2\nx2 -> -4*x1^2 + 3*x3\nx3 -> -4*x2^2 + 2*x3^2\n"
+    )
+    I = groebner.graph_ideal(conjugate(s, g).images)
+    work = groebner._Work(10**5)
+    polys = groebner._buchberger(I, Block(range(3)), work)[0]
+    assert len(polys) == 10
+    assert work.zero_reductions == 0
+    # The classic pair loop (coprime and chain criteria, pairs by lcm
+    # degree) took 7,376 steps on it; the classic reference above takes
+    # minutes here.
+    assert work.steps < 7376
+
+
+def test_a_signature_past_the_packed_degrees_is_a_resource_limit(monkeypatch):
+    # Signatures are packed like monomials, so one of degree above
+    # MAX_DEGREE is refused; lowered here to meet one.
+    monkeypatch.setattr(groebner, "MAX_DEGREE", 1)
+    I = ideal("x1^2 - x2", "x1*x2 - 1")
+    with pytest.raises(DegreeCapExceeded, match="^signature reached degree 2 above 1$"):
+        groebner._buchberger(I, GREVLEX, groebner._Work(100))
 
 
 def test_inputs_above_the_degree_cap_are_never_packed_into_a_guard_bit():

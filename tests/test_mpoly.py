@@ -13,17 +13,32 @@ from endorank.errors import (
     DegreeCapExceeded,
     SpecMismatch,
 )
-from endorank.fields import GF2, GF3, GF4, GF8, GF9, QQ, FieldElement
+from endorank.fields import GF2, GF3, GF4, GF9, QQ, FieldElement
 from endorank.mpoly import (
     GREVLEX,
-    LEX,
+    WEIGHT_BASE,
     Block,
+    MonomialOrder,
     MultiPoly,
     degree_cap,
     set_degree_cap,
 )
 from endorank.parsing import parse_polynomial
 from endorank.sampling import random_monomial, random_polynomial
+from test_fields import GF8
+
+
+class Lex(MonomialOrder):
+    """Pure lexicographic order, x1 > x2 > ...: the tests' order in which a
+    tail may rise above its lead's degree."""
+
+    name = "lex"
+
+    def weights(self, nvars):
+        return tuple(WEIGHT_BASE ** (nvars - 1 - i) for i in range(nvars))
+
+
+LEX = Lex()
 
 
 def p(text, spec=QQ, n=2):

@@ -14,7 +14,7 @@ from endorank.errors import (
     PolySyntaxError,
     UnknownVariable,
 )
-from endorank.fields import GF2, GF3, GF4, GF8, GF9, QQ, FieldSpec
+from endorank.fields import GF2, GF3, GF4, GF9, QQ, FieldSpec
 from endorank.mpoly import GREVLEX, MultiPoly, set_degree_cap, degree_cap
 from endorank.parsing import (
     _format_monomial,
@@ -31,6 +31,7 @@ from endorank.parsing import (
     parse_polynomial,
 )
 from endorank.sampling import random_polynomial
+from test_fields import GF8
 from test_mpoly import _poly, ref_mul
 
 

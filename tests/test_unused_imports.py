@@ -96,8 +96,6 @@ UNREAD_BY_DESIGN = {
     "groebner.py: clear_caches",  # library controls documented in README
     "mpoly.py: set_degree_cap",
     "groebner.py: reset_stats",  # zeroes groebner.STATS for callers
-    "mpoly.py: LEX",  # the stock order and field that callers pass in
-    "fields.py: GF8",
 }
 
 
